@@ -245,7 +245,7 @@ std::vector<SweepCell> parse_sweep_manifest(const std::string& text,
                                             const SweepGrid& grid,
                                             const std::string& context) {
   std::istringstream raw(text);
-  const std::string body = st::read_verified(raw, context);
+  const std::string body = st::read_checksummed(raw, context);
   std::istringstream in(body);
 
   std::string token;

@@ -4,6 +4,7 @@
 #include <istream>
 #include <map>
 #include <ostream>
+#include <sstream>
 
 #include "obs/latency.hpp"
 #include "util/contracts.hpp"
@@ -124,6 +125,10 @@ void WindowedCollector::close_window() {
   if (options_.max_windows > 0 && windows_.size() > options_.max_windows) {
     windows_.erase(windows_.begin());
     ++dropped_windows_;
+    if (saved_windows_ > 0) {
+      saved_text_.erase(0, saved_text_.find('\n') + 1);
+      --saved_windows_;
+    }
   }
 }
 
@@ -255,8 +260,14 @@ void WindowedCollector::save_state(std::ostream& out) const {
       << ' ' << windows_closed_ << ' ' << dropped_windows_ << "\n";
   out << "current ";
   write_window(out, current_);
-  out << "retained " << windows_.size() << "\n";
-  for (const WindowRecord& w : windows_) write_window(out, w);
+  if (saved_windows_ < windows_.size()) {
+    std::ostringstream fresh;
+    for (; saved_windows_ < windows_.size(); ++saved_windows_) {
+      write_window(fresh, windows_[saved_windows_]);
+    }
+    saved_text_ += fresh.str();
+  }
+  out << "retained " << windows_.size() << "\n" << saved_text_;
   // last_core_ in sorted order: the serialized form must not depend on
   // unordered_map iteration.
   const std::map<std::uint64_t, LastCore> sorted(last_core_.begin(),
@@ -307,6 +318,8 @@ void WindowedCollector::restore_state(std::istream& in,
   const auto retained =
       st::read_value<std::size_t>(in, "retained count", context);
   windows_.clear();
+  saved_text_.clear();
+  saved_windows_ = 0;
   for (std::size_t i = 0; i < retained; ++i) {
     windows_.push_back(read_window(in, cores, context));
   }

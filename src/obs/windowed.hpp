@@ -154,7 +154,9 @@ class WindowedCollector final : public ScheduleObserver {
   // Checkpoint support: serializes the in-progress window, the retained
   // closed windows and the migration-detector state, so a restored
   // collector folds the remaining events into the exact window stream
-  // the uninterrupted run would produce. restore_state requires a
+  // the uninterrupted run would produce. Closed windows never change, so
+  // each one is formatted by the first save that sees it and that text
+  // is reused by every later save. restore_state requires a
   // collector constructed with the same core count and window width and
   // throws std::runtime_error (tagged with `context`) on malformed or
   // mismatched input.
@@ -177,6 +179,9 @@ class WindowedCollector final : public ScheduleObserver {
   std::uint64_t windows_closed_ = 0;
   std::uint64_t dropped_windows_ = 0;
   std::vector<WindowRecord> windows_;
+  // save_state text of windows_[0 .. saved_windows_), one line each.
+  mutable std::string saved_text_;
+  mutable std::size_t saved_windows_ = 0;
   // Last core of jobs whose latest execution did not complete (preempted,
   // watchdog-cleared or failed-core victims) — the migration detector.
   // `fault` distinguishes fault-recovery re-queues (core failure,

@@ -25,16 +25,20 @@ namespace st = snapshot_text;
 // every in-flight span) between the stream stats and the windowed
 // collector, so a resumed run rebuilds the exact latency distributions —
 // older snapshots are rejected rather than resumed with reset spans.
-constexpr int kCheckpointVersion = 4;
+// Version 5 shrank the DAG block to live state (root cursor, unretired
+// jobs, partly satisfied nodes, the completion-released heap); the
+// per-node frontier and the emission log left the file, so version-4
+// snapshots cannot be restored.
+constexpr int kCheckpointVersion = 5;
 
-std::string make_checkpoint_text(const Scenario& scenario,
+std::string make_checkpoint_text(std::uint64_t fingerprint,
                                  const CheckpointRunOptions& options,
                                  std::uint64_t boundary, ScenarioRun& run,
                                  const JobSpanCollector& spans,
                                  const WindowedCollector& collector) {
   std::ostringstream body;
   body << "hetsched-checkpoint " << kCheckpointVersion << "\n";
-  body << "scenario-hash " << scenario_fingerprint(scenario) << "\n";
+  body << "scenario-hash " << fingerprint << "\n";
   body << "window-cycles " << options.window_cycles << ' '
        << options.checkpoint_every << "\n";
   body << "boundary " << boundary << "\n";
@@ -57,14 +61,14 @@ std::string make_checkpoint_text(const Scenario& scenario,
 // `collector`, and returns the stride boundary the snapshot was taken
 // at. The ScenarioRun must be freshly constructed (not started).
 std::uint64_t restore_checkpoint_text(const std::string& text,
-                                      const Scenario& scenario,
+                                      std::uint64_t fingerprint,
                                       const CheckpointRunOptions& options,
                                       ScenarioRun& run,
                                       JobSpanCollector& spans,
                                       WindowedCollector& collector,
                                       const std::string& context) {
   std::istringstream raw(text);
-  const std::string body = st::read_verified(raw, context);
+  const std::string body = st::read_checksummed(raw, context);
   std::istringstream in(body);
 
   std::string token;
@@ -78,7 +82,7 @@ std::uint64_t restore_checkpoint_text(const std::string& text,
     st::fail(context, "expected 'scenario-hash'");
   }
   if (st::read_value<std::uint64_t>(in, "scenario hash", context) !=
-      scenario_fingerprint(scenario)) {
+      fingerprint) {
     st::fail(context,
              "checkpoint was taken for a different scenario definition");
   }
@@ -167,6 +171,8 @@ CheckpointRunOutcome run_scenario_checkpointed(
   // latency digest) before the windowed collector closes k and pulls it.
   FanoutObserver extra({&spans, &collector});
   ScenarioRun run(scenario, context, &extra);
+  // Hashing the canonical scenario text is O(scenario): once per run.
+  const std::uint64_t fingerprint = scenario_fingerprint(scenario);
 
   std::uint64_t boundary = 0;
   std::uint64_t resumed_from = 0;
@@ -176,9 +182,9 @@ CheckpointRunOutcome run_scenario_checkpointed(
     const std::string context_name = options.resume_from.empty()
                                          ? std::string("checkpoint")
                                          : options.resume_from;
-    boundary = restore_checkpoint_text(load_resume_text(options), scenario,
-                                       options, run, spans, collector,
-                                       context_name);
+    boundary = restore_checkpoint_text(load_resume_text(options),
+                                       fingerprint, options, run, spans,
+                                       collector, context_name);
     resumed_from = boundary;
   } else {
     run.start();
@@ -191,7 +197,7 @@ CheckpointRunOutcome run_scenario_checkpointed(
     const bool paused = run.advance_until(boundary * stride);
     if (!paused) break;  // stream drained before the boundary
 
-    const std::string text = make_checkpoint_text(scenario, options,
+    const std::string text = make_checkpoint_text(fingerprint, options,
                                                   boundary, run, spans,
                                                   collector);
     if (options.capture_checkpoints != nullptr) {

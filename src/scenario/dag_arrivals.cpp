@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <iterator>
 #include <ostream>
 
 #include "util/contracts.hpp"
@@ -119,119 +120,174 @@ DagArrivalSource::DagArrivalSource(
     generator.set_realtime(realtime->reference_cycles_by_benchmark,
                            realtime->options, realtime->seed);
   }
-  nodes_.resize(options.count);
-  for (Node& node : nodes_) {
+  const std::size_t count = options.count;
+  base_.reserve(count);
+  for (std::size_t v = 0; v < count; ++v) {
     const std::optional<JobArrival> arrival = generator.next();
     HETSCHED_ASSERT(arrival.has_value());
-    node.base = *arrival;
+    // The root cursor serves roots in index order, which is (release,
+    // node) order only because generated arrivals never decrease.
+    HETSCHED_ASSERT(v == 0 || arrival->arrival >= base_.back().arrival);
+    base_.push_back(*arrival);
   }
 
-  const std::vector<std::uint32_t> rank = spec.ranks(nodes_.size());
-  stats_.nodes = nodes_.size();
+  const std::vector<std::uint32_t> rank = spec.ranks(count);
+  stats_.nodes = count;
   stats_.edges = spec.edges.size();
-  for (std::size_t v = 0; v < nodes_.size(); ++v) {
-    nodes_[v].base.cp_rank = rank[v];
+  for (std::size_t v = 0; v < count; ++v) {
+    base_[v].cp_rank = rank[v];
     stats_.max_rank = std::max(stats_.max_rank, rank[v]);
   }
+  // Successor lists in CSR form, each in edge order.
+  indegree_.assign(count, 0);
+  successor_begin_.assign(count + 1, 0);
   for (const DagEdge& e : spec.edges) {
-    nodes_[e.from].successors.push_back(e.to);
-    ++nodes_[e.to].preds_remaining;
+    ++indegree_[e.to];
+    ++successor_begin_[e.from + 1];
   }
-  // Roots enter the frontier at their generated arrival time.
-  for (std::size_t v = 0; v < nodes_.size(); ++v) {
-    if (nodes_[v].preds_remaining == 0) {
-      nodes_[v].released = true;
-      nodes_[v].release_time = nodes_[v].base.arrival;
-      eligible_.push({nodes_[v].release_time, v});
-      stats_.ready_peak = std::max<std::uint64_t>(stats_.ready_peak,
-                                                  eligible_.size());
-    }
+  for (std::size_t v = 0; v < count; ++v) {
+    successor_begin_[v + 1] += successor_begin_[v];
   }
+  successors_.resize(spec.edges.size());
+  std::vector<std::size_t> fill(successor_begin_.begin(),
+                                successor_begin_.end() - 1);
+  for (const DagEdge& e : spec.edges) successors_[fill[e.from]++] = e.to;
+  remaining_ = indegree_;
+  // Roots are released at their generated arrival time, up front.
+  for (std::size_t v = 0; v < count; ++v) {
+    if (indegree_[v] == 0) roots_.push_back(v);
+  }
+  stats_.ready_peak = roots_.size();
 }
 
 std::optional<JobArrival> DagArrivalSource::next() {
   stale_ = false;
-  if (eligible_.empty()) return std::nullopt;
-  const auto [release, node] = eligible_.top();
-  eligible_.pop();
-  emission_log_.push_back(node);
-  JobArrival arrival = nodes_[node].base;
+  // Merge the root cursor with the released heap on (release, node).
+  HeapEntry entry{};
+  if (root_cursor_ < roots_.size()) {
+    const std::size_t root = roots_[root_cursor_];
+    entry = {base_[root].arrival, root};
+  }
+  if (!eligible_.empty() &&
+      (root_cursor_ == roots_.size() || eligible_.top() < entry)) {
+    entry = eligible_.top();
+    eligible_.pop();
+  } else if (root_cursor_ < roots_.size()) {
+    ++root_cursor_;
+  } else {
+    return std::nullopt;
+  }
+  const auto [release, node] = entry;
+  live_.emplace_hint(live_.end(), emitted_++, LiveJob{node, release});
+  if (!restored_) emission_log_.push_back(entry);
+  JobArrival arrival = base_[node];
   arrival.arrival = release;
   return arrival;
 }
 
 void DagArrivalSource::unget(const JobArrival& arrival) {
-  HETSCHED_REQUIRE(!emission_log_.empty() && "unget without an emission");
-  const std::size_t node = emission_log_.back();
-  emission_log_.pop_back();
-  HETSCHED_ASSERT(nodes_[node].release_time == arrival.arrival);
-  eligible_.push({arrival.arrival, node});
+  // The lookahead is the last emitted job; it was never admitted, so it
+  // cannot have retired.
+  HETSCHED_REQUIRE(!live_.empty() && live_.rbegin()->first + 1 == emitted_ &&
+                   "unget without an emission");
+  const LiveJob job = live_.rbegin()->second;
+  live_.erase(std::prev(live_.end()));
+  --emitted_;
+  if (!restored_) emission_log_.pop_back();
+  HETSCHED_ASSERT(job.release == arrival.arrival);
+  if (indegree_[job.node] == 0) {
+    HETSCHED_ASSERT(root_cursor_ > 0 &&
+                    roots_[root_cursor_ - 1] == job.node);
+    --root_cursor_;
+  } else {
+    eligible_.push({job.release, job.node});
+  }
 }
 
 void DagArrivalSource::on_slice(const ScheduledSlice& slice) {
   // Preempted fragments don't retire the job; only completion counts.
   if (!slice.completed) return;
-  // Job ids are assigned at admission in emission order, so the log maps
-  // them straight back to node indices. An unget'd lookahead was never
-  // admitted, so every admitted id stays below the log size.
-  HETSCHED_REQUIRE(slice.job_id < emission_log_.size() &&
+  // Job ids are assigned at admission in emission order, so the live
+  // map takes them straight back to node indices. An unget'd lookahead
+  // was never admitted, so every admitted id was emitted.
+  HETSCHED_REQUIRE(slice.job_id < emitted_ &&
                    "completion for a job this source never emitted");
-  const std::size_t node = emission_log_[slice.job_id];
-  for (const std::size_t successor : nodes_[node].successors) {
-    HETSCHED_ASSERT(nodes_[successor].preds_remaining > 0);
-    if (--nodes_[successor].preds_remaining == 0) {
+  const auto job = live_.find(slice.job_id);
+  HETSCHED_REQUIRE(job != live_.end() && "job completed twice");
+  const std::size_t node = job->second.node;
+  live_.erase(job);
+  for (std::size_t k = successor_begin_[node]; k < successor_begin_[node + 1];
+       ++k) {
+    const std::size_t successor = successors_[k];
+    std::uint32_t& left = remaining_[successor];
+    HETSCHED_ASSERT(left > 0);
+    --left;
+    if (left == 0) {
+      partial_.erase(successor);
       release_node(successor, slice.end);
+    } else if (left + 1 == indegree_[successor]) {
+      partial_.insert(successor);
     }
   }
 }
 
 void DagArrivalSource::release_node(std::size_t node,
                                     SimTime completion_time) {
-  Node& n = nodes_[node];
-  HETSCHED_ASSERT(!n.released);
-  n.released = true;
-  n.release_time = std::max(n.base.arrival, completion_time);
-  eligible_.push({n.release_time, node});
+  const JobArrival& base = base_[node];
+  const SimTime release = std::max(base.arrival, completion_time);
+  eligible_.push({release, node});
   stale_ = true;
 
-  const Cycles latency =
-      static_cast<Cycles>(n.release_time - n.base.arrival);
-  const std::uint32_t slack = stats_.max_rank - n.base.cp_rank;
+  const Cycles latency = static_cast<Cycles>(release - base.arrival);
+  const std::uint32_t slack = stats_.max_rank - base.cp_rank;
   ++stats_.releases;
   stats_.release_latency_total += latency;
   stats_.cp_slack_total += slack;
   stats_.ready_peak =
-      std::max<std::uint64_t>(stats_.ready_peak, eligible_.size());
+      std::max<std::uint64_t>(stats_.ready_peak, ready_depth());
 
   if (release_observer_ != nullptr) {
     DagReleaseEvent event;
     event.time = completion_time;
     event.node = node;
-    event.ready_depth = eligible_.size();
+    event.ready_depth = ready_depth();
     event.latency = latency;
     event.slack = slack;
     release_observer_->on_dag_release(event);
   }
 }
 
+std::vector<std::size_t> DagArrivalSource::emission_order() const {
+  HETSCHED_REQUIRE(!restored_ && "emission order of a restored DAG source");
+  std::vector<std::size_t> order;
+  order.reserve(emission_log_.size());
+  for (const HeapEntry& entry : emission_log_) order.push_back(entry.second);
+  return order;
+}
+
 std::vector<JobArrival> DagArrivalSource::realized() const {
+  HETSCHED_REQUIRE(!restored_ && "realized arrivals of a restored DAG source");
   std::vector<JobArrival> arrivals;
   arrivals.reserve(emission_log_.size());
-  for (const std::size_t node : emission_log_) {
-    JobArrival arrival = nodes_[node].base;
-    arrival.arrival = nodes_[node].release_time;
+  for (const auto& [release, node] : emission_log_) {
+    JobArrival arrival = base_[node];
+    arrival.arrival = release;
     arrivals.push_back(arrival);
   }
   return arrivals;
 }
 
 void DagArrivalSource::save_state(std::ostream& out) const {
-  out << "dag-arrivals " << nodes_.size() << ' ' << stats_.edges << "\n";
+  out << "dag-arrivals " << base_.size() << ' ' << stats_.edges << "\n";
   out << "stale " << (stale_ ? 1 : 0) << "\n";
-  out << "frontier\n";
-  for (const Node& node : nodes_) {
-    out << node.preds_remaining << ' ' << (node.released ? 1 : 0) << ' '
-        << node.release_time << "\n";
+  out << "roots " << root_cursor_ << ' ' << emitted_ << "\n";
+  out << "live " << live_.size() << "\n";
+  for (const auto& [job_id, job] : live_) {
+    out << job_id << ' ' << job.node << ' ' << job.release << "\n";
+  }
+  out << "partial " << partial_.size() << "\n";
+  for (const std::size_t node : partial_) {
+    out << node << ' ' << remaining_[node] << "\n";
   }
   // Drain a copy of the heap: entries come out sorted by (time, node), a
   // canonical order independent of heap layout.
@@ -242,75 +298,106 @@ void DagArrivalSource::save_state(std::ostream& out) const {
     heap.pop();
     out << release << ' ' << node << "\n";
   }
-  out << "emitted " << emission_log_.size();
-  for (const std::size_t node : emission_log_) out << ' ' << node;
-  out << "\ndag-stats " << stats_.releases << ' ' << stats_.ready_peak
-      << ' ' << stats_.release_latency_total << ' ' << stats_.cp_slack_total
+  out << "dag-stats " << stats_.releases << ' ' << stats_.ready_peak << ' '
+      << stats_.release_latency_total << ' ' << stats_.cp_slack_total
       << "\n";
 }
 
 void DagArrivalSource::restore_state(std::istream& in,
                                      const std::string& context) {
-  std::string token;
-  if (!(in >> token) || token != "dag-arrivals") {
-    st::fail(context, "expected 'dag-arrivals'");
-  }
-  if (st::read_value<std::size_t>(in, "dag node count", context) !=
-      nodes_.size()) {
+  HETSCHED_REQUIRE(emitted_ == 0 && "restore into a fresh DAG source");
+  auto expect = [&](const char* word) {
+    std::string token;
+    if (!(in >> token) || token != word) {
+      st::fail(context, std::string("expected '") + word + "'");
+    }
+  };
+  const std::size_t count = base_.size();
+  // Each node may appear once across the live, partial and heap lists.
+  std::vector<char> listed(count, 0);
+  auto read_node = [&](const char* what) {
+    const auto node = st::read_value<std::size_t>(in, what, context);
+    if (node >= count) st::fail(context, std::string(what) + " out of range");
+    if (listed[node] != 0) {
+      st::fail(context, std::string(what) + " listed twice");
+    }
+    listed[node] = 1;
+    return node;
+  };
+
+  expect("dag-arrivals");
+  if (st::read_value<std::size_t>(in, "dag node count", context) != count) {
     st::fail(context, "dag node count does not match the scenario");
   }
   if (st::read_value<std::uint64_t>(in, "dag edge count", context) !=
       stats_.edges) {
     st::fail(context, "dag edge count does not match the scenario");
   }
-  if (!(in >> token) || token != "stale") st::fail(context, "expected 'stale'");
+  expect("stale");
   stale_ = st::read_value<int>(in, "dag stale flag", context) != 0;
-  if (!(in >> token) || token != "frontier") {
-    st::fail(context, "expected 'frontier'");
+
+  expect("roots");
+  const auto cursor =
+      st::read_value<std::size_t>(in, "dag root cursor", context);
+  const auto emitted_count =
+      st::read_value<std::uint64_t>(in, "dag emitted count", context);
+  if (cursor > roots_.size()) {
+    st::fail(context, "dag root cursor beyond the root count");
   }
-  for (Node& node : nodes_) {
-    node.preds_remaining =
-        st::read_value<std::uint32_t>(in, "dag preds remaining", context);
-    node.released = st::read_value<int>(in, "dag released flag", context) != 0;
-    node.release_time =
-        st::read_value<SimTime>(in, "dag release time", context);
+  if (emitted_count > count || emitted_count < cursor) {
+    st::fail(context, "dag emitted count inconsistent with the graph");
   }
-  if (!(in >> token) || token != "eligible") {
-    st::fail(context, "expected 'eligible'");
+  root_cursor_ = cursor;
+  emitted_ = emitted_count;
+
+  expect("live");
+  const auto live =
+      st::read_value<std::size_t>(in, "dag live count", context);
+  for (std::size_t k = 0; k < live; ++k) {
+    const auto job_id =
+        st::read_value<std::uint64_t>(in, "dag live job id", context);
+    if (job_id >= emitted_count) {
+      st::fail(context, "dag live job id not below the emitted count");
+    }
+    const std::size_t node = read_node("dag live node");
+    const auto release =
+        st::read_value<SimTime>(in, "dag live release", context);
+    if (!live_.emplace(job_id, LiveJob{node, release}).second) {
+      st::fail(context, "dag live job id listed twice");
+    }
+    remaining_[node] = 0;
   }
+
+  expect("partial");
+  const auto partial =
+      st::read_value<std::size_t>(in, "dag partial count", context);
+  for (std::size_t k = 0; k < partial; ++k) {
+    const std::size_t node = read_node("dag partial node");
+    const auto left =
+        st::read_value<std::uint32_t>(in, "dag predecessors left", context);
+    if (left == 0 || left >= indegree_[node]) {
+      st::fail(context,
+               "dag partial node must have some but not all predecessors "
+               "retired");
+    }
+    remaining_[node] = left;
+    partial_.insert(node);
+  }
+
+  expect("eligible");
   const auto eligible =
       st::read_value<std::size_t>(in, "dag eligible count", context);
-  while (!eligible_.empty()) eligible_.pop();
   for (std::size_t k = 0; k < eligible; ++k) {
     const auto release = st::read_value<SimTime>(in, "dag release", context);
-    const auto node =
-        st::read_value<std::size_t>(in, "dag eligible node", context);
-    if (node >= nodes_.size()) {
-      st::fail(context, "dag eligible node out of range");
+    const std::size_t node = read_node("dag eligible node");
+    if (indegree_[node] == 0) {
+      st::fail(context, "dag root in the completion-released heap");
     }
+    remaining_[node] = 0;
     eligible_.push({release, node});
   }
-  if (!(in >> token) || token != "emitted") {
-    st::fail(context, "expected 'emitted'");
-  }
-  const auto emitted =
-      st::read_value<std::size_t>(in, "dag emitted count", context);
-  if (emitted > nodes_.size()) {
-    st::fail(context, "dag emitted count exceeds node count");
-  }
-  emission_log_.clear();
-  emission_log_.reserve(emitted);
-  for (std::size_t k = 0; k < emitted; ++k) {
-    const auto node =
-        st::read_value<std::size_t>(in, "dag emitted node", context);
-    if (node >= nodes_.size()) {
-      st::fail(context, "dag emitted node out of range");
-    }
-    emission_log_.push_back(node);
-  }
-  if (!(in >> token) || token != "dag-stats") {
-    st::fail(context, "expected 'dag-stats'");
-  }
+
+  expect("dag-stats");
   stats_.releases = st::read_value<std::uint64_t>(in, "dag releases", context);
   stats_.ready_peak =
       st::read_value<std::uint64_t>(in, "dag ready peak", context);
@@ -318,6 +405,7 @@ void DagArrivalSource::restore_state(std::istream& in,
       st::read_value<Cycles>(in, "dag release latency", context);
   stats_.cp_slack_total =
       st::read_value<std::uint64_t>(in, "dag cp slack", context);
+  restored_ = true;
 }
 
 }  // namespace hetsched

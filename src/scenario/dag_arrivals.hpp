@@ -9,9 +9,12 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <queue>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/schedule_log.hpp"
@@ -71,8 +74,9 @@ struct DagStats {
 // eligible frontier. Implements ScheduleObserver so completion slices
 // from the very simulator it feeds release successors; the simulator's
 // lookahead re-polls via the lookahead_stale()/unget() protocol.
-// Deliberately O(nodes) memory — DAG scenarios trade the O(1) streaming
-// footprint for precedence structure.
+// The graph (nominal arrivals, ranks, successors, in-degrees) is
+// O(nodes) memory rebuilt from the scenario at construction; the state
+// a run mutates — and a checkpoint carries — is bounded by live jobs.
 class DagArrivalSource final : public ArrivalSource,
                                public ScheduleObserver {
  public:
@@ -110,45 +114,70 @@ class DagArrivalSource final : public ArrivalSource,
 
   const DagStats& stats() const { return stats_; }
 
-  // Node index of the k-th emitted arrival (== simulator job id k).
-  const std::vector<std::size_t>& emission_order() const {
-    return emission_log_;
-  }
-
-  // The realized arrival sequence so far, suitable for batch replay
-  // through MulticoreSimulator::run: sorted by construction, cp_rank
-  // attached. Complete once the stream is drained.
+  // Test helpers for uninterrupted runs: a restored source has no
+  // history before its checkpoint, so both fail a precondition there.
+  // emission_order()[k] is the node of the k-th emitted arrival (==
+  // simulator job id k); realized() is the arrival sequence so far,
+  // suitable for batch replay through MulticoreSimulator::run: sorted by
+  // construction, cp_rank attached. Complete once the stream is drained.
+  std::vector<std::size_t> emission_order() const;
   std::vector<JobArrival> realized() const;
 
-  // Checkpoint support: per-node frontier state (in-degrees, release
-  // flags/times), the eligible heap in canonical sorted order, the
-  // emission log, the stale flag and cumulative stats. Graph structure
-  // and ranks are derived from the scenario at reconstruction and only
-  // verified by count here. Same contract as GeneratedArrivalStream:
-  // construct identically, then restore before the next next().
+  // Checkpoint support: the live state only — root cursor, emitted
+  // count, emitted-but-unretired jobs, partly satisfied nodes, the
+  // completion-released heap in canonical sorted order, the stale flag
+  // and cumulative stats. Everything else is rebuilt by the constructor
+  // from the scenario, so the block's size is bounded by the jobs in
+  // flight, not by node count or progress. Same contract as
+  // GeneratedArrivalStream: construct identically, then restore before
+  // the next next().
   void save_state(std::ostream& out) const;
   void restore_state(std::istream& in, const std::string& context);
 
  private:
-  struct Node {
-    JobArrival base;  // nominal generated arrival, cp_rank filled in
-    std::uint32_t preds_remaining = 0;
-    bool released = false;
-    SimTime release_time = 0;
-    std::vector<std::size_t> successors;
-  };
-
   using HeapEntry = std::pair<SimTime, std::size_t>;  // (release, node)
 
-  void release_node(std::size_t node, SimTime completion_time);
+  // An emitted job that has not retired: its node and release time.
+  struct LiveJob {
+    std::size_t node = 0;
+    SimTime release = 0;
+  };
 
-  std::vector<Node> nodes_;
+  void release_node(std::size_t node, SimTime completion_time);
+  // Unemitted roots plus completion-released nodes not yet emitted.
+  std::size_t ready_depth() const {
+    return roots_.size() - root_cursor_ + eligible_.size();
+  }
+
+  // Graph, rebuilt from the scenario: nominal arrivals (cp_rank filled
+  // in), successors in CSR form, in-degrees and the roots in index (==
+  // arrival) order.
+  std::vector<JobArrival> base_;
+  std::vector<std::size_t> successor_begin_;
+  std::vector<std::size_t> successors_;
+  std::vector<std::uint32_t> indegree_;
+  std::vector<std::size_t> roots_;
+
+  // Run state. Roots are served from a cursor; the heap holds only
+  // nodes that completions released. `remaining_` counts unretired
+  // predecessors per node; `partial_` is the set of unreleased nodes
+  // with some but not all of them retired.
+  std::size_t root_cursor_ = 0;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       std::greater<HeapEntry>>
       eligible_;
-  std::vector<std::size_t> emission_log_;
+  std::vector<std::uint32_t> remaining_;
+  std::set<std::size_t> partial_;
+  // Emitted jobs not yet retired, keyed by job id (== emission index).
+  std::map<std::uint64_t, LiveJob> live_;
+  std::uint64_t emitted_ = 0;
   bool stale_ = false;
   DagStats stats_;
+
+  // (release, node) per emitted job, for emission_order()/realized();
+  // not checkpointed, so a restored source stops keeping it.
+  std::vector<HeapEntry> emission_log_;
+  bool restored_ = false;
   ScheduleObserver* release_observer_ = nullptr;
 };
 

@@ -38,13 +38,19 @@ void write_with_checksum(std::ostream& out, const std::string& body) {
       << "\n";
 }
 
-std::string read_verified(std::istream& in, const std::string& context) {
+namespace {
+
+std::string verify(std::istream& in, const std::string& context,
+                   bool required) {
   std::ostringstream slurp;
   slurp << in.rdbuf();
   std::string content = slurp.str();
 
   const std::string::size_type mark = content.rfind("\nchecksum ");
-  if (mark == std::string::npos) return content;
+  if (mark == std::string::npos) {
+    if (required) fail(context, "missing checksum line");
+    return content;
+  }
 
   std::string body = content.substr(0, mark + 1);
   std::istringstream tail(content.substr(mark + 1));
@@ -58,6 +64,16 @@ std::string read_verified(std::istream& in, const std::string& context) {
     fail(context, "checksum mismatch (truncated or corrupted snapshot)");
   }
   return body;
+}
+
+}  // namespace
+
+std::string read_verified(std::istream& in, const std::string& context) {
+  return verify(in, context, false);
+}
+
+std::string read_checksummed(std::istream& in, const std::string& context) {
+  return verify(in, context, true);
 }
 
 }  // namespace hetsched::snapshot_text

@@ -42,7 +42,11 @@ void write_with_checksum(std::ostream& out, const std::string& body);
 // Slurps `in`; when a trailing checksum line is present, verifies it and
 // returns the body without it (fail()s on mismatch or a malformed line).
 // Bodies without a checksum line are returned as-is, so formats predating
-// the checksum stay loadable.
+// the checksum (predictor snapshots, profile caches) stay loadable.
 std::string read_verified(std::istream& in, const std::string& context);
+
+// As read_verified, but a missing checksum line fail()s too: for formats
+// that never had a checksum-less version (checkpoints, sweep manifests).
+std::string read_checksummed(std::istream& in, const std::string& context);
 
 }  // namespace hetsched::snapshot_text

@@ -288,6 +288,16 @@ TEST_F(CheckpointRejection, CorruptedByte) {
   expect_rejected(options);
 }
 
+// Checkpoints never had a checksum-less format, so a body without its
+// checksum line is rejected even though it is otherwise intact.
+TEST_F(CheckpointRejection, MissingChecksumLine) {
+  std::string stripped = checkpoint();
+  stripped.erase(stripped.rfind("checksum "));
+  CheckpointRunOptions options = base_checkpoint_options();
+  options.resume_text = stripped;
+  expect_rejected(options);
+}
+
 TEST_F(CheckpointRejection, DifferentScenario) {
   Scenario other = world().base;
   other.seed = 43;
@@ -429,6 +439,18 @@ TEST(SupervisedSweep, ManifestRejection) {
   resume.resume_manifest_text = "garbage";
   EXPECT_THROW(run_sweep_supervised(grid, world().context, 2,
                                     ThreadPool::global(), resume),
+               std::runtime_error);
+}
+
+// Same rule for sweep manifests: an intact body parses only with its
+// checksum line.
+TEST(SupervisedSweep, ManifestWithoutChecksumIsRejected) {
+  const SweepGrid grid = sweep_grid();
+  const std::string manifest = serialize_sweep_manifest(grid, {});
+  EXPECT_NO_THROW(parse_sweep_manifest(manifest, grid, "test"));
+  std::string stripped = manifest;
+  stripped.erase(stripped.rfind("checksum "));
+  EXPECT_THROW(parse_sweep_manifest(stripped, grid, "test"),
                std::runtime_error);
 }
 

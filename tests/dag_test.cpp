@@ -5,12 +5,16 @@
 // last predecessor retires) over hundreds of random seeded DAGs crossed
 // with every registered policy, bit-identity between the streaming run
 // and a batch replay of the realized arrival order, HETSCHED_THREADS
-// invariance, checkpoint kill-and-resume at every stride boundary, the
-// cp-aware policy's fall-back contract (identical to `proposed` when
-// every rank is zero), and the golden dag_smoke scenario whose
-// checked-in window stream and run report pin the release telemetry.
+// invariance, checkpoint kill-and-resume at every stride boundary over
+// varied graphs, checkpoint size bounded by live state, rejection of
+// malformed DAG blocks, the cp-aware policy's fall-back contract
+// (identical to `proposed` when every rank is zero), and the golden
+// dag_smoke scenario whose checked-in window stream and run report pin
+// the release telemetry.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstddef>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -28,6 +32,7 @@
 #include "scenario/checkpoint.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/rng.hpp"
+#include "util/snapshot_text.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/profile_cache.hpp"
 
@@ -363,53 +368,267 @@ TEST(DagStatsAccounting, FixedDiamondReportsExpectedNumbers) {
 
 // --- Checkpoint kill-and-resume ------------------------------------------
 
+// What one checkpoint's DAG block holds, for the coverage checks below.
+struct DagBlockShape {
+  std::size_t partial = 0;
+  std::size_t eligible = 0;
+  // The simulator holds a lookahead, and it is a root: a release right
+  // after a resume must unget it back onto the root cursor.
+  bool root_lookahead = false;
+};
+
+std::vector<std::uint32_t> indegrees(const Scenario& scenario) {
+  std::vector<std::uint32_t> indegree(scenario.arrivals.count, 0);
+  for (const DagEdge& e : scenario.dag.edges) ++indegree[e.to];
+  return indegree;
+}
+
+DagBlockShape dag_block_shape(const std::string& checkpoint,
+                              const std::vector<std::uint32_t>& indegree) {
+  // The text after the first "<header> " line prefix.
+  auto after = [&](const std::string& header) {
+    const std::size_t at = checkpoint.find("\n" + header + " ");
+    EXPECT_NE(at, std::string::npos) << header;
+    return std::istringstream(at == std::string::npos
+                                  ? std::string()
+                                  : checkpoint.substr(at + header.size() + 2));
+  };
+  DagBlockShape shape;
+  after("partial") >> shape.partial;
+  after("eligible") >> shape.eligible;
+  std::size_t cursor = 0;
+  std::uint64_t emitted = 0;
+  after("roots") >> cursor >> emitted;
+  // A held lookahead is always the last emitted job.
+  const bool pending = checkpoint.find("\npending 1 ") != std::string::npos;
+  std::istringstream live = after("live");
+  std::size_t count = 0;
+  live >> count;
+  for (std::size_t k = 0; k < count; ++k) {
+    std::uint64_t job = 0;
+    std::size_t node = 0;
+    SimTime release = 0;
+    live >> job >> node >> release;
+    if (pending && job + 1 == emitted && indegree.at(node) == 0) {
+      shape.root_lookahead = true;
+    }
+  }
+  return shape;
+}
+
 // A DAG run killed at ANY stride boundary and resumed from the snapshot
 // must rebuild the exact release frontier: digest, result, window
-// stream (including the dag_* columns) and final DagStats all match the
-// uninterrupted run.
-TEST(DagDeterminism, CheckpointKillAtEveryBoundaryMatches) {
-  World& w = world();
+// stream (including the dag_* columns), final DagStats and every later
+// checkpoint all match the uninterrupted run. Returns the shape of each
+// checkpoint's DAG block.
+std::vector<DagBlockShape> expect_dag_kill_resume_identity(
+    const Scenario& scenario, const ScenarioContext& context,
+    SimTime window_cycles, const std::string& where) {
   CheckpointRunOptions options;
-  options.window_cycles = 1'000'000;
+  options.window_cycles = window_cycles;
   options.checkpoint_every = 1;
   std::vector<std::string> checkpoints;
   options.capture_checkpoints = &checkpoints;
   const CheckpointRunOutcome full =
-      run_scenario_checkpointed(w.base, w.context, options);
-  ASSERT_FALSE(full.halted);
-  ASSERT_TRUE(full.dag.has_value());
-  EXPECT_GE(full.dag->releases, 1u);
-  ASSERT_GE(checkpoints.size(), 3u);
+      run_scenario_checkpointed(scenario, context, options);
+  EXPECT_FALSE(full.halted) << where;
+  EXPECT_TRUE(full.dag.has_value()) << where;
+  if (!full.dag.has_value()) return {};
+  EXPECT_GE(full.dag->releases, 1u) << where;
+  EXPECT_GE(checkpoints.size(), 3u) << where;
 
   const std::string ref_result = result_text(full.result);
   const std::string ref_windows = windows_text(full.windows);
-
+  const std::vector<std::uint32_t> indegree = indegrees(scenario);
+  std::vector<DagBlockShape> shapes;
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
+    shapes.push_back(dag_block_shape(checkpoints[k], indegree));
+    const std::string at = where + ", boundary " + std::to_string(k + 1);
     CheckpointRunOptions resume;
     resume.window_cycles = options.window_cycles;
     resume.checkpoint_every = options.checkpoint_every;
     resume.resume_text = checkpoints[k];
+    std::vector<std::string> tail;
+    resume.capture_checkpoints = &tail;
     const CheckpointRunOutcome resumed =
-        run_scenario_checkpointed(w.base, w.context, resume);
-    ASSERT_FALSE(resumed.halted);
-    EXPECT_EQ(resumed.resumed_from, k + 1);
-    EXPECT_EQ(resumed.stream.digest(), full.stream.digest())
-        << "boundary " << k + 1;
-    EXPECT_EQ(result_text(resumed.result), ref_result)
-        << "boundary " << k + 1;
-    EXPECT_EQ(windows_text(resumed.windows), ref_windows)
-        << "boundary " << k + 1;
-    ASSERT_TRUE(resumed.dag.has_value()) << "boundary " << k + 1;
-    EXPECT_EQ(resumed.dag->releases, full.dag->releases)
-        << "boundary " << k + 1;
-    EXPECT_EQ(resumed.dag->ready_peak, full.dag->ready_peak)
-        << "boundary " << k + 1;
+        run_scenario_checkpointed(scenario, context, resume);
+    EXPECT_FALSE(resumed.halted) << at;
+    EXPECT_EQ(resumed.resumed_from, k + 1) << at;
+    EXPECT_EQ(resumed.stream.digest(), full.stream.digest()) << at;
+    EXPECT_EQ(result_text(resumed.result), ref_result) << at;
+    EXPECT_EQ(windows_text(resumed.windows), ref_windows) << at;
+    EXPECT_TRUE(resumed.dag.has_value()) << at;
+    if (!resumed.dag.has_value()) continue;
+    EXPECT_EQ(resumed.dag->releases, full.dag->releases) << at;
+    EXPECT_EQ(resumed.dag->ready_peak, full.dag->ready_peak) << at;
     EXPECT_EQ(resumed.dag->release_latency_total,
               full.dag->release_latency_total)
-        << "boundary " << k + 1;
-    EXPECT_EQ(resumed.dag->cp_slack_total, full.dag->cp_slack_total)
-        << "boundary " << k + 1;
+        << at;
+    EXPECT_EQ(resumed.dag->cp_slack_total, full.dag->cp_slack_total) << at;
+    EXPECT_EQ(tail.size(), checkpoints.size() - k - 1) << at;
+    for (std::size_t j = 0; j < tail.size() && k + 1 + j < checkpoints.size();
+         ++j) {
+      EXPECT_EQ(tail[j], checkpoints[k + 1 + j])
+          << "checkpoint " << k + 2 + j << " resumed from " << k + 1;
+    }
   }
+  return shapes;
+}
+
+// The fixture graph, then 20 seeded random graphs with fan-in,
+// checkpointed at every window: partly satisfied nodes, a root
+// lookahead that a release right after the resume sends back, and an
+// empty released heap must each cross some boundary.
+TEST(DagDeterminism, CheckpointKillAtEveryBoundaryMatches) {
+  World& w = world();
+  expect_dag_kill_resume_identity(w.base, w.context, 1'000'000, "fixture");
+
+  bool saw_partial = false;
+  bool saw_root_lookahead = false;
+  bool saw_empty_heap = false;
+  for (std::uint64_t g = 0; g < 20; ++g) {
+    Scenario s = w.base;
+    s.name = "dag-kill-resume";
+    s.seed = 3000 + g;
+    s.arrivals.count = 60;
+    Rng rng(s.seed);
+    s.dag = random_dag(rng, s.arrivals.count);
+    const std::string where = "graph seed " + std::to_string(s.seed);
+    for (const DagBlockShape& shape :
+         expect_dag_kill_resume_identity(s, w.context, 250'000, where)) {
+      saw_partial = saw_partial || shape.partial > 0;
+      saw_root_lookahead = saw_root_lookahead || shape.root_lookahead;
+      saw_empty_heap = saw_empty_heap || shape.eligible == 0;
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "first failure at " << where;
+  }
+  EXPECT_TRUE(saw_partial);
+  EXPECT_TRUE(saw_root_lookahead);
+  EXPECT_TRUE(saw_empty_heap);
+}
+
+// Checkpoint size is bounded by live state: outside the retained-window
+// history, the last checkpoint of a 20k-job run of half-chained 10-job
+// blocks stays within 2x of a 2k-job run's with the same shape.
+TEST(DagCheckpoint, SizeDoesNotGrowWithNodeCount) {
+  World& w = world();
+  auto last_checkpoint_bytes = [&](std::size_t jobs) {
+    Scenario s = w.base;
+    s.name = "dag-size";
+    s.arrivals.count = jobs;
+    s.dag = DagSpec{};
+    for (std::size_t block = 0; block + 10 <= jobs; block += 20) {
+      for (std::size_t k = block; k + 1 < block + 10; ++k) {
+        s.dag.edges.push_back({k, k + 1});
+      }
+    }
+    CheckpointRunOptions options;
+    options.window_cycles = 1'000'000;
+    options.checkpoint_every = 10;
+    options.checkpoint_out = testing::TempDir() + "dag_size_" +
+                             std::to_string(jobs) + ".ckpt";
+    const CheckpointRunOutcome outcome =
+        run_scenario_checkpointed(s, w.context, options);
+    EXPECT_EQ(outcome.result.completed_jobs, jobs);
+    std::ifstream in(options.checkpoint_out);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const std::string text = buffer.str();
+    const std::size_t from = text.find("\nretained ");
+    const std::size_t to = text.find("\nlast-core ");
+    EXPECT_NE(from, std::string::npos);
+    EXPECT_NE(to, std::string::npos);
+    if (from == std::string::npos || to == std::string::npos) return 0.0;
+    return static_cast<double>(text.size() - (to - from));
+  };
+  const double small = last_checkpoint_bytes(2'000);
+  const double large = last_checkpoint_bytes(20'000);
+  ASSERT_GT(small, 0.0);
+  EXPECT_LE(large, 2.0 * small) << "2k jobs: " << small
+                                << " B, 20k jobs: " << large << " B";
+  EXPECT_LE(small, 2.0 * large);
+}
+
+// --- Restored source -----------------------------------------------------
+
+ScheduledSlice completion_of(std::uint64_t job_id, SimTime end) {
+  ScheduledSlice slice;
+  slice.job_id = job_id;
+  slice.start = end;
+  slice.end = end;
+  return slice;
+}
+
+DagArrivalSource make_source(const DagSpec& spec, std::size_t count) {
+  ArrivalOptions options = world().base.arrivals;
+  options.count = count;
+  return DagArrivalSource(spec, world().context.scheduling_ids(), options,
+                          99, std::nullopt);
+}
+
+// The simulator's protocol at the source level: a fan-in node is partly
+// satisfied and a root is the held lookahead when the source is saved;
+// the first completion after the restore releases the fan-in node, and
+// the stale root lookahead goes back onto the root cursor. The restored
+// source must then emit, account and save exactly like the original.
+TEST(DagCheckpoint, RestoredSourceContinuesLikeTheOriginal) {
+  // 0 -> 2 <- 1, 2 -> 3; roots 0, 1, 4, 5.
+  DagSpec spec;
+  spec.edges = {{0, 2}, {1, 2}, {2, 3}};
+  DagArrivalSource original = make_source(spec, 6);
+  const JobArrival first = *original.next();   // root 0, job 0
+  const JobArrival second = *original.next();  // root 1, job 1
+  const JobArrival lookahead = *original.next();  // root 4, held
+  original.on_slice(completion_of(0, first.arrival));
+  EXPECT_FALSE(original.lookahead_stale());
+
+  std::ostringstream saved;
+  original.save_state(saved);
+  EXPECT_NE(saved.str().find("\nroots 3 3\n"), std::string::npos)
+      << saved.str();
+  EXPECT_NE(saved.str().find("\npartial 1\n2 1\n"), std::string::npos);
+  EXPECT_NE(saved.str().find("\neligible 0\n"), std::string::npos);
+  DagArrivalSource restored = make_source(spec, 6);
+  std::istringstream in(saved.str());
+  restored.restore_state(in, "test");
+
+  auto continue_run = [&](DagArrivalSource& source) {
+    source.on_slice(completion_of(1, second.arrival));
+    EXPECT_TRUE(source.lookahead_stale());
+    source.unget(lookahead);
+    std::ostringstream trace;
+    for (std::uint64_t job = 2; const auto arrival = source.next(); ++job) {
+      trace << arrival->arrival << ' ' << arrival->benchmark_id << ' '
+            << arrival->cp_rank << '\n';
+      source.on_slice(completion_of(job, arrival->arrival + 1));
+    }
+    const DagStats& stats = source.stats();
+    trace << stats.releases << ' ' << stats.ready_peak << ' '
+          << stats.release_latency_total << ' ' << stats.cp_slack_total
+          << '\n';
+    source.save_state(trace);
+    return trace.str();
+  };
+  EXPECT_EQ(continue_run(restored), continue_run(original));
+  EXPECT_EQ(original.emission_order(),
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(original.realized().size(), 6u);
+}
+
+// The emission history before a checkpoint is not in the file, so a
+// restored source must refuse to report it rather than invent it.
+TEST(DagCheckpointDeathTest, RestoredSourceHasNoEmissionHistory) {
+  DagSpec spec;
+  spec.edges = {{0, 1}};
+  DagArrivalSource original = make_source(spec, 4);
+  (void)original.next();
+  std::ostringstream saved;
+  original.save_state(saved);
+  DagArrivalSource restored = make_source(spec, 4);
+  std::istringstream in(saved.str());
+  restored.restore_state(in, "test");
+  EXPECT_DEATH((void)restored.realized(), "restored DAG source");
+  EXPECT_DEATH((void)restored.emission_order(), "restored DAG source");
 }
 
 // A checkpoint from a DAG run must not resume the same scenario with the
@@ -436,6 +655,200 @@ TEST(DagCheckpoint, RejectsDagStateMismatch) {
   // caught before the dag-state flag is even reached.
   EXPECT_THROW(run_scenario_checkpointed(stripped, w.context, resume),
                std::runtime_error);
+}
+
+// --- Malformed v5 DAG blocks ---------------------------------------------
+
+// Edits one checkpoint's body line by line and re-signs it, so the
+// checksum passes and the DAG block's own validation must catch the
+// edit.
+class DagCheckpointRejection : public ::testing::Test {
+ protected:
+  // A mid-run checkpoint of the fixture: jobs in flight, roots left.
+  static const std::vector<std::string>& lines() {
+    static const std::vector<std::string>* body = [] {
+      CheckpointRunOptions options;
+      options.window_cycles = 1'000'000;
+      options.checkpoint_every = 1;
+      options.halt_after_checkpoints = 2;
+      std::vector<std::string> captured;
+      options.capture_checkpoints = &captured;
+      run_scenario_checkpointed(world().base, world().context, options);
+      std::istringstream in(captured.at(1));
+      auto* out = new std::vector<std::string>;
+      for (std::string line; std::getline(in, line);) out->push_back(line);
+      out->pop_back();  // the checksum line
+      return out;
+    }();
+    return *body;
+  }
+
+  static std::size_t find(const std::vector<std::string>& body,
+                          const std::string& prefix) {
+    for (std::size_t i = 0; i < body.size(); ++i) {
+      if (body[i].rfind(prefix, 0) == 0) return i;
+    }
+    ADD_FAILURE() << "no line starting with '" << prefix << "'";
+    return 0;
+  }
+
+  // The numbers on one line, after its keyword when it has one.
+  static std::vector<std::uint64_t> numbers(const std::string& line) {
+    std::istringstream in(line);
+    std::string first;
+    in >> first;
+    std::vector<std::uint64_t> values;
+    if (!first.empty() && std::isdigit(static_cast<unsigned char>(first[0]))) {
+      values.push_back(std::stoull(first));
+    }
+    for (std::uint64_t v = 0; in >> v;) values.push_back(v);
+    return values;
+  }
+
+  static CheckpointRunOutcome resume(const std::vector<std::string>& body,
+                                     bool sign = true) {
+    std::string text;
+    for (const std::string& line : body) text += line + "\n";
+    std::ostringstream signed_text;
+    snapshot_text::write_with_checksum(signed_text, text);
+    CheckpointRunOptions options;
+    options.window_cycles = 1'000'000;
+    options.checkpoint_every = 1;
+    options.resume_text = sign ? signed_text.str() : text;
+    return run_scenario_checkpointed(world().base, world().context, options);
+  }
+
+  static void expect_rejected(const std::vector<std::string>& body,
+                              const std::string& needle, bool sign = true) {
+    try {
+      resume(body, sign);
+      ADD_FAILURE() << "edited checkpoint was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // The node of the first live job, and a fan-in node no number in the
+  // block names.
+  static std::size_t first_live_node() {
+    const std::vector<std::string>& body = lines();
+    return numbers(body[find(body, "live ") + 1]).at(1);
+  }
+  static std::size_t unlisted_fan_in_node() {
+    const std::vector<std::uint32_t> indegree = indegrees(world().base);
+    const std::vector<std::string>& body = lines();
+    std::vector<char> listed(indegree.size(), 0);
+    for (std::size_t i = find(body, "live "); i < find(body, "dag-stats");
+         ++i) {
+      for (const std::uint64_t v : numbers(body[i])) {
+        if (v < listed.size()) listed[v] = 1;
+      }
+    }
+    for (std::size_t node = indegree.size(); node-- > 0;) {
+      if (indegree[node] >= 2 && listed[node] == 0) return node;
+    }
+    ADD_FAILURE() << "fixture graph has no unlisted fan-in node";
+    return 0;
+  }
+};
+
+// The control: re-signed without edits, the block resumes the run.
+TEST_F(DagCheckpointRejection, UneditedBodyResumes) {
+  const std::vector<std::string>& body = lines();
+  EXPECT_GE(numbers(body[find(body, "live ")]).at(0), 1u);
+  const CheckpointRunOutcome resumed = resume(body);
+  EXPECT_EQ(resumed.result.completed_jobs, world().base.arrivals.count);
+}
+
+TEST_F(DagCheckpointRejection, LiveJobIdAtOrBeyondEmittedCount) {
+  std::vector<std::string> body = lines();
+  const std::uint64_t emitted = numbers(body[find(body, "roots ")]).at(1);
+  const std::size_t at = find(body, "live ") + 1;
+  const std::vector<std::uint64_t> job = numbers(body[at]);
+  body[at] = std::to_string(emitted) + ' ' + std::to_string(job.at(1)) + ' ' +
+             std::to_string(job.at(2));
+  expect_rejected(body, "not below the emitted count");
+}
+
+TEST_F(DagCheckpointRejection, LiveJobIdListedTwice) {
+  std::vector<std::string> body = lines();
+  const std::size_t at = find(body, "live ");
+  const std::uint64_t count = numbers(body[at]).at(0);
+  const std::vector<std::uint64_t> job = numbers(body[at + 1]);
+  body[at] = "live " + std::to_string(count + 1);
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(at) + 2,
+              std::to_string(job.at(0)) + ' ' +
+                  std::to_string(unlisted_fan_in_node()) + ' ' +
+                  std::to_string(job.at(2)));
+  expect_rejected(body, "live job id listed twice");
+}
+
+TEST_F(DagCheckpointRejection, NodeOutOfRange) {
+  std::vector<std::string> body = lines();
+  const std::size_t at = find(body, "live ") + 1;
+  const std::vector<std::uint64_t> job = numbers(body[at]);
+  body[at] = std::to_string(job.at(0)) + ' ' +
+             std::to_string(world().base.arrivals.count) + ' ' +
+             std::to_string(job.at(2));
+  expect_rejected(body, "out of range");
+}
+
+TEST_F(DagCheckpointRejection, NodeListedTwice) {
+  std::vector<std::string> body = lines();
+  const std::size_t at = find(body, "eligible ");
+  const std::uint64_t count = numbers(body[at]).at(0);
+  body[at] = "eligible " + std::to_string(count + 1);
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+              "0 " + std::to_string(first_live_node()));
+  expect_rejected(body, "listed twice");
+}
+
+TEST_F(DagCheckpointRejection, PartialNodeWithNothingLeft) {
+  std::vector<std::string> body = lines();
+  const std::size_t at = find(body, "partial ");
+  const std::uint64_t count = numbers(body[at]).at(0);
+  body[at] = "partial " + std::to_string(count + 1);
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+              std::to_string(unlisted_fan_in_node()) + " 0");
+  expect_rejected(body, "some but not all predecessors");
+}
+
+TEST_F(DagCheckpointRejection, PartialNodeWithEveryPredecessorLeft) {
+  std::vector<std::string> body = lines();
+  const std::size_t node = unlisted_fan_in_node();
+  const std::size_t at = find(body, "partial ");
+  const std::uint64_t count = numbers(body[at]).at(0);
+  body[at] = "partial " + std::to_string(count + 1);
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+              std::to_string(node) + ' ' +
+                  std::to_string(indegrees(world().base)[node]));
+  expect_rejected(body, "some but not all predecessors");
+}
+
+TEST_F(DagCheckpointRejection, RootCursorBeyondRootCount) {
+  std::vector<std::string> body = lines();
+  std::size_t roots = 0;
+  for (const std::uint32_t d : indegrees(world().base)) roots += d == 0;
+  const std::size_t at = find(body, "roots ");
+  body[at] = "roots " + std::to_string(roots + 1) + ' ' +
+             std::to_string(numbers(body[at]).at(1));
+  expect_rejected(body, "root cursor beyond the root count");
+}
+
+TEST_F(DagCheckpointRejection, VersionFourCheckpoint) {
+  std::vector<std::string> body = lines();
+  ASSERT_EQ(body[0], "hetsched-checkpoint 5");
+  body[0] = "hetsched-checkpoint 4";
+  expect_rejected(body, "unsupported checkpoint version");
+}
+
+// Checkpoints never had a checksum-less format: an edited body without
+// its checksum line must not load (it would resume with made-up stats).
+TEST_F(DagCheckpointRejection, UnsignedEdit) {
+  std::vector<std::string> body = lines();
+  body[find(body, "dag-stats ")] = "dag-stats 1009872 1 0 0";
+  expect_rejected(body, "missing checksum line", false);
 }
 
 // --- Golden scenario -----------------------------------------------------

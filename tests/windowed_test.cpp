@@ -130,6 +130,34 @@ TEST(WindowedCollector, RetentionCapDropsOldestButSinkKeepsAll) {
   EXPECT_NE(sink.str().find("\"window\":0"), std::string::npos);
 }
 
+// save_state reuses the text of windows an earlier save formatted; a
+// collector saved after every window, with the retention cap dropping
+// formatted windows, must save exactly what a never-saved twin and a
+// restored copy save.
+TEST(WindowedCollector, SaveReusesFormattedWindowsAcrossDrops) {
+  auto save = [](const WindowedCollector& collector) {
+    std::ostringstream out;
+    collector.save_state(out);
+    return out.str();
+  };
+  WindowedCollector saved_often(2, WindowedOptions{100, 3});
+  WindowedCollector saved_once(2, WindowedOptions{100, 3});
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    const ScheduledSlice s = slice(i + 1, i % 2, i * 100, i * 100 + 40 + i);
+    saved_often.on_slice(s);
+    saved_once.on_slice(s);
+    (void)save(saved_often);
+  }
+  EXPECT_EQ(saved_often.dropped_windows(), 4u);
+  const std::string text = save(saved_often);
+  EXPECT_EQ(text, save(saved_once));
+
+  WindowedCollector restored(2, WindowedOptions{100, 3});
+  std::istringstream in(text);
+  restored.restore_state(in, "test");
+  EXPECT_EQ(save(restored), text);
+}
+
 TEST(WindowedCollector, JsonlLineShapeIsStable) {
   WindowedCollector collector(2, WindowedOptions{100, 0});
   collector.on_slice(slice(1, 0, 0, 60));

@@ -1,10 +1,13 @@
 #!/usr/bin/env sh
-# Builds the test suite under AddressSanitizer and UBSan (one build tree
-# per sanitizer) and runs ctest in each. Any sanitizer report fails the
-# run (-fno-sanitize-recover=all aborts on the first finding).
+# Builds the test suite under AddressSanitizer, UBSan or ThreadSanitizer
+# (one build tree per sanitizer) and runs ctest in each. Any sanitizer
+# report fails the run (-fno-sanitize-recover=all aborts on the first
+# finding).
 #
-# Usage: tools/run_sanitized_tests.sh [address|undefined]...
-#        (no arguments = both)
+# Usage: tools/run_sanitized_tests.sh [address|undefined|thread]...
+#        (no arguments = address and undefined)
+# For thread, set HETSCHED_THREADS (e.g. 4) so the thread pool runs
+# parallel work for TSan to watch.
 set -eu
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
