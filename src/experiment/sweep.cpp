@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "obs/observability.hpp"
-#include "obs/windowed.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
@@ -39,6 +38,13 @@ Scenario SweepGrid::cell_scenario(std::size_t index) const {
   return cell;
 }
 
+std::string SweepGrid::cell_label(std::size_t index) const {
+  const Scenario cell = cell_scenario(index);
+  const std::size_t gap_i = (index / policies.size()) % mean_gaps.size();
+  return "c" + std::to_string(cell.cores) + ".g" + std::to_string(gap_i) +
+         "." + cell.policy;
+}
+
 Scenario SweepGrid::context_scenario() const {
   Scenario ctx = base;
   for (const std::string& policy : policies) {
@@ -52,6 +58,33 @@ void SweepGrid::validate() const {
   HETSCHED_REQUIRE(!core_counts.empty() && !mean_gaps.empty() &&
                    !policies.empty() && "sweep grid axes must be non-empty");
   for (std::size_t i = 0; i < cell_count(); ++i) cell_scenario(i).validate();
+}
+
+namespace {
+
+// Identity fields shared by every path that materializes a cell record.
+void fill_cell_identity(SweepCell& cell, const SweepGrid& grid,
+                        std::size_t index) {
+  const Scenario scenario = grid.cell_scenario(index);
+  cell.index = index;
+  cell.cores = scenario.cores;
+  cell.mean_gap = scenario.arrivals.mean_interarrival_cycles;
+  cell.policy = scenario.policy;
+  cell.label = grid.cell_label(index);
+}
+
+}  // namespace
+
+void capture_cell_windows(SweepCell& cell, const ObserverStack& observers) {
+  cell.windows_closed = observers.windows.windows_closed();
+  cell.dropped_windows = observers.windows.dropped_windows();
+  cell.window_jobs_completed = 0;
+  cell.window_energy_mj = 0.0;
+  for (const WindowRecord& w : observers.windows.windows()) {
+    cell.window_jobs_completed += w.jobs_completed;
+    cell.window_energy_mj += w.energy_mj;
+  }
+  cell.windows_jsonl = observers.jsonl();
 }
 
 std::vector<SweepCell> run_sweep(
@@ -80,14 +113,7 @@ std::vector<SweepCell> run_sweep(
       const ScenarioOutcome outcome = run_scenario(scenario, context, extra);
 
       SweepCell& cell = results[i];
-      cell.index = i;
-      cell.cores = scenario.cores;
-      cell.mean_gap = scenario.arrivals.mean_interarrival_cycles;
-      cell.policy = scenario.policy;
-      const std::size_t gap_i =
-          (i / grid.policies.size()) % grid.mean_gaps.size();
-      cell.label = "c" + std::to_string(cell.cores) + ".g" +
-                   std::to_string(gap_i) + "." + cell.policy;
+      fill_cell_identity(cell, grid, i);
       cell.result = outcome.result;
       cell.stream_digest = outcome.stream.digest();
       cell.invariant_violations = outcome.stream.invariant_violations();
@@ -107,21 +133,10 @@ namespace {
 
 namespace st = snapshot_text;
 
-constexpr int kManifestVersion = 1;
-
-// Identity fields shared by every path that materializes a cell record.
-void fill_cell_identity(SweepCell& cell, const SweepGrid& grid,
-                        std::size_t index) {
-  const Scenario scenario = grid.cell_scenario(index);
-  cell.index = index;
-  cell.cores = scenario.cores;
-  cell.mean_gap = scenario.arrivals.mean_interarrival_cycles;
-  cell.policy = scenario.policy;
-  const std::size_t gap_i =
-      (index / grid.policies.size()) % grid.mean_gaps.size();
-  cell.label = "c" + std::to_string(cell.cores) + ".g" +
-               std::to_string(gap_i) + "." + cell.policy;
-}
+// Version 2: cells run under the full observer stack, so their window
+// JSONL carries real lat_* columns; version-1 manifests (lat_* all zero)
+// are rejected rather than merged with new cells.
+constexpr int kManifestVersion = 2;
 
 // Runs one cell to completion under a cooperative wall-clock deadline:
 // the simulation advances in fixed simulated-time slices and the clock
@@ -131,14 +146,12 @@ SweepCell run_supervised_cell(const SweepGrid& grid, std::size_t index,
                               const ScenarioContext& context,
                               const SweepSupervisorOptions& options) {
   const Scenario scenario = grid.cell_scenario(index);
-  std::optional<WindowedCollector> collector;
+  std::optional<ObserverStack> observers;
   if (options.window_cycles > 0) {
-    collector.emplace(scenario.make_system().core_count(),
-                      WindowedOptions{options.window_cycles, 0},
-                      &context.suite());
+    observers.emplace(scenario, context, options.window_cycles);
   }
   ScenarioRun run(scenario, context,
-                  collector.has_value() ? &*collector : nullptr);
+                  observers.has_value() ? observers->observer() : nullptr);
   run.start();
 
   if (options.cell_timeout_ms == 0) {
@@ -164,17 +177,9 @@ SweepCell run_supervised_cell(const SweepGrid& grid, std::size_t index,
   cell.result = run.finish();
   cell.stream_digest = run.stats().digest();
   cell.invariant_violations = run.stats().invariant_violations();
-  if (collector.has_value()) {
-    collector->finalize();
-    cell.windows_closed = collector->windows_closed();
-    cell.dropped_windows = collector->dropped_windows();
-    for (const WindowRecord& w : collector->windows()) {
-      cell.window_jobs_completed += w.jobs_completed;
-      cell.window_energy_mj += w.energy_mj;
-    }
-    std::ostringstream jsonl;
-    collector->write_jsonl(jsonl);
-    cell.windows_jsonl = jsonl.str();
+  if (observers.has_value()) {
+    observers->finalize();
+    capture_cell_windows(cell, *observers);
   }
   return cell;
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "scenario/observer_stack.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,6 +38,10 @@ struct SweepGrid {
   // convention.
   Scenario cell_scenario(std::size_t index) const;
 
+  // "c<cores>.g<gap index>.<policy>": cell `index`'s label in tables,
+  // metric keys, tracer names and manifests.
+  std::string cell_label(std::size_t index) const;
+
   // `base` with its policy swapped for the most demanding one on the
   // policies axis, so one ScenarioContext built from it (with a trained
   // predictor iff some cell needs it) serves the whole sweep.
@@ -59,9 +64,9 @@ struct SweepCell {
   // that failed or timed out under supervision (its result fields are
   // default-initialized, only the identity fields above are valid).
   bool completed = true;
-  // Windowed-telemetry summary and raw JSONL lines, captured when the
-  // supervisor runs cells with window_cycles > 0; carried through the
-  // shard manifest so a resumed sweep reproduces the merged window
+  // Windowed-telemetry summary and raw JSONL lines (capture_cell_windows),
+  // captured when the cell ran under an observer stack; carried through
+  // the shard manifest so a resumed sweep reproduces the merged window
   // output byte-identically without re-running completed cells.
   std::uint64_t windows_closed = 0;
   std::uint64_t dropped_windows = 0;
@@ -69,6 +74,10 @@ struct SweepCell {
   double window_energy_mj = 0.0;
   std::string windows_jsonl;
 };
+
+// Copies a finalized observer stack's window summary and windows JSONL
+// into the cell record.
+void capture_cell_windows(SweepCell& cell, const ObserverStack& observers);
 
 // Runs every cell of `grid`, splitting the cell list into `shards`
 // contiguous chunks executed via pool.parallel_for. Returns the cells in
@@ -116,7 +125,8 @@ struct SweepSupervisorOptions {
   // cooperatively in slices of this many cycles, so the deadline is
   // honoured without detaching threads (sanitizer-clean).
   SimTime supervision_slice_cycles = 1'000'000;
-  // Per-cell windowed telemetry width; 0 runs cells without a collector.
+  // Per-cell observer-stack window width (windows JSONL with lat_*
+  // columns); 0 runs cells unobserved.
   SimTime window_cycles = 0;
   // Shard-manifest path, atomically rewritten after every completed
   // cell; empty = no manifest persistence.

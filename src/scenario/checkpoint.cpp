@@ -1,6 +1,7 @@
 #include "scenario/checkpoint.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,6 +9,7 @@
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
 #include "util/snapshot_text.hpp"
+#include "workload/profile_cache.hpp"
 
 namespace hetsched {
 namespace {
@@ -153,6 +155,10 @@ std::uint64_t scenario_fingerprint(const Scenario& scenario) {
   return fnv1a(out.str());
 }
 
+ScenarioOutcome CheckpointRunOutcome::scenario_outcome() const {
+  return ScenarioOutcome{result, stream, DispatchTelemetry{}, portfolio, dag};
+}
+
 CheckpointRunOutcome run_scenario_checkpointed(
     const Scenario& scenario, const ScenarioContext& context,
     const CheckpointRunOptions& options) {
@@ -162,44 +168,47 @@ CheckpointRunOutcome run_scenario_checkpointed(
     throw std::invalid_argument("checkpoint intervals: " + interval_error);
   }
 
-  JobSpanCollector spans(scenario.policy, options.window_cycles);
-  WindowedCollector collector(
-      scenario.make_system().core_count(),
-      WindowedOptions{options.window_cycles, 0}, &context.suite());
-  collector.set_span_source(&spans);
-  // Span collector first: it must have closed window k (and banked its
-  // latency digest) before the windowed collector closes k and pulls it.
-  FanoutObserver extra({&spans, &collector});
-  ScenarioRun run(scenario, context, &extra);
-  // Hashing the canonical scenario text is O(scenario): once per run.
-  const std::uint64_t fingerprint = scenario_fingerprint(scenario);
-
-  std::uint64_t boundary = 0;
-  std::uint64_t resumed_from = 0;
+  ObserverStack observers(scenario, context, options.window_cycles,
+                          options.observer);
+  ScenarioRun run(scenario, context, observers.observer());
   const bool resuming =
       !options.resume_text.empty() || !options.resume_from.empty();
+  const bool takes_boundaries = !options.checkpoint_out.empty() ||
+                                options.capture_checkpoints != nullptr ||
+                                options.halt_after_checkpoints > 0;
+  // Hashing the canonical scenario text is O(scenario): once per run, and
+  // only when a checkpoint is read or written.
+  const std::uint64_t fingerprint =
+      resuming || takes_boundaries ? scenario_fingerprint(scenario) : 0;
+
+  std::uint64_t boundary = 0;
   if (resuming) {
     const std::string context_name = options.resume_from.empty()
                                          ? std::string("checkpoint")
                                          : options.resume_from;
     boundary = restore_checkpoint_text(load_resume_text(options),
-                                       fingerprint, options, run, spans,
-                                       collector, context_name);
-    resumed_from = boundary;
+                                       fingerprint, options, run,
+                                       observers.spans, observers.windows,
+                                       context_name);
   } else {
     run.start();
   }
+  const std::uint64_t resumed_from = boundary;
 
   const SimTime stride = options.window_cycles * options.checkpoint_every;
   std::uint64_t written = 0;
-  for (;;) {
+  bool halted = false;
+  if (!takes_boundaries) {
+    run.advance_until(std::numeric_limits<SimTime>::max());
+  }
+  while (takes_boundaries && !halted) {
     ++boundary;
     const bool paused = run.advance_until(boundary * stride);
     if (!paused) break;  // stream drained before the boundary
 
-    const std::string text = make_checkpoint_text(fingerprint, options,
-                                                  boundary, run, spans,
-                                                  collector);
+    const std::string text =
+        make_checkpoint_text(fingerprint, options, boundary, run,
+                             observers.spans, observers.windows);
     if (options.capture_checkpoints != nullptr) {
       options.capture_checkpoints->push_back(text);
     }
@@ -209,44 +218,24 @@ CheckpointRunOutcome run_scenario_checkpointed(
                                options.checkpoint_out);
     }
     ++written;
-    if (options.halt_after_checkpoints > 0 &&
-        written >= options.halt_after_checkpoints) {
-      // The moved-out collectors leave this scope: sever the handshake
-      // pointer so the moved copy never dereferences the dead original.
-      collector.set_span_source(nullptr);
-      CheckpointRunOutcome halted{SimulationResult{},
-                                  std::move(run.stats()),
-                                  std::move(collector),
-                                  std::move(spans),
-                                  written,
-                                  resumed_from,
-                                  true,
-                                  std::nullopt,
-                                  std::nullopt};
-      if (const auto* portfolio =
-              dynamic_cast<const PortfolioPolicy*>(&run.policy())) {
-        halted.portfolio = portfolio->stats();
-      }
-      if (const DagArrivalSource* dag = run.dag()) {
-        halted.dag = dag->stats();
-      }
-      return halted;
-    }
+    halted = options.halt_after_checkpoints > 0 &&
+             written >= options.halt_after_checkpoints;
   }
 
-  const SimulationResult result = run.finish();
-  spans.finalize();  // before the windowed collector: it pulls on close
-  collector.finalize();
-  collector.set_span_source(nullptr);
-  CheckpointRunOutcome outcome{result,
+  SimulationResult result;
+  if (!halted) {
+    result = run.finish();
+    observers.finalize();
+  }
+  CheckpointRunOutcome outcome{std::move(observers),
+                               result,
                                std::move(run.stats()),
-                               std::move(collector),
-                               std::move(spans),
                                written,
                                resumed_from,
-                               false,
+                               halted,
                                std::nullopt,
                                std::nullopt};
+  // For halted runs: the selector and DAG state as of the halt.
   if (const auto* portfolio =
           dynamic_cast<const PortfolioPolicy*>(&run.policy())) {
     outcome.portfolio = portfolio->stats();
@@ -255,6 +244,35 @@ CheckpointRunOutcome run_scenario_checkpointed(
     outcome.dag = dag->stats();
   }
   return outcome;
+}
+
+RunReport observed_scenario_report(const Scenario& scenario,
+                                   const ScenarioContext& context,
+                                   const CheckpointRunOutcome& outcome) {
+  RunReport report;
+  report.command = "scenario";
+  report.name = scenario.name;
+  report.policy = scenario.policy;
+  report.system = std::string(to_string(scenario.system));
+  report.discipline = std::string(to_string(scenario.discipline));
+  report.cores = scenario.make_system().core_count();
+  report.seed = scenario.seed;
+  report.jobs = scenario.arrivals.count;
+  report.suite_key = suite_cache_key(scenario.suite, context.energy());
+  report.completed_jobs = outcome.result.completed_jobs;
+  report.makespan = outcome.result.makespan;
+  report.total_energy_mj = outcome.result.total_energy().millijoules();
+  report.stream_digest = outcome.stream.digest();
+  outcome.attach(report);
+  if (outcome.portfolio.has_value()) {
+    attach_portfolio_summary(report, *outcome.portfolio);
+  }
+  if (outcome.dag.has_value()) attach_dag_summary(report, *outcome.dag);
+  MetricsRegistry local;
+  record_scenario_metrics(local, scenario.name + ".",
+                          outcome.scenario_outcome());
+  report.metrics_json = local.to_json();
+  return report;
 }
 
 }  // namespace hetsched

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,9 +23,11 @@
 #include "obs/bench_diff.hpp"
 #include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
+#include "scenario/observer_stack.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
+#include "util/snapshot_text.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hetsched {
@@ -126,9 +129,12 @@ CheckpointRunOptions base_checkpoint_options() {
 TEST(CheckpointResume, DriverMatchesPlainScenarioRun) {
   World& w = world();
   const ScenarioOutcome plain = run_scenario(w.base, w.context);
+  // A capture list consumes the boundaries, so the driver takes them.
+  CheckpointRunOptions options = base_checkpoint_options();
+  std::vector<std::string> checkpoints;
+  options.capture_checkpoints = &checkpoints;
   const CheckpointRunOutcome checkpointed =
-      run_scenario_checkpointed(w.base, w.context,
-                                base_checkpoint_options());
+      run_scenario_checkpointed(w.base, w.context, options);
   EXPECT_FALSE(checkpointed.halted);
   EXPECT_GT(checkpointed.checkpoints_written, 2u);
   EXPECT_EQ(checkpointed.stream.digest(), plain.stream.digest());
@@ -239,6 +245,30 @@ TEST(CheckpointResume, HaltAndResumeFromFile) {
 
   const CheckpointRunOutcome full = run_scenario_checkpointed(
       w.base, w.context, base_checkpoint_options());
+  EXPECT_EQ(resumed.stream.digest(), full.stream.digest());
+  EXPECT_EQ(result_text(resumed.result), result_text(full.result));
+  EXPECT_EQ(windows_text(resumed.windows), windows_text(full.windows));
+}
+
+// A resumed run with no checkpoint consumer (no file, no capture list, no
+// halt) takes no boundaries: it advances once to the end and still
+// matches the uninterrupted run.
+TEST(CheckpointResume, ResumeWithoutConsumerAdvancesToTheEnd) {
+  World& w = world();
+  CheckpointRunOptions capture = base_checkpoint_options();
+  std::vector<std::string> checkpoints;
+  capture.capture_checkpoints = &checkpoints;
+  const CheckpointRunOutcome full =
+      run_scenario_checkpointed(w.base, w.context, capture);
+  ASSERT_GE(checkpoints.size(), 3u);
+
+  CheckpointRunOptions resume = base_checkpoint_options();
+  resume.resume_text = checkpoints[1];
+  const CheckpointRunOutcome resumed =
+      run_scenario_checkpointed(w.base, w.context, resume);
+  EXPECT_FALSE(resumed.halted);
+  EXPECT_EQ(resumed.resumed_from, 2u);
+  EXPECT_EQ(resumed.checkpoints_written, 0u);
   EXPECT_EQ(resumed.stream.digest(), full.stream.digest());
   EXPECT_EQ(result_text(resumed.result), result_text(full.result));
   EXPECT_EQ(windows_text(resumed.windows), windows_text(full.windows));
@@ -452,6 +482,66 @@ TEST(SupervisedSweep, ManifestWithoutChecksumIsRejected) {
   stripped.erase(stripped.rfind("checksum "));
   EXPECT_THROW(parse_sweep_manifest(stripped, grid, "test"),
                std::runtime_error);
+}
+
+// Version-1 manifests predate the observer stack in supervised cells:
+// their window JSONL carries lat_* = 0, so merging them with new cells
+// would mix zeroed and real latency columns. They are rejected even when
+// correctly signed.
+TEST(SupervisedSweep, ManifestVersion1IsRejected) {
+  const SweepGrid grid = sweep_grid();
+  std::istringstream signed_text(serialize_sweep_manifest(grid, {}));
+  std::string body = snapshot_text::read_checksummed(signed_text, "test");
+  const std::string current = "hetsched-sweep-manifest 2\n";
+  ASSERT_EQ(body.rfind(current, 0), 0u);
+  body.replace(0, current.size(), "hetsched-sweep-manifest 1\n");
+  std::ostringstream v1;
+  snapshot_text::write_with_checksum(v1, body);
+  try {
+    parse_sweep_manifest(v1.str(), grid, "test");
+    ADD_FAILURE() << "version-1 manifest was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported manifest version"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Supervised cells run under the same observer stack as plain sweep
+// cells, so both modes write the same windows JSONL — real lat_*
+// columns included — for a grid with a portfolio contender.
+TEST(SupervisedSweep, WindowsMatchThePlainSweep) {
+  SweepGrid grid = sweep_grid();
+  grid.policies = {"base", "portfolio:optimal+sjf"};
+  constexpr SimTime kWindow = 1'000'000;
+
+  std::deque<ObserverStack> stacks;
+  std::vector<ScheduleObserver*> observers;
+  for (std::size_t i = 0; i < grid.cell_count(); ++i) {
+    stacks.emplace_back(grid.cell_scenario(i), world().context, kWindow);
+    observers.push_back(stacks.back().observer());
+  }
+  run_sweep(grid, world().context, 2, ThreadPool::global(), observers);
+  std::string plain;
+  for (ObserverStack& stack : stacks) {
+    stack.finalize();
+    plain += stack.jsonl();
+  }
+
+  SweepSupervisorOptions options;
+  options.window_cycles = kWindow;
+  options.max_attempts = 2;
+  const SupervisedSweepResult supervised = run_sweep_supervised(
+      grid, world().context, 2, ThreadPool::global(), options);
+  ASSERT_TRUE(supervised.failed.empty());
+  std::string merged;
+  for (const SweepCell& cell : supervised.cells) merged += cell.windows_jsonl;
+
+  EXPECT_NE(plain.find("\"lat_jobs\":"), std::string::npos);
+  EXPECT_EQ(plain.find("\"lat_jobs\":0,"), std::string::npos)
+      << "some window retired no job; the fixture should keep every "
+         "window busy";
+  EXPECT_EQ(merged, plain);
 }
 
 // --- Bench regression gate vs non-finite values --------------------------

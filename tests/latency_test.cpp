@@ -522,37 +522,15 @@ TEST(Analyze, GoldenStreamingSmokeAnalysis) {
   const Scenario scenario = Scenario::parse(in);
   const ScenarioContext context(scenario);
 
-  // Mirror the CLI scenario path: spans ahead of the windowed collector.
-  JobSpanCollector spans(scenario.policy, 1'000'000);
-  WindowedCollector collector(scenario.make_system().core_count(),
-                              WindowedOptions{1'000'000, 0},
-                              &context.suite());
-  collector.set_span_source(&spans);
-  FanoutObserver fanout({&spans, &collector});
-  const ScenarioOutcome outcome = run_scenario(scenario, context, &fanout);
-  spans.finalize();
-  collector.finalize();
-
-  RunReport report;
+  // The CLI scenario path: the observed driver and its report.
+  const CheckpointRunOutcome outcome =
+      run_scenario_checkpointed(scenario, context, CheckpointRunOptions{});
+  RunReport report = observed_scenario_report(scenario, context, outcome);
   report.include_phases = false;
-  report.command = "scenario";
-  report.name = scenario.name;
-  report.policy = scenario.policy;
-  report.system = std::string(to_string(scenario.system));
-  report.discipline = std::string(to_string(scenario.discipline));
-  report.cores = scenario.make_system().core_count();
-  report.seed = scenario.seed;
-  report.jobs = scenario.arrivals.count;
-  report.completed_jobs = outcome.result.completed_jobs;
-  report.makespan = outcome.result.makespan;
-  report.total_energy_mj = outcome.result.total_energy().millijoules();
-  report.stream_digest = outcome.stream.digest();
-  attach_window_summary(report, collector, AnomalyConfig{});
-  attach_latency_summary(report, {&spans});
   const std::string report_json = run_report_to_json(report);
 
   const std::string analysis =
-      analyze_run(report_json, windows_text(collector), AnalyzeOptions{});
+      analyze_run(report_json, outcome.jsonl(), AnalyzeOptions{});
   // Sanity: the breakdown found the latency section and the policy row.
   EXPECT_NE(analysis.find("== latency breakdown (cycles) =="),
             std::string::npos);

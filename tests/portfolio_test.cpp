@@ -24,7 +24,6 @@
 #include "core/policy_registry.hpp"
 #include "core/portfolio_policy.hpp"
 #include "core/simulator.hpp"
-#include "obs/latency.hpp"
 #include "obs/run_report.hpp"
 #include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
@@ -32,7 +31,6 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/arrivals.hpp"
-#include "workload/profile_cache.hpp"
 
 namespace hetsched {
 namespace {
@@ -359,47 +357,19 @@ TEST(PortfolioGolden, SmokeScenarioWindowsAndReport) {
   const Scenario scenario = Scenario::parse(in);
 
   const ScenarioContext context(scenario);
-  // Mirror the CLI scenario path: span collector ahead of the windowed
-  // collector so the goldens pin the lat_* columns and latency section.
-  JobSpanCollector spans(scenario.policy, 1'000'000);
-  WindowedCollector collector(scenario.make_system().core_count(),
-                              WindowedOptions{1'000'000, 0},
-                              &context.suite());
-  collector.set_span_source(&spans);
-  FanoutObserver fanout({&spans, &collector});
-  const ScenarioOutcome outcome = run_scenario(scenario, context, &fanout);
-  spans.finalize();
-  collector.finalize();
+  // The CLI scenario path: the observed driver's stack, so the goldens
+  // pin the lat_* columns and latency section.
+  const CheckpointRunOutcome outcome =
+      run_scenario_checkpointed(scenario, context, CheckpointRunOptions{});
   EXPECT_EQ(outcome.stream.invariant_violations(), 0u);
   ASSERT_TRUE(outcome.portfolio.has_value());
   EXPECT_GE(outcome.portfolio->switches.size(), 1u);
 
-  const std::string windows =
-      windows_text(collector) + portfolio_switch_jsonl(*outcome.portfolio);
+  const std::string windows = outcome.jsonl(outcome.portfolio);
   EXPECT_NE(windows.find("\"event\":\"policy_switch\""), std::string::npos);
 
-  // The deterministic report the CLI would emit for this run (empty
-  // phases, metrics from a local registry).
-  RunReport report;
-  report.command = "scenario";
-  report.name = scenario.name;
-  report.policy = scenario.policy;
-  report.system = std::string(to_string(scenario.system));
-  report.discipline = std::string(to_string(scenario.discipline));
-  report.cores = scenario.make_system().core_count();
-  report.seed = scenario.seed;
-  report.jobs = scenario.arrivals.count;
-  report.suite_key = suite_cache_key(scenario.suite, context.energy());
-  report.completed_jobs = outcome.result.completed_jobs;
-  report.makespan = outcome.result.makespan;
-  report.total_energy_mj = outcome.result.total_energy().millijoules();
-  report.stream_digest = outcome.stream.digest();
-  attach_window_summary(report, collector, AnomalyConfig{});
-  attach_latency_summary(report, {&spans});
-  attach_portfolio_summary(report, *outcome.portfolio);
-  MetricsRegistry local;
-  record_scenario_metrics(local, scenario.name + ".", outcome);
-  report.metrics_json = local.to_json();
+  // The deterministic report the CLI emits for this run.
+  RunReport report = observed_scenario_report(scenario, context, outcome);
   report.include_phases = false;
   const std::string report_json = run_report_to_json(report);
 

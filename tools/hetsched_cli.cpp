@@ -67,16 +67,19 @@
 //                        so two identical runs produce byte-identical
 //                        reports (the resume-verification mode)
 //
-// Crash-safe execution (scenario):
+// Crash-safe execution (scenario only; other commands reject the
+// checkpoint flags):
 //   --checkpoint-out F   write a resumable checkpoint atomically at every
 //                        stride boundary (window-cycles * checkpoint-every)
-//   --checkpoint-every N windows per checkpoint stride (default 1)
+//   --checkpoint-every N windows per checkpoint stride (default 1; needs
+//                        --checkpoint-out or --resume-from)
 //   --resume-from F      resume a scenario from a checkpoint file (or a
 //                        sweep from a shard manifest); outputs are
 //                        bit-identical to the uninterrupted run
 //   --halt-after-checkpoints N
 //                        stop (exit 3) after writing N checkpoints —
-//                        a deterministic stand-in for a crash
+//                        a deterministic stand-in for a crash (needs
+//                        --checkpoint-out)
 //
 // Supervised sweeps (sweep):
 //   --cell-timeout-ms N  wall-clock budget per cell attempt
@@ -110,6 +113,7 @@
 #include "obs/run_report.hpp"
 #include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
+#include "scenario/observer_stack.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/atomic_file.hpp"
 #include "util/csv.hpp"
@@ -160,6 +164,7 @@ struct CliOptions {
   // Crash-safe execution.
   std::string checkpoint_out_path;
   std::uint64_t checkpoint_every = 1;
+  bool checkpoint_every_given = false;
   std::string resume_from_path;  // scenario: checkpoint; sweep: manifest
   std::uint64_t halt_after_checkpoints = 0;
   std::uint64_t cell_timeout_ms = 0;
@@ -289,8 +294,8 @@ struct ObsSession {
       "  --resume-from F (scenario) resume from a checkpoint file;\n"
       "                  (sweep) resume from a shard manifest\n"
       "  --halt-after-checkpoints N\n"
-      "                  (scenario) stop with exit 3 after N checkpoints,\n"
-      "                  simulating a crash deterministically\n"
+      "                  (scenario, with --checkpoint-out) stop with exit 3\n"
+      "                  after N checkpoints, simulating a crash\n"
       "  --cell-timeout-ms N\n"
       "                  (sweep) wall-clock budget per cell attempt\n"
       "  --cell-retries N\n"
@@ -492,6 +497,7 @@ CliOptions parse(int argc, char** argv) {
       }
     } else if (flag == "--checkpoint-every") {
       options.checkpoint_every = parse_count(flag, next(), 1);
+      options.checkpoint_every_given = true;
     } else if (flag == "--resume-from") {
       options.resume_from_path = next();
       if (options.resume_from_path.empty()) {
@@ -525,6 +531,26 @@ CliOptions parse(int argc, char** argv) {
       window_interval_error(options.window_cycles, options.checkpoint_every);
   if (!interval_error.empty()) {
     usage("--window-cycles/--checkpoint-every: " + interval_error);
+  }
+  // Checkpoint flags must produce something: only scenario writes
+  // checkpoints, a halt must leave one to resume from, and a stride
+  // needs a checkpoint to write or to resume from.
+  if ((!options.checkpoint_out_path.empty() ||
+       options.checkpoint_every_given ||
+       options.halt_after_checkpoints > 0) &&
+      options.command != "scenario") {
+    usage("--checkpoint-out, --checkpoint-every and "
+          "--halt-after-checkpoints apply to scenario only");
+  }
+  if (options.halt_after_checkpoints > 0 &&
+      options.checkpoint_out_path.empty()) {
+    usage("--halt-after-checkpoints needs --checkpoint-out (a halted run "
+          "must leave a checkpoint to resume from)");
+  }
+  if (options.checkpoint_every_given &&
+      options.checkpoint_out_path.empty() &&
+      options.resume_from_path.empty()) {
+    usage("--checkpoint-every needs --checkpoint-out or --resume-from");
   }
   require_parent_dir("--trace-out", options.trace_out_path);
   require_parent_dir("--metrics-out", options.metrics_out_path);
@@ -640,12 +666,6 @@ bool write_text_file(const std::string& path, const std::string& content,
   }
   std::cout << what << " written to " << path << "\n";
   return true;
-}
-
-std::string windows_jsonl(const WindowedCollector& collector) {
-  std::ostringstream out;
-  collector.write_jsonl(out);
-  return out.str();
 }
 
 // Shared tail of run/scenario/sweep: finish the report skeleton the
@@ -836,31 +856,21 @@ int cmd_run_or_compare(const CliOptions& options, ObsSession* obs) {
   if (options.command == "run") {
     EventTracer* tracer =
         obs != nullptr ? &obs->add_system_tracer(options.system) : nullptr;
-    std::optional<WindowedCollector> windowed;
-    std::optional<JobSpanCollector> spans;
+    std::optional<ObserverStack> observers;
     if (options.wants_windows()) {
-      windowed.emplace(cores,
-                       WindowedOptions{options.window_cycles, 0},
-                       &experiment.suite());
-      spans.emplace(options.system, options.window_cycles);
-      windowed->set_span_source(&*spans);
+      observers.emplace(options.system, cores, options.window_cycles,
+                        &experiment.suite(), tracer);
     }
-    // Span collector before the windowed one: the windowed collector
-    // pulls the closed window's latency digest when it closes its own.
-    FanoutObserver fanout(
-        {tracer, spans.has_value() ? &*spans : nullptr,
-         windowed.has_value() ? &*windowed : nullptr});
-    ScheduleObserver* observer =
-        windowed.has_value() ? static_cast<ScheduleObserver*>(&fanout)
-                             : tracer;
     SimulationResult result;
     std::unique_ptr<SchedulerPolicy> run_policy;
     {
       const auto scope = timers.scope("run");
-      result = run_system(options.system, observer, &run_policy);
+      result = run_system(options.system,
+                          observers.has_value() ? observers->observer()
+                                                : tracer,
+                          &run_policy);
     }
-    if (spans.has_value()) spans->finalize();
-    if (windowed.has_value()) windowed->finalize();
+    if (observers.has_value()) observers->finalize();
     if (obs != nullptr) {
       record_result_metrics(obs->metrics, options.system + ".", result);
     }
@@ -882,21 +892,17 @@ int cmd_run_or_compare(const CliOptions& options, ObsSession* obs) {
     report.completed_jobs = result.completed_jobs;
     report.makespan = result.makespan;
     report.total_energy_mj = result.total_energy().millijoules();
-    if (windowed.has_value()) {
-      attach_window_summary(report, *windowed, AnomalyConfig{});
-    }
-    if (spans.has_value()) attach_latency_summary(report, {&*spans});
-    std::string windows =
-        windowed.has_value() ? windows_jsonl(*windowed) : std::string();
-    if (const auto* portfolio =
+    if (observers.has_value()) observers->attach(report);
+    std::optional<PortfolioStats> portfolio;
+    if (const auto* selector =
             dynamic_cast<const PortfolioPolicy*>(run_policy.get())) {
-      const PortfolioStats pstats = portfolio->stats();
-      print_portfolio(pstats);
-      attach_portfolio_summary(report, pstats);
-      if (windowed.has_value()) windows += portfolio_switch_jsonl(pstats);
+      portfolio = selector->stats();
+      print_portfolio(*portfolio);
+      attach_portfolio_summary(report, *portfolio);
     }
-    return export_reports(options, obs, timers, std::move(report),
-                          windows);
+    return export_reports(
+        options, obs, timers, std::move(report),
+        observers.has_value() ? observers->jsonl(portfolio) : std::string());
   }
 
   // compare: the four systems are independent (fresh simulator, policy
@@ -950,94 +956,14 @@ std::optional<Scenario> load_scenario(const CliOptions& options) {
   return Scenario::parse(in);
 }
 
-// Checkpointed scenario execution. The checkpointing driver owns the
-// windowed collector (its accumulators are part of the resumable state),
-// no sim tracer is attached (trace buffers are not checkpointed, so a
-// resumed trace could never match), and the report's metrics snapshot
-// comes from a local registry fed only by the deterministic scenario
+// One body for every scenario run. Without windows, report or
+// checkpoint flags it is the plain streaming run (plus the CLI's
+// tracer); otherwise the observed driver runs it. Checkpointed runs attach
+// no sim tracer (trace buffers are not part of the resumable state, so a
+// resumed trace could never match), and their report's metrics come from
+// the driver's local registry, fed only by the deterministic scenario
 // metrics — together with --report-deterministic this makes every output
 // of a resumed run byte-identical to the uninterrupted one.
-int cmd_scenario_checkpointed(const CliOptions& options, ObsSession* obs,
-                              const Scenario& scenario,
-                              const ScenarioContext& context,
-                              PhaseTimers& timers) {
-  CheckpointRunOptions copts;
-  copts.window_cycles = options.window_cycles;
-  copts.checkpoint_every = options.checkpoint_every;
-  copts.checkpoint_out = options.checkpoint_out_path;
-  copts.resume_from = options.resume_from_path;
-  copts.halt_after_checkpoints = options.halt_after_checkpoints;
-
-  std::optional<CheckpointRunOutcome> outcome;
-  {
-    const auto scope = timers.scope("run");
-    outcome.emplace(run_scenario_checkpointed(scenario, context, copts));
-  }
-  if (outcome->resumed_from > 0) {
-    std::cout << "resumed from checkpoint boundary " << outcome->resumed_from
-              << "\n";
-  }
-  if (!copts.checkpoint_out.empty() && outcome->checkpoints_written > 0) {
-    std::cout << outcome->checkpoints_written << " checkpoint(s) written to "
-              << copts.checkpoint_out << "\n";
-  }
-  if (outcome->halted) {
-    std::cout << "halted after " << outcome->checkpoints_written
-              << " checkpoint(s); resume with --resume-from "
-              << copts.checkpoint_out << "\n";
-    return 3;
-  }
-
-  print_result(scenario.name, outcome->result);
-  std::cout << "stream: " << outcome->stream.slices() << " slices, digest 0x"
-            << std::hex << outcome->stream.digest() << std::dec << ", "
-            << outcome->stream.invariant_violations()
-            << " invariant violations\n";
-  if (outcome->portfolio.has_value()) print_portfolio(*outcome->portfolio);
-  if (outcome->dag.has_value()) print_dag(*outcome->dag);
-  // Checkpoint outcomes carry no dispatch telemetry (it is per-process,
-  // not part of the resumable state); record an empty block.
-  const ScenarioOutcome view{outcome->result, outcome->stream,
-                             DispatchTelemetry{}, outcome->portfolio,
-                             outcome->dag};
-  if (obs != nullptr) {
-    record_scenario_metrics(obs->metrics, scenario.name + ".", view);
-  }
-
-  RunReport report;
-  report.command = "scenario";
-  report.name = scenario.name;
-  report.policy = scenario.policy;
-  report.system = std::string(to_string(scenario.system));
-  report.discipline = std::string(to_string(scenario.discipline));
-  report.cores = scenario.make_system().core_count();
-  report.seed = scenario.seed;
-  report.jobs = scenario.arrivals.count;
-  report.suite_key = suite_cache_key(scenario.suite, context.energy());
-  report.completed_jobs = outcome->result.completed_jobs;
-  report.makespan = outcome->result.makespan;
-  report.total_energy_mj = outcome->result.total_energy().millijoules();
-  report.stream_digest = outcome->stream.digest();
-  attach_window_summary(report, outcome->windows, AnomalyConfig{});
-  attach_latency_summary(report, {&outcome->spans});
-  std::string windows = windows_jsonl(outcome->windows);
-  if (outcome->portfolio.has_value()) {
-    attach_portfolio_summary(report, *outcome->portfolio);
-    windows += portfolio_switch_jsonl(*outcome->portfolio);
-  }
-  if (outcome->dag.has_value()) attach_dag_summary(report, *outcome->dag);
-  MetricsRegistry local;
-  record_scenario_metrics(local, scenario.name + ".", view);
-  report.metrics_json = local.to_json();
-  // obs deliberately not forwarded: the report must not absorb the
-  // wall-clock-dependent probe metrics.
-  const int export_status =
-      export_reports(options, nullptr, timers, std::move(report),
-                     windows);
-  if (export_status != 0) return export_status;
-  return outcome->stream.invariant_violations() == 0 ? 0 : 1;
-}
-
 int cmd_scenario(const CliOptions& options, ObsSession* obs) {
   PhaseTimers timers;
   const std::optional<Scenario> scenario = load_scenario(options);
@@ -1047,88 +973,68 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs) {
     const auto scope = timers.scope("setup");
     context.emplace(*scenario, options.experiment.profile_cache_path);
   }
-
-  if (options.wants_checkpointing()) {
-    if (!options.trace_out_path.empty()) {
-      usage("--trace-out cannot be combined with checkpoint/resume flags "
-            "(trace buffers are not part of the checkpointed state)");
-    }
-    return cmd_scenario_checkpointed(options, obs, *scenario, *context,
-                                     timers);
+  const bool checkpointing = options.wants_checkpointing();
+  if (checkpointing && !options.trace_out_path.empty()) {
+    usage("--trace-out cannot be combined with checkpoint/resume flags "
+          "(trace buffers are not part of the checkpointed state)");
   }
+  EventTracer* tracer = obs != nullptr && !checkpointing
+                            ? &obs->add_system_tracer(scenario->name)
+                            : nullptr;
 
-  EventTracer* tracer =
-      obs != nullptr ? &obs->add_system_tracer(scenario->name) : nullptr;
-  std::optional<WindowedCollector> windowed;
-  std::optional<JobSpanCollector> spans;
-  if (options.wants_windows()) {
-    windowed.emplace(scenario->make_system().core_count(),
-                     WindowedOptions{options.window_cycles, 0},
-                     &context->suite());
-    spans.emplace(scenario->policy, options.window_cycles);
-    windowed->set_span_source(&*spans);
-  }
-  // Span collector before the windowed one (window-close handshake).
-  FanoutObserver fanout(
-      {tracer, spans.has_value() ? &*spans : nullptr,
-       windowed.has_value() ? &*windowed : nullptr});
-  ScheduleObserver* extra = nullptr;
-  if (windowed.has_value()) {
-    extra = &fanout;
-  } else if (tracer != nullptr) {
-    extra = tracer;
-  }
-
+  std::optional<CheckpointRunOutcome> observed;
   std::optional<ScenarioOutcome> outcome;
   {
     const auto scope = timers.scope("run");
-    outcome.emplace(run_scenario(*scenario, *context, extra));
+    if (options.wants_windows() || checkpointing) {
+      CheckpointRunOptions copts;
+      copts.window_cycles = options.window_cycles;
+      copts.checkpoint_every = options.checkpoint_every;
+      copts.checkpoint_out = options.checkpoint_out_path;
+      copts.resume_from = options.resume_from_path;
+      copts.halt_after_checkpoints = options.halt_after_checkpoints;
+      copts.observer = tracer;
+      observed.emplace(run_scenario_checkpointed(*scenario, *context, copts));
+    } else {
+      outcome.emplace(run_scenario(*scenario, *context, tracer));
+    }
   }
-  if (spans.has_value()) spans->finalize();
-  if (windowed.has_value()) windowed->finalize();
+  if (observed.has_value()) {
+    if (observed->resumed_from > 0) {
+      std::cout << "resumed from checkpoint boundary "
+                << observed->resumed_from << "\n";
+    }
+    if (observed->checkpoints_written > 0) {
+      std::cout << observed->checkpoints_written
+                << " checkpoint(s) written to " << options.checkpoint_out_path
+                << "\n";
+    }
+    if (observed->halted) {
+      std::cout << "halted after " << observed->checkpoints_written
+                << " checkpoint(s); resume with --resume-from "
+                << options.checkpoint_out_path << "\n";
+      return 3;
+    }
+    outcome.emplace(observed->scenario_outcome());
+  }
+
   print_result(scenario->name, outcome->result);
   std::cout << "stream: " << outcome->stream.slices() << " slices, digest 0x"
             << std::hex << outcome->stream.digest() << std::dec << ", "
             << outcome->stream.invariant_violations()
             << " invariant violations\n";
+  if (outcome->portfolio.has_value()) print_portfolio(*outcome->portfolio);
+  if (outcome->dag.has_value()) print_dag(*outcome->dag);
   if (obs != nullptr) {
     record_scenario_metrics(obs->metrics, scenario->name + ".", *outcome);
   }
-
-  RunReport report;
-  report.command = "scenario";
-  report.name = scenario->name;
-  report.policy = scenario->policy;
-  report.system = std::string(to_string(scenario->system));
-  report.discipline = std::string(to_string(scenario->discipline));
-  report.cores = scenario->make_system().core_count();
-  report.seed = scenario->seed;
-  report.jobs = scenario->arrivals.count;
-  report.suite_key = suite_cache_key(scenario->suite, context->energy());
-  report.completed_jobs = outcome->result.completed_jobs;
-  report.makespan = outcome->result.makespan;
-  report.total_energy_mj = outcome->result.total_energy().millijoules();
-  report.stream_digest = outcome->stream.digest();
-  if (windowed.has_value()) {
-    attach_window_summary(report, *windowed, AnomalyConfig{});
+  if (observed.has_value()) {
+    const int export_status = export_reports(
+        options, checkpointing ? nullptr : obs, timers,
+        observed_scenario_report(*scenario, *context, *observed),
+        observed->jsonl(observed->portfolio));
+    if (export_status != 0) return export_status;
   }
-  if (spans.has_value()) attach_latency_summary(report, {&*spans});
-  std::string windows =
-      windowed.has_value() ? windows_jsonl(*windowed) : std::string();
-  if (outcome->portfolio.has_value()) {
-    print_portfolio(*outcome->portfolio);
-    attach_portfolio_summary(report, *outcome->portfolio);
-    if (windowed.has_value()) {
-      windows += portfolio_switch_jsonl(*outcome->portfolio);
-    }
-  }
-  if (outcome->dag.has_value()) {
-    print_dag(*outcome->dag);
-    attach_dag_summary(report, *outcome->dag);
-  }
-  const int export_status =
-      export_reports(options, obs, timers, std::move(report), windows);
-  if (export_status != 0) return export_status;
   return outcome->stream.invariant_violations() == 0 ? 0 : 1;
 }
 
@@ -1184,11 +1090,18 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   // itself (and carried through the manifest), so no per-cell tracers —
   // a resumed sweep must reproduce the merged outputs byte-identically
   // without re-running completed cells.
-  if (options.wants_supervision()) {
-    if (!options.trace_out_path.empty()) {
-      usage("--trace-out cannot be combined with supervised-sweep flags "
-            "(completed cells resumed from a manifest are not re-run)");
-    }
+  const bool supervised = options.wants_supervision();
+  if (supervised && !options.trace_out_path.empty()) {
+    usage("--trace-out cannot be combined with supervised-sweep flags "
+          "(completed cells resumed from a manifest are not re-run)");
+  }
+  std::vector<SweepCell> cells;
+  std::vector<SweepFailure> failed;
+  // Plain mode: one tracer and/or observer stack per cell, created
+  // serially before the fan-out (stable registration order), each
+  // touched only by the shard running its cell.
+  std::deque<ObserverStack> stacks;  // stable addresses
+  if (supervised) {
     SweepSupervisorOptions sopts;
     sopts.cell_timeout_ms = options.cell_timeout_ms;
     sopts.max_attempts = options.cell_retries;
@@ -1197,164 +1110,79 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
         options.wants_windows() ? options.window_cycles : 0;
     sopts.manifest_out = options.manifest_out_path;
     sopts.resume_manifest = options.resume_from_path;
-
-    std::optional<SupervisedSweepResult> sweep;
+    SupervisedSweepResult sweep;
     {
       const auto scope = timers.scope("run");
-      sweep.emplace(run_sweep_supervised(grid, *context, shards,
-                                         ThreadPool::global(), sopts));
+      sweep = run_sweep_supervised(grid, *context, shards,
+                                   ThreadPool::global(), sopts);
     }
-    if (sweep->resumed_cells > 0) {
-      std::cout << sweep->resumed_cells
+    if (sweep.resumed_cells > 0) {
+      std::cout << sweep.resumed_cells
                 << " cell(s) resumed from the manifest\n";
     }
-
-    TablePrinter table({"cell", "status", "completed", "total mJ",
-                        "makespan", "digest"});
-    std::uint64_t violations = 0;
-    for (const SweepCell& cell : sweep->cells) {
-      if (!cell.completed) {
-        table.add_row({cell.label, "FAILED", "-", "-", "-", "-"});
-        continue;
+    cells = std::move(sweep.cells);
+    failed = std::move(sweep.failed);
+  } else {
+    std::vector<ScheduleObserver*> cell_observers;
+    if (obs != nullptr || options.wants_windows()) {
+      for (std::size_t i = 0; i < grid.cell_count(); ++i) {
+        EventTracer* tracer =
+            obs != nullptr ? &obs->add_system_tracer(grid.cell_label(i))
+                           : nullptr;
+        if (options.wants_windows()) {
+          stacks.emplace_back(grid.cell_scenario(i), *context,
+                              options.window_cycles, tracer);
+          cell_observers.push_back(stacks.back().observer());
+        } else {
+          cell_observers.push_back(tracer);
+        }
       }
-      std::ostringstream digest;
-      digest << std::hex << cell.stream_digest;
-      table.add_row(
-          {cell.label, "ok", std::to_string(cell.result.completed_jobs),
-           TablePrinter::num(cell.result.total_energy().millijoules(), 2),
-           std::to_string(cell.result.makespan), digest.str()});
-      violations += cell.invariant_violations;
     }
-    std::cout << grid.cell_count() << " cells in " << shards << " shards ("
-              << ThreadPool::global().thread_count() << " threads, "
-              << sweep->failed.size() << " quarantined):\n";
-    table.print(std::cout);
-    for (const SweepFailure& f : sweep->failed) {
-      std::cerr << "quarantined " << f.label << " after " << f.attempts
-                << " attempt(s): " << (f.timed_out ? "timeout: " : "")
-                << f.reason << "\n";
+    {
+      const auto scope = timers.scope("run");
+      cells = run_sweep(grid, *context, shards, ThreadPool::global(),
+                        cell_observers);
     }
-    if (obs != nullptr) {
-      record_sweep_metrics(obs->metrics, "sweep.", sweep->cells);
-    }
-
-    RunReport report;
-    report.command = "sweep";
-    report.name = base->name;
-    report.policy = options.sweep_policies;
-    report.system = "grid";
-    report.discipline = std::string(to_string(base->discipline));
-    report.cores = 0;
-    report.seed = base->seed;
-    report.jobs = static_cast<std::uint64_t>(base->arrivals.count) *
-                  sweep->cells.size();
-    report.suite_key = suite_cache_key(base->suite, context->energy());
-    std::string windows;
-    for (const SweepCell& cell : sweep->cells) {
-      if (!cell.completed) continue;
-      report.completed_jobs += cell.result.completed_jobs;
-      report.makespan =
-          std::max<std::uint64_t>(report.makespan, cell.result.makespan);
-      report.total_energy_mj += cell.result.total_energy().millijoules();
-      report.window_cycles = sopts.window_cycles;
-      report.windows_closed += cell.windows_closed;
-      report.dropped_windows += cell.dropped_windows;
-      report.window_jobs_completed += cell.window_jobs_completed;
-      report.window_energy_mj += cell.window_energy_mj;
-      windows += cell.windows_jsonl;
-    }
-    for (const SweepFailure& f : sweep->failed) {
-      report.failed_cells.push_back(
-          {f.label, f.attempts, f.timed_out, f.reason});
-    }
-    // Like the checkpointed scenario path, the report's metrics come
-    // from a local registry so a resumed sweep's report is
-    // byte-identical to a clean run's.
-    MetricsRegistry local;
-    record_sweep_metrics(local, "sweep.", sweep->cells);
-    report.metrics_json = local.to_json();
-    const int export_status =
-        export_reports(options, nullptr, timers, std::move(report), windows);
-    if (export_status != 0) return export_status;
-    if (!sweep->failed.empty()) return 1;
-    if (violations != 0) {
-      std::cerr << "error: " << violations
-                << " schedule invariant violations\n";
-      return 1;
-    }
-    return 0;
-  }
-
-  // Per-cell recorders: one tracer and/or windowed collector per cell,
-  // created serially before the fan-out (stable registration order),
-  // each touched only by the shard running its cell.
-  auto cell_label = [&](std::size_t i) {
-    const Scenario cell = grid.cell_scenario(i);
-    const std::size_t gap_i =
-        (i / grid.policies.size()) % grid.mean_gaps.size();
-    return "c" + std::to_string(cell.cores) + ".g" + std::to_string(gap_i) +
-           "." + cell.policy;
-  };
-  std::deque<WindowedCollector> collectors;  // stable addresses
-  std::deque<JobSpanCollector> cell_spans;
-  std::deque<FanoutObserver> fanouts;
-  std::vector<ScheduleObserver*> cell_observers;
-  if (obs != nullptr || options.wants_windows()) {
-    for (std::size_t i = 0; i < grid.cell_count(); ++i) {
-      EventTracer* tracer =
-          obs != nullptr ? &obs->add_system_tracer(cell_label(i)) : nullptr;
-      WindowedCollector* collector = nullptr;
-      JobSpanCollector* spans = nullptr;
-      if (options.wants_windows()) {
-        collectors.emplace_back(
-            grid.cell_scenario(i).make_system().core_count(),
-            WindowedOptions{options.window_cycles, 0}, &context->suite());
-        collector = &collectors.back();
-        // Per-cell spans, labelled by the cell's policy so the merged
-        // report breaks latency down per contender.
-        cell_spans.emplace_back(grid.cell_scenario(i).policy,
-                                options.window_cycles);
-        spans = &cell_spans.back();
-        collector->set_span_source(spans);
-      }
-      if (collector != nullptr) {
-        fanouts.emplace_back(
-            std::vector<ScheduleObserver*>{tracer, spans, collector});
-        cell_observers.push_back(&fanouts.back());
-      } else {
-        cell_observers.push_back(tracer);
-      }
+    for (std::size_t i = 0; i < stacks.size(); ++i) {
+      stacks[i].finalize();
+      capture_cell_windows(cells[i], stacks[i]);
     }
   }
 
-  std::vector<SweepCell> cells;
-  {
-    const auto scope = timers.scope("run");
-    cells = run_sweep(grid, *context, shards, ThreadPool::global(),
-                      cell_observers);
-  }
-  for (JobSpanCollector& spans : cell_spans) spans.finalize();
-  for (WindowedCollector& collector : collectors) collector.finalize();
-
-  TablePrinter table({"cell", "completed", "total mJ", "makespan",
-                      "digest"});
+  std::vector<std::string> header = {"cell", "completed", "total mJ",
+                                     "makespan", "digest"};
+  if (supervised) header.insert(header.begin() + 1, "status");
+  TablePrinter table(header);
   std::uint64_t violations = 0;
   for (const SweepCell& cell : cells) {
+    if (!cell.completed) {
+      table.add_row({cell.label, "FAILED", "-", "-", "-", "-"});
+      continue;
+    }
     std::ostringstream digest;
     digest << std::hex << cell.stream_digest;
-    table.add_row({cell.label, std::to_string(cell.result.completed_jobs),
-                   TablePrinter::num(cell.result.total_energy().millijoules(),
-                                     2),
-                   std::to_string(cell.result.makespan), digest.str()});
+    std::vector<std::string> row = {
+        cell.label, std::to_string(cell.result.completed_jobs),
+        TablePrinter::num(cell.result.total_energy().millijoules(), 2),
+        std::to_string(cell.result.makespan), digest.str()};
+    if (supervised) row.insert(row.begin() + 1, "ok");
+    table.add_row(row);
     violations += cell.invariant_violations;
   }
   std::cout << grid.cell_count() << " cells in " << shards << " shards ("
-            << ThreadPool::global().thread_count() << " threads):\n";
+            << ThreadPool::global().thread_count() << " threads";
+  if (supervised) std::cout << ", " << failed.size() << " quarantined";
+  std::cout << "):\n";
   table.print(std::cout);
+  for (const SweepFailure& f : failed) {
+    std::cerr << "quarantined " << f.label << " after " << f.attempts
+              << " attempt(s): " << (f.timed_out ? "timeout: " : "")
+              << f.reason << "\n";
+  }
   if (obs != nullptr) record_sweep_metrics(obs->metrics, "sweep.", cells);
 
-  // Aggregated sweep report: totals over the grid; window summary sums
-  // each cell's collector (per-cell windows land in --windows-out, one
+  // Aggregated sweep report: totals over the completed cells; the window
+  // summary sums each cell's (per-cell windows land in --windows-out, one
   // JSONL block per cell in grid order, window indices restarting at 0).
   RunReport report;
   report.command = "sweep";
@@ -1369,34 +1197,43 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   report.suite_key = suite_cache_key(base->suite, context->energy());
   std::string windows;
   for (const SweepCell& cell : cells) {
+    if (!cell.completed) continue;
     report.completed_jobs += cell.result.completed_jobs;
-    report.makespan = std::max<std::uint64_t>(report.makespan,
-                                              cell.result.makespan);
+    report.makespan =
+        std::max<std::uint64_t>(report.makespan, cell.result.makespan);
     report.total_energy_mj += cell.result.total_energy().millijoules();
+    if (!options.wants_windows()) continue;
+    report.window_cycles = options.window_cycles;
+    report.windows_closed += cell.windows_closed;
+    report.dropped_windows += cell.dropped_windows;
+    report.window_jobs_completed += cell.window_jobs_completed;
+    report.window_energy_mj += cell.window_energy_mj;
+    windows += cell.windows_jsonl;
   }
-  for (const WindowedCollector& collector : collectors) {
-    report.window_cycles = collector.window_cycles();
-    report.windows_closed += collector.windows_closed();
-    report.dropped_windows += collector.dropped_windows();
-    for (const WindowRecord& w : collector.windows()) {
-      report.window_jobs_completed += w.jobs_completed;
-      report.window_energy_mj += w.energy_mj;
-    }
-    windows += windows_jsonl(collector);
+  for (const SweepFailure& f : failed) {
+    report.failed_cells.push_back(
+        {f.label, f.attempts, f.timed_out, f.reason});
   }
-  if (!cell_spans.empty()) {
+  if (supervised) {
+    // Like the checkpointed scenario path, the report's metrics come
+    // from a local registry so a resumed sweep's report is
+    // byte-identical to a clean run's. The latency section stays out
+    // until the manifest carries span state.
+    MetricsRegistry local;
+    record_sweep_metrics(local, "sweep.", cells);
+    report.metrics_json = local.to_json();
+  } else if (!stacks.empty()) {
     // Merged per-policy latency: cells sharing a policy fold into one
     // row (fixed histogram boundaries make the merge exact).
-    std::vector<const JobSpanCollector*> span_ptrs;
-    for (const JobSpanCollector& spans : cell_spans) {
-      span_ptrs.push_back(&spans);
-    }
-    attach_latency_summary(report, span_ptrs);
+    std::vector<const JobSpanCollector*> spans;
+    for (const ObserverStack& stack : stacks) spans.push_back(&stack.spans);
+    attach_latency_summary(report, spans);
   }
-  const int export_status =
-      export_reports(options, obs, timers, std::move(report), windows);
+  const int export_status = export_reports(
+      options, supervised ? nullptr : obs, timers, std::move(report),
+      windows);
   if (export_status != 0) return export_status;
-
+  if (!failed.empty()) return 1;
   if (violations != 0) {
     std::cerr << "error: " << violations << " schedule invariant violations\n";
     return 1;
