@@ -85,4 +85,14 @@ std::uint32_t BestSizePredictor::predict_size_bytes(
   return target_to_size(predict_raw(stats));
 }
 
+std::unique_ptr<BestSizePredictor> train_predictor(
+    const CharacterizedSuite& suite, const PredictorConfig& config,
+    std::uint64_t seed) {
+  // build_ann_dataset falls back to every benchmark when the suite has
+  // no training split.
+  const Dataset dataset = build_ann_dataset(suite, suite.training_ids());
+  Rng rng(seed);
+  return std::make_unique<BestSizePredictor>(dataset, config, rng);
+}
+
 }  // namespace hetsched

@@ -16,6 +16,8 @@
 
 namespace hetsched {
 
+class CharacterizedSuite;
+
 struct PredictorConfig {
   FeatureSelectionConfig selection{};      // max_features = 10
   std::vector<std::size_t> hidden{18, 5};  // {n, 18, 5, 1} topology
@@ -81,5 +83,13 @@ class BestSizePredictor final : public SizePredictor {
   std::unique_ptr<BaggedEnsemble> ensemble_;
   PredictorReport report_;
 };
+
+// The training step shared by Experiment, ScenarioContext and the CLI's
+// `train`: fits the predictor on the suite's variant>0 instances (held-
+// out inputs of the scheduled kernels), or on every benchmark when the
+// suite has one variant per kernel, with an Rng seeded by `seed`.
+std::unique_ptr<BestSizePredictor> train_predictor(
+    const CharacterizedSuite& suite, const PredictorConfig& config,
+    std::uint64_t seed);
 
 }  // namespace hetsched

@@ -5,18 +5,6 @@
 #include "workload/profile_cache.hpp"
 
 namespace hetsched {
-namespace {
-
-CharacterizedSuite build_suite(const EnergyModel& energy,
-                               const ExperimentOptions& options) {
-  if (!options.profile_cache_path.empty()) {
-    return load_or_build_suite(options.profile_cache_path, energy,
-                               options.suite);
-  }
-  return CharacterizedSuite::build(energy, options.suite);
-}
-
-}  // namespace
 
 ExperimentOptions ExperimentOptions::quick() {
   ExperimentOptions opts;
@@ -53,23 +41,13 @@ NormalizedEnergy normalize(const SimulationResult& system,
 Experiment::Experiment(const ExperimentOptions& options)
     : options_(options),
       energy_(CactiModel{}, options.energy_params),
-      suite_(build_suite(energy_, options_)) {
-  // Train the ANN on the variant>0 instances; schedule the variant-0
-  // instances (held-out inputs of the same kernels). With a single
-  // variant per kernel, train on everything (the paper trains and
-  // evaluates on the same EEMBC suite).
-  std::vector<std::size_t> train_ids = suite_.training_ids();
-  if (train_ids.empty()) {
-    train_ids.resize(suite_.size());
-    for (std::size_t i = 0; i < train_ids.size(); ++i) train_ids[i] = i;
-  }
-  const Dataset dataset = build_ann_dataset(suite_, train_ids);
-
-  Rng train_rng(options_.seed);
-  predictor_ = std::make_unique<BestSizePredictor>(dataset,
-                                                   options_.predictor,
-                                                   train_rng);
-
+      suite_(load_or_build_suite(options_.profile_cache_path, energy_,
+                                 options_.suite)),
+      // Train on the variant>0 instances, schedule the variant-0
+      // instances (held-out inputs of the same kernels); with a single
+      // variant per kernel, train on everything (the paper trains and
+      // evaluates on the same EEMBC suite).
+      predictor_(train_predictor(suite_, options_.predictor, options_.seed)) {
   scheduling_ids_ = suite_.scheduling_ids();
   HETSCHED_ASSERT(!scheduling_ids_.empty());
   Rng arrival_rng(options_.seed ^ 0xa5a5a5a5ULL);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <fstream>
 #include <limits>
 #include <mutex>
@@ -9,7 +10,9 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/latency.hpp"
 #include "obs/observability.hpp"
+#include "scenario/observer_stack.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
@@ -24,16 +27,9 @@ Scenario SweepGrid::cell_scenario(std::size_t index) const {
   const std::size_t core_i = index / (policies.size() * mean_gaps.size());
 
   Scenario cell = base;
-  cell.cores = core_counts[core_i];
   cell.arrivals.mean_interarrival_cycles = mean_gaps[gap_i];
   cell.policy = policies[policy_i];
-  if (cell.policy == "base") {
-    cell.system = Scenario::SystemKind::kFixedBase;
-  } else if (cell.cores == 4) {
-    cell.system = Scenario::SystemKind::kPaperQuad;
-  } else {
-    cell.system = Scenario::SystemKind::kScaledHeterogeneous;
-  }
+  cell.use_standard_machine(core_counts[core_i]);
   cell.name = base.name + "-cell" + std::to_string(index);
   return cell;
 }
@@ -73,85 +69,33 @@ void fill_cell_identity(SweepCell& cell, const SweepGrid& grid,
   cell.label = grid.cell_label(index);
 }
 
-}  // namespace
-
-void capture_cell_windows(SweepCell& cell, const ObserverStack& observers) {
-  cell.windows_closed = observers.windows.windows_closed();
-  cell.dropped_windows = observers.windows.dropped_windows();
-  cell.window_jobs_completed = 0;
-  cell.window_energy_mj = 0.0;
-  for (const WindowRecord& w : observers.windows.windows()) {
-    cell.window_jobs_completed += w.jobs_completed;
-    cell.window_energy_mj += w.energy_mj;
-  }
-  cell.windows_jsonl = observers.jsonl();
-}
-
-std::vector<SweepCell> run_sweep(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::size_t shards, ThreadPool& pool,
-    std::span<ScheduleObserver* const> cell_observers) {
-  grid.validate();
-  HETSCHED_REQUIRE(shards >= 1 && "shards must be >= 1");
-  const std::size_t cells = grid.cell_count();
-  HETSCHED_REQUIRE((cell_observers.empty() ||
-                    cell_observers.size() == cells) &&
-                   "cell_observers must be empty or one per cell");
-  shards = std::min(shards, cells);
-
-  std::vector<SweepCell> results(cells);
-  // Shard s owns the contiguous index range [s*cells/shards,
-  // (s+1)*cells/shards); each cell writes only its own slot, so the
-  // ThreadPool determinism contract makes the merge order-independent.
-  pool.parallel_for(shards, [&](std::size_t shard) {
-    const std::size_t begin = shard * cells / shards;
-    const std::size_t end = (shard + 1) * cells / shards;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Scenario scenario = grid.cell_scenario(i);
-      ScheduleObserver* extra =
-          cell_observers.empty() ? nullptr : cell_observers[i];
-      const ScenarioOutcome outcome = run_scenario(scenario, context, extra);
-
-      SweepCell& cell = results[i];
-      fill_cell_identity(cell, grid, i);
-      cell.result = outcome.result;
-      cell.stream_digest = outcome.stream.digest();
-      cell.invariant_violations = outcome.stream.invariant_violations();
-    }
-  });
-  return results;
-}
-
-std::vector<SweepCell> run_sweep(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::span<ScheduleObserver* const> cell_observers) {
-  return run_sweep(grid, context, grid.cell_count(), ThreadPool::global(),
-                   cell_observers);
-}
-
-namespace {
-
 namespace st = snapshot_text;
 
 // Version 2: cells run under the full observer stack, so their window
 // JSONL carries real lat_* columns; version-1 manifests (lat_* all zero)
-// are rejected rather than merged with new cells.
-constexpr int kManifestVersion = 2;
+// are rejected rather than merged with new cells. Version 3 added each
+// cell's span state, so a resumed sweep's report carries the latency
+// section; version-2 manifests have none and are rejected.
+constexpr int kManifestVersion = 3;
 
-// Runs one cell to completion under a cooperative wall-clock deadline:
-// the simulation advances in fixed simulated-time slices and the clock
-// is checked between slices, so a runaway cell is abandoned at a
-// deterministic simulation state boundary without detaching threads.
-SweepCell run_supervised_cell(const SweepGrid& grid, std::size_t index,
-                              const ScenarioContext& context,
-                              const SweepSupervisorOptions& options) {
+// Runs one cell to completion, under a cooperative wall-clock deadline
+// when one is set: the simulation advances in fixed simulated-time
+// slices and the clock is checked between slices, so a runaway cell is
+// abandoned at a deterministic simulation state boundary without
+// detaching threads.
+SweepCell run_cell(const SweepGrid& grid, std::size_t index,
+                   const ScenarioContext& context,
+                   const SweepSupervisorOptions& options) {
   const Scenario scenario = grid.cell_scenario(index);
+  ScheduleObserver* caller = options.cell_observers.empty()
+                                 ? nullptr
+                                 : options.cell_observers[index];
   std::optional<ObserverStack> observers;
   if (options.window_cycles > 0) {
-    observers.emplace(scenario, context, options.window_cycles);
+    observers.emplace(scenario, context, options.window_cycles, caller);
   }
   ScenarioRun run(scenario, context,
-                  observers.has_value() ? observers->observer() : nullptr);
+                  observers.has_value() ? observers->observer() : caller);
   run.start();
 
   if (options.cell_timeout_ms == 0) {
@@ -179,9 +123,44 @@ SweepCell run_supervised_cell(const SweepGrid& grid, std::size_t index,
   cell.invariant_violations = run.stats().invariant_violations();
   if (observers.has_value()) {
     observers->finalize();
-    capture_cell_windows(cell, *observers);
+    const WindowedCollector& windows = observers->windows;
+    cell.windows_closed = windows.windows_closed();
+    cell.dropped_windows = windows.dropped_windows();
+    for (const WindowRecord& w : windows.windows()) {
+      cell.window_jobs_completed += w.jobs_completed;
+      cell.window_energy_mj += w.energy_mj;
+    }
+    cell.windows_jsonl = observers->jsonl();
+    std::ostringstream spans;
+    observers->spans.save_state(spans);
+    cell.span_state = spans.str();
   }
   return cell;
+}
+
+// Length-prefixed raw bytes: content is opaque to the manifest parser
+// and reproduced byte-for-byte on resume.
+void write_blob(std::ostream& out, const std::string& tag,
+                const std::string& bytes) {
+  out << tag << ' ' << bytes.size() << "\n" << bytes << "\n";
+}
+
+// `max_bytes` bounds the declared length (the manifest body's size), so
+// a corrupted prefix fails cleanly instead of allocating.
+std::string read_blob(std::istream& in, const std::string& tag,
+                      std::size_t max_bytes, const std::string& context) {
+  std::string token;
+  if (!(in >> token) || token != tag) {
+    st::fail(context, "expected '" + tag + "'");
+  }
+  const auto bytes = st::read_value<std::size_t>(in, "byte count", context);
+  in.get();  // the newline terminating the length prefix
+  std::string blob(std::min(bytes, max_bytes), '\0');
+  if (bytes > max_bytes ||
+      !in.read(blob.data(), static_cast<std::streamsize>(bytes))) {
+    st::fail(context, "truncated " + tag + " payload");
+  }
+  return blob;
 }
 
 std::string load_manifest_text(const SweepSupervisorOptions& options) {
@@ -236,10 +215,9 @@ std::string serialize_sweep_manifest(const SweepGrid& grid,
          << cell.dropped_windows << ' ' << cell.window_jobs_completed
          << ' ';
     st::write_double(body, cell.window_energy_mj);
-    // Raw JSONL bytes, length-prefixed: content is opaque to the
-    // manifest parser and reproduced byte-for-byte on resume.
-    body << "\nwindows-jsonl " << cell.windows_jsonl.size() << "\n"
-         << cell.windows_jsonl << "\n";
+    body << "\n";
+    write_blob(body, "windows-jsonl", cell.windows_jsonl);
+    write_blob(body, "span-state", cell.span_state);
   }
   std::ostringstream out;
   st::write_with_checksum(out, body.str());
@@ -320,18 +298,8 @@ std::vector<SweepCell> parse_sweep_manifest(const std::string& text,
         st::read_value<std::uint64_t>(in, "window jobs", context);
     cell.window_energy_mj =
         st::read_value<double>(in, "window energy", context);
-    if (!(in >> token) || token != "windows-jsonl") {
-      st::fail(context, "expected 'windows-jsonl'");
-    }
-    const auto bytes =
-        st::read_value<std::size_t>(in, "jsonl byte count", context);
-    in.get();  // the newline terminating the length prefix
-    cell.windows_jsonl.resize(bytes);
-    if (bytes > 0 &&
-        !in.read(cell.windows_jsonl.data(),
-                 static_cast<std::streamsize>(bytes))) {
-      st::fail(context, "truncated window JSONL payload");
-    }
+    cell.windows_jsonl = read_blob(in, "windows-jsonl", body.size(), context);
+    cell.span_state = read_blob(in, "span-state", body.size(), context);
     cells.push_back(std::move(cell));
   }
   return cells;
@@ -345,6 +313,17 @@ SupervisedSweepResult run_sweep_supervised(
   HETSCHED_REQUIRE(shards >= 1 && "shards must be >= 1");
   HETSCHED_REQUIRE(options.max_attempts >= 1);
   const std::size_t cells = grid.cell_count();
+  HETSCHED_REQUIRE((options.cell_observers.empty() ||
+                    options.cell_observers.size() == cells) &&
+                   "cell_observers must be empty or one per cell");
+  const bool resuming = !options.resume_manifest.empty() ||
+                        !options.resume_manifest_text.empty();
+  if (!options.cell_observers.empty() &&
+      (options.max_attempts > 1 || resuming)) {
+    throw std::invalid_argument(
+        "sweep: per-cell observers cannot be combined with retries or a "
+        "resume manifest");
+  }
   shards = std::min(shards, cells);
 
   SupervisedSweepResult sweep;
@@ -354,8 +333,7 @@ SupervisedSweepResult run_sweep_supervised(
     sweep.cells[i].completed = false;
   }
 
-  if (!options.resume_manifest.empty() ||
-      !options.resume_manifest_text.empty()) {
+  if (resuming) {
     const std::string context_name = options.resume_manifest.empty()
                                          ? std::string("sweep manifest")
                                          : options.resume_manifest;
@@ -395,7 +373,7 @@ SupervisedSweepResult run_sweep_supervised(
            ++attempt) {
         failure.attempts = attempt;
         try {
-          SweepCell cell = run_supervised_cell(grid, i, context, options);
+          SweepCell cell = run_cell(grid, i, context, options);
           cell.completed = true;
           sweep.cells[i] = std::move(cell);
           done = true;
@@ -443,6 +421,21 @@ void record_sweep_metrics(MetricsRegistry& metrics,
     metrics.counter(cell_prefix + "stream.invariant_violations")
         .add(cell.invariant_violations);
   }
+}
+
+void attach_sweep_latency(RunReport& report,
+                          const std::vector<SweepCell>& cells,
+                          SimTime window_cycles) {
+  std::deque<JobSpanCollector> spans;  // stable addresses
+  std::vector<const JobSpanCollector*> collectors;
+  for (const SweepCell& cell : cells) {
+    if (!cell.completed || cell.span_state.empty()) continue;
+    spans.emplace_back(cell.policy, window_cycles);
+    std::istringstream in(cell.span_state);
+    spans.back().restore_state(in, cell.label + " span state");
+    collectors.push_back(&spans.back());
+  }
+  attach_latency_summary(report, collectors);
 }
 
 }  // namespace hetsched

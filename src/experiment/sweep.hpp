@@ -4,16 +4,18 @@
 // cell is self-contained (fresh simulator, read-only shared context) and
 // lands in its own index-ordered slot, the merged results are
 // bit-identical for every shard count and every HETSCHED_THREADS value.
+// One driver runs every sweep: without supervision options it is a plain
+// run (no timeout, one attempt), and a cell that throws is quarantined
+// instead of aborting the sweep.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "scenario/observer_stack.hpp"
+#include "obs/run_report.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/thread_pool.hpp"
 
@@ -32,10 +34,8 @@ struct SweepGrid {
   }
 
   // The concrete scenario for cell `index` (row-major over core_counts,
-  // then mean_gaps, then policies). The base policy runs on a same-sized
-  // fixed-base machine, every other policy on the reconfigurable one
-  // (paper layout at 4 cores, scaled layout otherwise) — the Experiment
-  // convention.
+  // then mean_gaps, then policies), on the Section-V machine for its
+  // policy (Scenario::use_standard_machine).
   Scenario cell_scenario(std::size_t index) const;
 
   // "c<cores>.g<gap index>.<policy>": cell `index`'s label in tables,
@@ -60,43 +60,21 @@ struct SweepCell {
   std::uint64_t stream_digest = 0;  // StreamStats event-stream digest
   std::uint64_t invariant_violations = 0;
 
-  // Supervised execution extensions. `completed` is false for a cell
-  // that failed or timed out under supervision (its result fields are
+  // False for a cell that failed or timed out (its result fields are
   // default-initialized, only the identity fields above are valid).
   bool completed = true;
-  // Windowed-telemetry summary and raw JSONL lines (capture_cell_windows),
-  // captured when the cell ran under an observer stack; carried through
-  // the shard manifest so a resumed sweep reproduces the merged window
-  // output byte-identically without re-running completed cells.
+  // Windowed-telemetry summary, raw JSONL lines and the span collector's
+  // save_state text, captured when the cell ran under an observer stack;
+  // carried through the shard manifest so a resumed sweep reproduces the
+  // merged window output and latency section byte-identically without
+  // re-running completed cells.
   std::uint64_t windows_closed = 0;
   std::uint64_t dropped_windows = 0;
   std::uint64_t window_jobs_completed = 0;
   double window_energy_mj = 0.0;
   std::string windows_jsonl;
+  std::string span_state;
 };
-
-// Copies a finalized observer stack's window summary and windows JSONL
-// into the cell record.
-void capture_cell_windows(SweepCell& cell, const ObserverStack& observers);
-
-// Runs every cell of `grid`, splitting the cell list into `shards`
-// contiguous chunks executed via pool.parallel_for. Returns the cells in
-// grid order. `context` must come from grid.context_scenario() (or any
-// scenario with identical suite/predictor parameters).
-// `cell_observers` is either empty or one observer per cell (nulls
-// allowed): observer i receives cell i's event stream. Each observer is
-// touched only by the shard running its cell, so per-cell recorders
-// need no locking; cells may run concurrently, so one observer must not
-// be aliased across cells.
-std::vector<SweepCell> run_sweep(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::size_t shards, ThreadPool& pool,
-    std::span<ScheduleObserver* const> cell_observers = {});
-
-// Convenience: shards == cell count, shared global pool.
-std::vector<SweepCell> run_sweep(
-    const SweepGrid& grid, const ScenarioContext& context,
-    std::span<ScheduleObserver* const> cell_observers = {});
 
 // Deposits one result bucket per cell under `prefix` + cell label, plus
 // the per-cell stream digest and invariant-violation counters.
@@ -104,7 +82,15 @@ void record_sweep_metrics(MetricsRegistry& metrics,
                           const std::string& prefix,
                           const std::vector<SweepCell>& cells);
 
-// --- Supervised sweeps: timeout, retry, quarantine, resume --------------
+// Fills the report's latency section from the completed cells' span
+// state; cells sharing a policy fold into one row (fixed histogram
+// boundaries make the merge exact). `window_cycles` is the width the
+// cells ran with.
+void attach_sweep_latency(RunReport& report,
+                          const std::vector<SweepCell>& cells,
+                          SimTime window_cycles);
+
+// --- The sweep driver: timeout, retry, quarantine, resume ---------------
 
 // Thrown inside a supervised cell whose wall-clock budget expired; the
 // supervisor converts it into a quarantined-cell record.
@@ -128,6 +114,14 @@ struct SweepSupervisorOptions {
   // Per-cell observer-stack window width (windows JSONL with lat_*
   // columns); 0 runs cells unobserved.
   SimTime window_cycles = 0;
+  // Empty, or one caller observer per cell (nulls allowed, e.g. a
+  // tracer): observer i sees cell i's events ahead of its observer
+  // stack. Each is touched only by the shard running its cell, so
+  // per-cell recorders need no locking; one observer must not be aliased
+  // across cells. Refused together with retries or a resume manifest,
+  // since an observer would then see failed attempts or miss resumed
+  // cells.
+  std::vector<ScheduleObserver*> cell_observers;
   // Shard-manifest path, atomically rewritten after every completed
   // cell; empty = no manifest persistence.
   std::string manifest_out;
@@ -155,13 +149,17 @@ struct SupervisedSweepResult {
   std::uint64_t resumed_cells = 0;   // skipped thanks to the manifest
 };
 
-// Supervised variant of run_sweep: each cell runs under a cooperative
-// wall-clock timeout with bounded retry; failures are quarantined into
-// `failed` instead of aborting the sweep. Deterministic for the
-// completed set: a cell's payload does not depend on timing, shard
-// count or which other cells failed. Throws std::runtime_error on an
-// unreadable/corrupted/mismatched resume manifest or an unwritable
-// manifest path.
+// Runs every cell of `grid`, splitting the cell list into `shards`
+// contiguous chunks executed via pool.parallel_for; `context` must come
+// from grid.context_scenario() (or any scenario with identical
+// suite/predictor parameters). Each cell runs under an optional
+// cooperative wall-clock timeout with bounded retry; failures are
+// quarantined into `failed` instead of aborting the sweep.
+// Deterministic for the completed set: a cell's payload does not depend
+// on timing, shard count or which other cells failed. Throws
+// std::invalid_argument on per-cell observers combined with retries or
+// a resume manifest, and std::runtime_error on an unreadable/corrupted/
+// mismatched resume manifest or an unwritable manifest path.
 SupervisedSweepResult run_sweep_supervised(
     const SweepGrid& grid, const ScenarioContext& context,
     std::size_t shards, ThreadPool& pool,
@@ -169,8 +167,8 @@ SupervisedSweepResult run_sweep_supervised(
 
 // Shard-manifest round trip (exposed for tests and tooling). The
 // manifest records the grid fingerprint plus every completed cell's full
-// payload (result, digest, window summary and raw window JSONL,
-// length-prefixed), checksummed like every snapshot format.
+// payload (result, digest, window summary, and the raw window JSONL and
+// span state, length-prefixed), checksummed like every snapshot format.
 // parse_sweep_manifest validates against `grid` and throws
 // std::runtime_error (tagged with `context`) on malformed, truncated or
 // mismatched input.

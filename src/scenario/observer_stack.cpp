@@ -17,21 +17,14 @@ ObserverStack::ObserverStack(JobSpanCollector span_collector,
   windows.set_span_source(&spans);
 }
 
-ObserverStack::ObserverStack(std::string policy_label,
-                             std::size_t core_count, SimTime window_cycles,
-                             const CharacterizedSuite* suite,
-                             ScheduleObserver* caller)
-    : ObserverStack(JobSpanCollector(std::move(policy_label), window_cycles),
-                    WindowedCollector(core_count,
-                                      WindowedOptions{window_cycles, 0},
-                                      suite),
-                    caller) {}
-
 ObserverStack::ObserverStack(const Scenario& scenario,
                              const ScenarioContext& context,
                              SimTime window_cycles, ScheduleObserver* caller)
-    : ObserverStack(scenario.policy, scenario.make_system().core_count(),
-                    window_cycles, &context.suite(), caller) {}
+    : ObserverStack(JobSpanCollector(scenario.policy, window_cycles),
+                    WindowedCollector(scenario.make_system().core_count(),
+                                      WindowedOptions{window_cycles, 0},
+                                      &context.suite()),
+                    caller) {}
 
 ObserverStack::ObserverStack(ObserverStack&& other)
     : ObserverStack(std::move(other.spans), std::move(other.windows),

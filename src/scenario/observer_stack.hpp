@@ -4,8 +4,8 @@
 // The windowed collector pulls window k's latency digest (its `lat_*`
 // columns) from the span collector when it closes window k, so the span
 // collector must see every event first and be finalized first. The stack
-// fixes that order for every observed path — the scenario driver, CLI
-// `run`, sweep cells — and keeps the handshake pointing at its own span
+// fixes that order for every observed path — the scenario driver and
+// sweep cells — and keeps the handshake pointing at its own span
 // collector when it is moved.
 #pragma once
 
@@ -25,15 +25,11 @@ class ScenarioContext;
 
 class ObserverStack {
  public:
-  // `policy_label` names the span population in the report's latency
-  // section; `suite` (optional) enables the energy and prediction
-  // columns. `caller` (optional, e.g. a tracer) sees every event first
-  // and must outlive the stack's runs.
-  ObserverStack(std::string policy_label, std::size_t core_count,
-                SimTime window_cycles, const CharacterizedSuite* suite,
-                ScheduleObserver* caller = nullptr);
-  // The stack for `scenario`: its policy, its machine, the context's
-  // suite.
+  // The stack for `scenario`: spans labelled with its policy (the
+  // population in the report's latency section), windows over its
+  // machine, energy and prediction columns from the context's suite.
+  // `caller` (optional, e.g. a tracer) sees every event first and must
+  // outlive the stack's runs.
   ObserverStack(const Scenario& scenario, const ScenarioContext& context,
                 SimTime window_cycles, ScheduleObserver* caller = nullptr);
   // The moved-to stack observes through its own collectors; the

@@ -56,6 +56,17 @@ SystemConfig Scenario::make_system() const {
   invalid("unknown system kind");
 }
 
+void Scenario::use_standard_machine(std::size_t core_count) {
+  cores = core_count;
+  if (policy == "base") {
+    system = SystemKind::kFixedBase;
+  } else if (cores == 4) {
+    system = SystemKind::kPaperQuad;
+  } else {
+    system = SystemKind::kScaledHeterogeneous;
+  }
+}
+
 bool Scenario::needs_predictor() const {
   return PolicyRegistry::instance().needs_predictor(policy);
 }

@@ -65,6 +65,12 @@ struct Scenario {
   // The machine this scenario runs on.
   SystemConfig make_system() const;
 
+  // The Section-V machine rule: `core_count` fixed-base cores for the
+  // base policy, the reconfigurable machine for every other policy (the
+  // paper quad-core at 4 cores, the scaled layout otherwise). Sets
+  // `cores` and `system` from `policy`.
+  void use_standard_machine(std::size_t core_count);
+
   // True when the policy (or any portfolio contender) is ANN-backed and
   // needs a trained predictor.
   bool needs_predictor() const;

@@ -8,22 +8,9 @@
 #include "fault/fault_injector.hpp"
 #include "obs/observability.hpp"
 #include "util/contracts.hpp"
-#include "workload/dataset_builder.hpp"
 #include "workload/profile_cache.hpp"
 
 namespace hetsched {
-namespace {
-
-CharacterizedSuite build_suite(const EnergyModel& energy,
-                               const Scenario& scenario,
-                               const std::string& profile_cache_path) {
-  if (!profile_cache_path.empty()) {
-    return load_or_build_suite(profile_cache_path, energy, scenario.suite);
-  }
-  return CharacterizedSuite::build(energy, scenario.suite);
-}
-
-}  // namespace
 
 std::unique_ptr<SchedulerPolicy> make_scenario_policy(
     const Scenario& scenario, const ScenarioContext& context) {
@@ -34,10 +21,13 @@ std::unique_ptr<SchedulerPolicy> make_scenario_policy(
   return PolicyRegistry::instance().make(scenario.policy, ctx);
 }
 
-ScenarioContext::ScenarioContext(const Scenario& scenario,
-                                 const std::string& profile_cache_path)
+ScenarioContext::ScenarioContext(
+    const Scenario& scenario, const std::string& profile_cache_path,
+    std::unique_ptr<const SizePredictor> predictor)
     : energy_(CactiModel{}, EnergyModelParams{}),
-      suite_(build_suite(energy_, scenario, profile_cache_path)) {
+      suite_(load_or_build_suite(profile_cache_path, energy_,
+                                 scenario.suite)),
+      predictor_(std::move(predictor)) {
   scenario.validate();
   scheduling_ids_ = suite_.scheduling_ids();
   HETSCHED_ASSERT(!scheduling_ids_.empty());
@@ -49,24 +39,13 @@ ScenarioContext::ScenarioContext(const Scenario& scenario,
                                      .energy.total_cycles;
   }
 
-  if (scenario.needs_predictor()) {
-    // Train on the variant>0 instances, schedule the variant-0 instances
-    // (the Experiment split); with one variant per kernel, train on
-    // everything.
-    std::vector<std::size_t> train_ids = suite_.training_ids();
-    if (train_ids.empty()) {
-      train_ids.resize(suite_.size());
-      for (std::size_t i = 0; i < train_ids.size(); ++i) train_ids[i] = i;
-    }
-    const Dataset dataset = build_ann_dataset(suite_, train_ids);
+  if (predictor_ == nullptr && scenario.needs_predictor()) {
     PredictorConfig config;
     config.ensemble_size = scenario.predictor_ensemble;
     if (scenario.predictor_max_epochs > 0) {
       config.trainer.max_epochs = scenario.predictor_max_epochs;
     }
-    Rng train_rng(scenario.seed);
-    predictor_ =
-        std::make_unique<BestSizePredictor>(dataset, config, train_rng);
+    predictor_ = train_predictor(suite_, config, scenario.seed);
   }
 }
 
@@ -79,9 +58,8 @@ ScenarioRun::ScenarioRun(const Scenario& scenario,
                  scenario.discipline),
       stats_(system_.core_count()),
       fanout_({&stats_, extra}),
-      // Seed derivations match Experiment (arrivals) and the CLI
-      // (real-time attributes), so a scenario reproduces those streams
-      // exactly.
+      // The arrival seed derivation matches Experiment's, so a scenario
+      // reproduces its stream exactly.
       stream_(context.scheduling_ids(), scenario.arrivals,
               scenario.seed ^ 0xa5a5a5a5ULL) {
   std::optional<DagArrivalSource::RealtimeSetup> dag_realtime;

@@ -29,9 +29,12 @@ class ScenarioContext {
  public:
   // Builds the characterised suite (served from `profile_cache_path`
   // when non-empty) and, when the scenario's policy needs one, trains
-  // the ANN predictor.
+  // the ANN predictor. A non-null `predictor` (e.g. a loaded
+  // PredictorSnapshot) replaces training.
   explicit ScenarioContext(const Scenario& scenario,
-                           const std::string& profile_cache_path = "");
+                           const std::string& profile_cache_path = "",
+                           std::unique_ptr<const SizePredictor> predictor =
+                               nullptr);
 
   const EnergyModel& energy() const { return energy_; }
   const CharacterizedSuite& suite() const { return suite_; }
@@ -43,7 +46,8 @@ class ScenarioContext {
   const std::vector<Cycles>& base_reference_cycles() const {
     return base_reference_cycles_;
   }
-  // Null when the scenario's policy does not consult a predictor.
+  // Null when the scenario's policy does not consult a predictor and
+  // none was given.
   const SizePredictor* predictor() const { return predictor_.get(); }
 
  private:
@@ -51,7 +55,7 @@ class ScenarioContext {
   CharacterizedSuite suite_;
   std::vector<std::size_t> scheduling_ids_;
   std::vector<Cycles> base_reference_cycles_;
-  std::unique_ptr<BestSizePredictor> predictor_;
+  std::unique_ptr<const SizePredictor> predictor_;
 };
 
 struct ScenarioOutcome {

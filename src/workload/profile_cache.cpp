@@ -251,6 +251,11 @@ CharacterizedSuite load_or_build_suite(const std::string& path,
                                        const EnergyModel& model,
                                        const SuiteOptions& options,
                                        ThreadPool* pool) {
+  const auto build = [&] {
+    return pool != nullptr ? CharacterizedSuite::build(model, options, *pool)
+                           : CharacterizedSuite::build(model, options);
+  };
+  if (path.empty()) return build();
   const std::uint64_t key = suite_cache_key(options, model);
 
   {
@@ -267,9 +272,7 @@ CharacterizedSuite load_or_build_suite(const std::string& path,
   }
   if (ObsProbe* probe = obs_probe()) probe->on_profile_cache(false);
 
-  CharacterizedSuite suite =
-      pool != nullptr ? CharacterizedSuite::build(model, options, *pool)
-                      : CharacterizedSuite::build(model, options);
+  CharacterizedSuite suite = build();
 
   // Refresh atomically so a crashed or concurrent writer can never leave
   // a torn snapshot behind; failures only cost the cache.

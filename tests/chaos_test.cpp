@@ -12,18 +12,18 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/schedule_log.hpp"
 #include "core/simulator.hpp"
 #include "experiment/sweep.hpp"
 #include "obs/bench_diff.hpp"
+#include "obs/run_report.hpp"
 #include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
-#include "scenario/observer_stack.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
@@ -434,10 +434,23 @@ TEST(SupervisedSweep, ManifestResumeIsByteIdentical) {
   ASSERT_TRUE(resumed.failed.empty());
   EXPECT_EQ(resumed.resumed_cells, 2u);
   // Byte-identity of the complete merged payload (results, digests,
-  // window summaries and raw window JSONL) via the canonical
+  // window summaries, raw window JSONL and span state) via the canonical
   // serialization.
   EXPECT_EQ(serialize_sweep_manifest(grid, resumed.cells),
             serialize_sweep_manifest(grid, clean.cells));
+  // The resumed cells' span state survived the manifest round trip, so
+  // the merged latency section matches the clean run's.
+  for (const SweepCell& cell : resumed.cells) {
+    EXPECT_FALSE(cell.span_state.empty()) << cell.label;
+  }
+  RunReport clean_report;
+  RunReport resumed_report;
+  attach_sweep_latency(clean_report, clean.cells, options.window_cycles);
+  attach_sweep_latency(resumed_report, resumed.cells, options.window_cycles);
+  ASSERT_TRUE(clean_report.latency.has_value());
+  EXPECT_GT(clean_report.latency->jobs, 0u);
+  EXPECT_EQ(run_report_to_json(resumed_report),
+            run_report_to_json(clean_report));
 }
 
 TEST(SupervisedSweep, ManifestRejection) {
@@ -486,50 +499,52 @@ TEST(SupervisedSweep, ManifestWithoutChecksumIsRejected) {
 
 // Version-1 manifests predate the observer stack in supervised cells:
 // their window JSONL carries lat_* = 0, so merging them with new cells
-// would mix zeroed and real latency columns. They are rejected even when
-// correctly signed.
+// would mix zeroed and real latency columns. Version-2 manifests carry no
+// span state, so a resumed sweep could not rebuild its latency section.
+// Both are rejected even when correctly signed.
 TEST(SupervisedSweep, ManifestVersion1IsRejected) {
   const SweepGrid grid = sweep_grid();
   std::istringstream signed_text(serialize_sweep_manifest(grid, {}));
-  std::string body = snapshot_text::read_checksummed(signed_text, "test");
-  const std::string current = "hetsched-sweep-manifest 2\n";
+  const std::string body =
+      snapshot_text::read_checksummed(signed_text, "test");
+  const std::string current = "hetsched-sweep-manifest 3\n";
   ASSERT_EQ(body.rfind(current, 0), 0u);
-  body.replace(0, current.size(), "hetsched-sweep-manifest 1\n");
-  std::ostringstream v1;
-  snapshot_text::write_with_checksum(v1, body);
-  try {
-    parse_sweep_manifest(v1.str(), grid, "test");
-    ADD_FAILURE() << "version-1 manifest was accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported manifest version"),
-              std::string::npos)
-        << e.what();
+  for (const char* old_version : {"1", "2"}) {
+    std::string old_body = body;
+    old_body.replace(0, current.size(),
+                     "hetsched-sweep-manifest " + std::string(old_version) +
+                         "\n");
+    std::ostringstream signed_old;
+    snapshot_text::write_with_checksum(signed_old, old_body);
+    try {
+      parse_sweep_manifest(signed_old.str(), grid, "test");
+      ADD_FAILURE() << "version-" << old_version
+                    << " manifest was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported manifest version"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
-// Supervised cells run under the same observer stack as plain sweep
-// cells, so both modes write the same windows JSONL — real lat_*
-// columns included — for a grid with a portfolio contender.
+// One driver runs every sweep: with and without retries its cells run
+// under the same observer stack, so both write the same windows JSONL —
+// real lat_* columns included — and the same span state for a grid with
+// a portfolio contender.
 TEST(SupervisedSweep, WindowsMatchThePlainSweep) {
   SweepGrid grid = sweep_grid();
   grid.policies = {"base", "portfolio:optimal+sjf"};
   constexpr SimTime kWindow = 1'000'000;
 
-  std::deque<ObserverStack> stacks;
-  std::vector<ScheduleObserver*> observers;
-  for (std::size_t i = 0; i < grid.cell_count(); ++i) {
-    stacks.emplace_back(grid.cell_scenario(i), world().context, kWindow);
-    observers.push_back(stacks.back().observer());
-  }
-  run_sweep(grid, world().context, 2, ThreadPool::global(), observers);
-  std::string plain;
-  for (ObserverStack& stack : stacks) {
-    stack.finalize();
-    plain += stack.jsonl();
-  }
-
   SweepSupervisorOptions options;
   options.window_cycles = kWindow;
+  const SupervisedSweepResult once = run_sweep_supervised(
+      grid, world().context, 2, ThreadPool::global(), options);
+  ASSERT_TRUE(once.failed.empty());
+  std::string plain;
+  for (const SweepCell& cell : once.cells) plain += cell.windows_jsonl;
+
   options.max_attempts = 2;
   const SupervisedSweepResult supervised = run_sweep_supervised(
       grid, world().context, 2, ThreadPool::global(), options);
@@ -542,6 +557,39 @@ TEST(SupervisedSweep, WindowsMatchThePlainSweep) {
       << "some window retired no job; the fixture should keep every "
          "window busy";
   EXPECT_EQ(merged, plain);
+  for (std::size_t i = 0; i < once.cells.size(); ++i) {
+    EXPECT_FALSE(once.cells[i].span_state.empty());
+    EXPECT_EQ(supervised.cells[i].span_state, once.cells[i].span_state);
+  }
+}
+
+// Per-cell caller observers would see a failed attempt's events, or miss
+// a cell resumed from a manifest, so the driver refuses both pairings.
+TEST(SupervisedSweep, CellObserversRefuseRetriesAndResume) {
+  const SweepGrid grid = sweep_grid();
+  std::vector<ScheduleLog> logs(grid.cell_count());
+  SweepSupervisorOptions options;
+  for (ScheduleLog& log : logs) options.cell_observers.push_back(&log);
+
+  SweepSupervisorOptions retries = options;
+  retries.max_attempts = 2;
+  EXPECT_THROW(run_sweep_supervised(grid, world().context, 2,
+                                    ThreadPool::global(), retries),
+               std::invalid_argument);
+  SweepSupervisorOptions resume = options;
+  resume.resume_manifest_text = serialize_sweep_manifest(grid, {});
+  EXPECT_THROW(run_sweep_supervised(grid, world().context, 2,
+                                    ThreadPool::global(), resume),
+               std::invalid_argument);
+
+  // Alone, each observer sees exactly its own cell.
+  const SupervisedSweepResult sweep = run_sweep_supervised(
+      grid, world().context, 2, ThreadPool::global(), options);
+  ASSERT_TRUE(sweep.failed.empty());
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    EXPECT_EQ(logs[i].slices().size(), sweep.cells[i].result.completed_jobs)
+        << sweep.cells[i].label;
+  }
 }
 
 // --- Bench regression gate vs non-finite values --------------------------

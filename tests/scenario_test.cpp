@@ -420,10 +420,11 @@ TEST(Sweep, ResultsAreThreadAndShardInvariant) {
 
   const auto snapshot = [&](std::size_t threads, std::size_t shards) {
     ThreadPool pool(threads);
-    const std::vector<SweepCell> cells =
-        run_sweep(grid, w.context, shards, pool);
+    const SupervisedSweepResult sweep = run_sweep_supervised(
+        grid, w.context, shards, pool, SweepSupervisorOptions{});
+    EXPECT_TRUE(sweep.failed.empty());
     MetricsRegistry metrics;
-    record_sweep_metrics(metrics, "sweep.", cells);
+    record_sweep_metrics(metrics, "sweep.", sweep.cells);
     std::ostringstream json;
     metrics.write_json(json);
     return json.str();

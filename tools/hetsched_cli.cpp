@@ -1,92 +1,14 @@
-// hetsched command-line driver.
+// hetsched command-line driver; usage() below is the command and flag
+// reference.
 //
-//   hetsched_cli compare   [common options]
-//       run all four Section-V systems over one stream and print the
-//       Figure-6-style comparison
-//   hetsched_cli run       --system <any registry policy name or
-//                                    portfolio:<a>+<b>[@cycles]>
-//                          [common options]
-//       run one system and print its full accounting
-//   hetsched_cli characterize [--kernel <name>]
-//       print the Table-1 characterisation (optionally one kernel's
-//       per-configuration sweep)
-//   hetsched_cli train     --save <file> [common options]
-//       train the ANN predictor and persist it
-//   hetsched_cli scenario  --file <file.scn> [--profile-cache F] [obs flags]
-//       run one scenario file under the streaming driver and print its
-//       accounting plus the stream digest
-//   hetsched_cli sweep     --file <file.scn> [--sweep-cores LIST]
-//                          [--sweep-gaps LIST] [--sweep-policies LIST]
-//                          [--shards N]
-//       fan a (cores x arrival gap x policy) grid built from the scenario
-//       file across the thread pool in contiguous shards; results are
-//       bit-identical for every --threads / --shards combination
-//   hetsched_cli bench-diff <baseline.json> <current.json> [--tolerance X]
-//       compare two BENCH_*.json result files; exits non-zero when any
-//       classified metric regressed beyond the tolerance (the CI bench
-//       regression gate)
-//   hetsched_cli analyze   --report <report.json> [--windows <file.jsonl>]
-//                          [--top N] [--out FILE]
-//       offline latency forensics over a run report (+ optional windows
-//       stream): per-policy breakdown, slowest jobs with phase
-//       attribution, hottest windows by tail latency, DAG releases
-//   hetsched_cli analyze   --diff <baseline.json> <current.json>
-//                          [--tolerance X] [--out FILE]
-//       metric-by-metric diff of two run reports; exits non-zero when a
-//       classified metric regressed beyond the tolerance
-//
-// Common options:
-//   --arrivals N         number of jobs              (default 5000)
-//   --gap CYCLES         mean inter-arrival gap      (default 55000)
-//   --seed N             experiment seed             (default 42)
-//   --scale X            kernel working-set scale    (default 1.0)
-//   --discipline D       fifo | edf | priority       (default fifo)
-//   --slack X            deadline slack factor; assigns deadlines when set
-//   --load FILE          use a saved predictor snapshot instead of training
-//   --threads N          worker threads for characterisation/training/runs
-//                        (default: HETSCHED_THREADS or all hardware threads)
-//   --profile-cache FILE serve characterisation from this snapshot, building
-//                        and refreshing it when missing or stale
-//   --fault-plan FILE    inject faults from a fault-plan file
-//   --fault-rate P       uniform fault rate for all rate-driven faults
-//   --fault-seed N       fault-decision seed (default 1)
-//   --trace-out FILE     write a Chrome-trace/Perfetto JSON of the run(s)
-//                        (ts = simulated cycles, deterministic)
-//   --metrics-out FILE   write the metrics-registry snapshot as JSON
-//   --max-trace-events N retain at most N trace events per tracer
-//                        (0 = unlimited; default 1M, drops counted)
-//   --windows-out FILE   write per-window telemetry as JSONL (run,
-//                        scenario and sweep; deterministic)
-//   --window-cycles N    tumbling window width in simulated cycles
-//                        (default 1000000)
-//   --report-out FILE    write the unified run report JSON (config +
-//                        suite key, result, metrics, window summary,
-//                        anomalies, wall-clock phase timers)
-//   --report-deterministic
-//                        emit the report with an empty phases_ms section
-//                        so two identical runs produce byte-identical
-//                        reports (the resume-verification mode)
-//
-// Crash-safe execution (scenario only; other commands reject the
-// checkpoint flags):
-//   --checkpoint-out F   write a resumable checkpoint atomically at every
-//                        stride boundary (window-cycles * checkpoint-every)
-//   --checkpoint-every N windows per checkpoint stride (default 1; needs
-//                        --checkpoint-out or --resume-from)
-//   --resume-from F      resume a scenario from a checkpoint file (or a
-//                        sweep from a shard manifest); outputs are
-//                        bit-identical to the uninterrupted run
-//   --halt-after-checkpoints N
-//                        stop (exit 3) after writing N checkpoints —
-//                        a deterministic stand-in for a crash (needs
-//                        --checkpoint-out)
-//
-// Supervised sweeps (sweep):
-//   --cell-timeout-ms N  wall-clock budget per cell attempt
-//   --cell-retries N     attempts per cell before quarantine (default 1)
-//   --cell-backoff-ms N  sleep between attempts of one cell
-//   --manifest-out F     persist a shard manifest after every completed
-//                        cell; --resume-from it to skip completed cells
+// Everything the CLI simulates is a Scenario. `scenario` and `sweep`
+// read theirs from --file; `run` and `compare` build one from the common
+// flags (--system, --arrivals, --gap, --seed, --cores, --scale,
+// --discipline, --slack, --fault-*), and --load replaces its predictor
+// training. One scenario runs through run_scenario, or through
+// run_scenario_checkpointed when windows, a report or checkpoints are
+// requested; a grid of scenarios (a sweep, or compare's four Section-V
+// systems) runs through run_sweep_supervised.
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -94,26 +16,24 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/policy_registry.hpp"
-#include "core/realtime_policy.hpp"
 #include "core/serialization.hpp"
 #include "experiment/experiment.hpp"
 #include "experiment/sweep.hpp"
-#include "fault/fault_injector.hpp"
 #include "obs/analyzer.hpp"
 #include "obs/bench_diff.hpp"
-#include "obs/latency.hpp"
 #include "obs/observability.hpp"
 #include "obs/run_report.hpp"
 #include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
-#include "scenario/observer_stack.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/atomic_file.hpp"
 #include "util/csv.hpp"
@@ -127,15 +47,15 @@ using namespace hetsched;
 
 struct CliOptions {
   std::string command;
-  std::string system = "proposed";
+  // The scenario the common flags describe (run, compare; characterize
+  // and train read its suite and seed). `scenario_flag` is the first such
+  // flag given, which scenario and sweep reject.
+  Scenario scenario;
+  std::string scenario_flag;
   std::string kernel;
   std::string save_path;
   std::string load_path;
-  std::string discipline = "fifo";
-  std::optional<double> slack;
-  std::string fault_plan_path;
-  std::optional<double> fault_rate;
-  std::optional<std::uint64_t> fault_seed;
+  std::string profile_cache_path;
   std::string trace_out_path;
   std::string metrics_out_path;
   std::string report_out_path;
@@ -159,7 +79,6 @@ struct CliOptions {
   std::string sweep_gaps;  // empty: the scenario file's mean-gap
   std::string sweep_policies = "base,proposed";
   std::size_t shards = 0;  // 0: one shard per cell
-  ExperimentOptions experiment;
 
   // Crash-safe execution.
   std::string checkpoint_out_path;
@@ -248,6 +167,10 @@ struct ObsSession {
       "                    [--windows FILE.jsonl] [--top N] [--out FILE]\n"
       "       hetsched_cli analyze --diff BASELINE.json CURRENT.json\n"
       "                    [--tolerance X] [--out FILE]\n"
+      "  run and compare build their scenario from --system, --arrivals,\n"
+      "  --gap, --seed, --cores, --scale, --discipline, --slack, --fault-*\n"
+      "  and --load; scenario and sweep read it from --file and reject\n"
+      "  those flags.\n"
       "  --system S      base|optimal|energy-centric|proposed|realtime|\n"
       "                  sjf|energy-greedy|random|oracle|cp-aware|\n"
       "                  portfolio:<a>+<b>[@cycles] (competitive\n"
@@ -262,7 +185,7 @@ struct ObsSession {
       "  --slack X       assign deadlines = arrival + X*base cycles\n"
       "  --kernel NAME   (characterize) single-kernel sweep\n"
       "  --save FILE     (train) persist the predictor snapshot\n"
-      "  --load FILE     use a saved predictor snapshot\n"
+      "  --load FILE     use a saved predictor snapshot instead of training\n"
       "  --threads N     worker threads (default: HETSCHED_THREADS or all\n"
       "                  hardware threads)\n"
       "  --profile-cache FILE\n"
@@ -282,7 +205,8 @@ struct ObsSession {
       "                  sweep; one line per closed tumbling window)\n"
       "  --window-cycles N\n"
       "                  window width in simulated cycles (default 1e6)\n"
-      "  --report-out F  write the unified run-report JSON\n"
+      "  --report-out F  write the unified run-report JSON (run/scenario/\n"
+      "                  sweep)\n"
       "  --report-deterministic\n"
       "                  emit the report with empty phases_ms so identical\n"
       "                  runs produce byte-identical reports\n"
@@ -375,36 +299,79 @@ double parse_real(const std::string& flag, const std::string& text,
   return value;
 }
 
+QueueDiscipline parse_discipline(const std::string& name) {
+  if (name == "fifo") return QueueDiscipline::kFifo;
+  if (name == "edf") return QueueDiscipline::kEdf;
+  if (name == "priority") return QueueDiscipline::kPriority;
+  usage("unknown discipline " + name);
+}
+
+// The fault plan of the flag scenario: a plan file, a uniform rate, or a
+// file with its rates/seed overridden from the command line.
+FaultPlan flag_fault_plan(const std::string& path,
+                          std::optional<double> rate,
+                          std::optional<std::uint64_t> seed) {
+  FaultPlan plan;
+  if (!path.empty()) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("cannot open " + path);
+    plan = FaultPlan::parse(in);
+  }
+  if (rate.has_value()) {
+    plan.reconfig_failure_rate = *rate;
+    plan.stuck_job_rate = *rate;
+    plan.counter_corruption_rate = *rate;
+  }
+  if (seed.has_value()) plan.seed = *seed;
+  return plan;
+}
+
 CliOptions parse(int argc, char** argv) {
   if (argc < 2) usage();
   CliOptions options;
   options.command = argv[1];
+  Scenario& scenario = options.scenario;
+  std::size_t cores = 4;
+  std::string fault_plan_path;
+  std::optional<double> fault_rate;
+  std::optional<std::uint64_t> fault_seed;
+  const std::set<std::string> scenario_flags = {
+      "--system",     "--arrivals",   "--gap",        "--seed",
+      "--cores",      "--scale",      "--discipline", "--slack",
+      "--fault-plan", "--fault-rate", "--fault-seed", "--load"};
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage("missing value for " + flag);
       return argv[++i];
     };
+    auto next_path = [&]() -> std::string {
+      std::string path = next();
+      if (path.empty()) usage(flag + " expects a file path");
+      return path;
+    };
+    if (options.scenario_flag.empty() && scenario_flags.contains(flag)) {
+      options.scenario_flag = flag;
+    }
     if (flag == "--system") {
-      options.system = next();
+      scenario.policy = next();
     } else if (flag == "--arrivals") {
-      options.experiment.arrivals.count =
+      scenario.arrivals.count =
           static_cast<std::size_t>(parse_count(flag, next(), 1));
     } else if (flag == "--gap") {
-      options.experiment.arrivals.mean_interarrival_cycles =
+      scenario.arrivals.mean_interarrival_cycles =
           parse_real(flag, next(), 1.0, 1e15);
     } else if (flag == "--seed") {
-      options.experiment.seed = parse_count(flag, next(), 0);
+      scenario.seed = parse_count(flag, next(), 0);
     } else if (flag == "--cores") {
-      options.experiment.core_count =
-          static_cast<std::size_t>(parse_count(flag, next(), 2));
+      cores = static_cast<std::size_t>(parse_count(flag, next(), 2));
     } else if (flag == "--scale") {
-      options.experiment.suite.kernel_scale =
-          parse_real(flag, next(), 1e-6, 1e6);
+      scenario.suite.kernel_scale = parse_real(flag, next(), 1e-6, 1e6);
     } else if (flag == "--discipline") {
-      options.discipline = next();
+      scenario.discipline = parse_discipline(next());
     } else if (flag == "--slack") {
-      options.slack = parse_real(flag, next(), 1e-6, 1e6);
+      scenario.realtime =
+          RealtimeOptions{parse_real(flag, next(), 1e-6, 1e6), 3};
     } else if (flag == "--kernel") {
       options.kernel = next();
     } else if (flag == "--save") {
@@ -419,33 +386,21 @@ CliOptions parse(int argc, char** argv) {
       }
       ThreadPool::set_global_threads(static_cast<std::size_t>(threads));
     } else if (flag == "--profile-cache") {
-      options.experiment.profile_cache_path = next();
+      options.profile_cache_path = next();
     } else if (flag == "--fault-plan") {
-      options.fault_plan_path = next();
+      fault_plan_path = next();
     } else if (flag == "--fault-rate") {
-      options.fault_rate = parse_real(flag, next(), 0.0, 1.0);
+      fault_rate = parse_real(flag, next(), 0.0, 1.0);
     } else if (flag == "--fault-seed") {
-      options.fault_seed = parse_count(flag, next(), 0);
+      fault_seed = parse_count(flag, next(), 0);
     } else if (flag == "--trace-out") {
-      options.trace_out_path = next();
-      if (options.trace_out_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.trace_out_path = next_path();
     } else if (flag == "--metrics-out") {
-      options.metrics_out_path = next();
-      if (options.metrics_out_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.metrics_out_path = next_path();
     } else if (flag == "--report-out") {
-      options.report_out_path = next();
-      if (options.report_out_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.report_out_path = next_path();
     } else if (flag == "--windows-out") {
-      options.windows_out_path = next();
-      if (options.windows_out_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.windows_out_path = next_path();
     } else if (flag == "--window-cycles") {
       options.window_cycles = parse_count(flag, next(), 1);
     } else if (flag == "--max-trace-events") {
@@ -454,20 +409,11 @@ CliOptions parse(int argc, char** argv) {
     } else if (flag == "--tolerance") {
       options.tolerance = parse_real(flag, next(), 0.0, 1e6);
     } else if (flag == "--report" && options.command == "analyze") {
-      options.analyze_report_path = next();
-      if (options.analyze_report_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.analyze_report_path = next_path();
     } else if (flag == "--windows" && options.command == "analyze") {
-      options.analyze_windows_path = next();
-      if (options.analyze_windows_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.analyze_windows_path = next_path();
     } else if (flag == "--out" && options.command == "analyze") {
-      options.analyze_out_path = next();
-      if (options.analyze_out_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.analyze_out_path = next_path();
     } else if (flag == "--top") {
       options.analyze_top =
           static_cast<std::size_t>(parse_count(flag, next(), 1));
@@ -480,8 +426,7 @@ CliOptions parse(int argc, char** argv) {
                 options.command == "analyze")) {
       options.positional.push_back(flag);
     } else if (flag == "--file") {
-      options.scenario_path = next();
-      if (options.scenario_path.empty()) usage(flag + " expects a file path");
+      options.scenario_path = next_path();
     } else if (flag == "--sweep-cores") {
       options.sweep_cores = next();
     } else if (flag == "--sweep-gaps") {
@@ -491,18 +436,12 @@ CliOptions parse(int argc, char** argv) {
     } else if (flag == "--shards") {
       options.shards = static_cast<std::size_t>(parse_count(flag, next(), 1));
     } else if (flag == "--checkpoint-out") {
-      options.checkpoint_out_path = next();
-      if (options.checkpoint_out_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.checkpoint_out_path = next_path();
     } else if (flag == "--checkpoint-every") {
       options.checkpoint_every = parse_count(flag, next(), 1);
       options.checkpoint_every_given = true;
     } else if (flag == "--resume-from") {
-      options.resume_from_path = next();
-      if (options.resume_from_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.resume_from_path = next_path();
     } else if (flag == "--halt-after-checkpoints") {
       options.halt_after_checkpoints = parse_count(flag, next(), 1);
     } else if (flag == "--cell-timeout-ms") {
@@ -513,10 +452,7 @@ CliOptions parse(int argc, char** argv) {
     } else if (flag == "--cell-backoff-ms") {
       options.cell_backoff_ms = parse_count(flag, next(), 0);
     } else if (flag == "--manifest-out") {
-      options.manifest_out_path = next();
-      if (options.manifest_out_path.empty()) {
-        usage(flag + " expects a file path");
-      }
+      options.manifest_out_path = next_path();
     } else if (flag == "--report-deterministic") {
       options.deterministic_report = true;
     } else {
@@ -552,6 +488,38 @@ CliOptions parse(int argc, char** argv) {
       options.resume_from_path.empty()) {
     usage("--checkpoint-every needs --checkpoint-out or --resume-from");
   }
+  const bool file_scenario =
+      options.command == "scenario" || options.command == "sweep";
+  if (!options.resume_from_path.empty() && !file_scenario) {
+    usage("--resume-from applies to scenario and sweep only");
+  }
+  if (options.wants_windows() && !file_scenario &&
+      options.command != "run") {
+    usage("--report-out and --windows-out apply to run, scenario and "
+          "sweep only");
+  }
+  // The flag scenario: scenario and sweep take theirs from --file; run
+  // and compare must describe a valid one before any setup starts.
+  if (file_scenario && !options.scenario_flag.empty()) {
+    usage(options.scenario_flag + " describes the run/compare scenario; " +
+          options.command + " reads its scenario from --file");
+  }
+  scenario.name = scenario.policy;
+  scenario.use_standard_machine(cores);
+  if (options.command == "run" || options.command == "compare") {
+    scenario.faults =
+        flag_fault_plan(fault_plan_path, fault_rate, fault_seed);
+    const PolicyRegistry& registry = PolicyRegistry::instance();
+    if (!registry.known(scenario.policy)) {
+      usage("unknown system " + scenario.policy + " (expected " +
+            registry.names_help() + ")");
+    }
+    try {
+      scenario.validate();
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
+  }
   require_parent_dir("--trace-out", options.trace_out_path);
   require_parent_dir("--metrics-out", options.metrics_out_path);
   require_parent_dir("--report-out", options.report_out_path);
@@ -561,13 +529,6 @@ CliOptions parse(int argc, char** argv) {
   require_parent_dir("--save", options.save_path);
   require_parent_dir("--out", options.analyze_out_path);
   return options;
-}
-
-QueueDiscipline parse_discipline(const std::string& name) {
-  if (name == "fifo") return QueueDiscipline::kFifo;
-  if (name == "edf") return QueueDiscipline::kEdf;
-  if (name == "priority") return QueueDiscipline::kPriority;
-  usage("unknown discipline " + name);
 }
 
 void print_result(const std::string& name, const SimulationResult& r) {
@@ -689,12 +650,19 @@ int export_reports(const CliOptions& options, ObsSession* obs,
   return 0;
 }
 
+// The characterised suite the flags describe (served from
+// --profile-cache when given).
+CharacterizedSuite flag_suite(const CliOptions& options) {
+  const EnergyModel energy(CactiModel{}, EnergyModelParams{});
+  return load_or_build_suite(options.profile_cache_path, energy,
+                             options.scenario.suite);
+}
+
 int cmd_characterize(const CliOptions& options) {
-  Experiment experiment(options.experiment);
-  const CharacterizedSuite& suite = experiment.suite();
+  const CharacterizedSuite suite = flag_suite(options);
   if (!options.kernel.empty()) {
     // Single-kernel per-configuration sweep.
-    for (std::size_t id : experiment.scheduling_ids()) {
+    for (std::size_t id : suite.scheduling_ids()) {
       const BenchmarkProfile& b = suite.benchmark(id);
       if (!b.instance.name.starts_with(options.kernel)) continue;
       TablePrinter table({"config", "miss rate", "cycles", "total nJ"});
@@ -715,7 +683,7 @@ int cmd_characterize(const CliOptions& options) {
   }
   TablePrinter table({"benchmark", "domain", "refs", "oracle best",
                       "best/base energy"});
-  for (std::size_t id : experiment.scheduling_ids()) {
+  for (std::size_t id : suite.scheduling_ids()) {
     const BenchmarkProfile& b = suite.benchmark(id);
     const ConfigProfile& base =
         b.profile_for(DesignSpace::base_config());
@@ -732,12 +700,13 @@ int cmd_characterize(const CliOptions& options) {
 
 int cmd_train(const CliOptions& options) {
   if (options.save_path.empty()) usage("train requires --save FILE");
-  Experiment experiment(options.experiment);
-  const PredictorReport& report = experiment.predictor().report();
+  const std::unique_ptr<BestSizePredictor> predictor = train_predictor(
+      flag_suite(options), PredictorConfig{}, options.scenario.seed);
+  const PredictorReport& report = predictor->report();
   std::cout << "trained on " << report.dataset_rows << " rows; test accuracy "
             << TablePrinter::num(report.test_accuracy * 100.0, 1) << "%\n";
   std::ostringstream out;
-  PredictorSnapshot::from(experiment.predictor()).save(out);
+  PredictorSnapshot::from(*predictor).save(out);
   if (!atomic_write_file(options.save_path, out.str())) {
     std::cerr << "cannot write " << options.save_path << "\n";
     return 1;
@@ -747,231 +716,90 @@ int cmd_train(const CliOptions& options) {
   return 0;
 }
 
-int cmd_run_or_compare(const CliOptions& options, ObsSession* obs) {
-  PhaseTimers timers;
-  std::optional<Experiment> experiment_storage;
-  {
-    const auto scope = timers.scope("setup");
-    experiment_storage.emplace(options.experiment);
-  }
-  Experiment& experiment = *experiment_storage;
+// --load: the saved predictor that replaces training, or null.
+std::unique_ptr<const SizePredictor> load_predictor(
+    const CliOptions& options) {
+  if (options.load_path.empty()) return nullptr;
+  std::ifstream in(options.load_path);
+  if (!in) throw std::runtime_error("cannot open " + options.load_path);
+  auto snapshot =
+      std::make_unique<PredictorSnapshot>(PredictorSnapshot::load(in));
+  std::cout << "loaded predictor snapshot (" << snapshot->member_count()
+            << " nets) from " << options.load_path << "\n";
+  return snapshot;
+}
 
-  // Optional deadline assignment.
-  std::vector<JobArrival> arrivals = experiment.arrivals();
-  if (options.slack.has_value()) {
-    std::vector<Cycles> reference(experiment.suite().size(), 0);
-    for (std::size_t id = 0; id < experiment.suite().size(); ++id) {
-      reference[id] = experiment.suite()
-                          .benchmark(id)
-                          .profile_for(DesignSpace::base_config())
-                          .energy.total_cycles;
-    }
-    RealtimeOptions rt;
-    rt.slack_factor = *options.slack;
-    rt.priority_levels = 3;
-    Rng rng(options.experiment.seed ^ 0x5151);
-    assign_realtime_attributes(arrivals, reference, rt, rng);
-  }
-
-  // Optional snapshot predictor.
-  std::optional<PredictorSnapshot> snapshot;
-  if (!options.load_path.empty()) {
-    std::ifstream in(options.load_path);
-    if (!in) {
-      std::cerr << "cannot open " << options.load_path << "\n";
-      return 1;
-    }
-    snapshot = PredictorSnapshot::load(in);
-    std::cout << "loaded predictor snapshot (" << snapshot->member_count()
-              << " nets) from " << options.load_path << "\n";
-  }
-  const SizePredictor& predictor =
-      snapshot.has_value()
-          ? static_cast<const SizePredictor&>(*snapshot)
-          : static_cast<const SizePredictor&>(experiment.predictor());
-
-  // Optional fault plan: a plan file, a uniform rate, or a file with its
-  // rates/seed overridden from the command line.
-  std::optional<FaultPlan> fault_plan;
-  if (!options.fault_plan_path.empty()) {
-    std::ifstream in(options.fault_plan_path);
-    if (!in) {
-      std::cerr << "cannot open " << options.fault_plan_path << "\n";
-      return 1;
-    }
-    fault_plan = FaultPlan::parse(in);
-  }
-  if (options.fault_rate.has_value()) {
-    if (!fault_plan.has_value()) fault_plan.emplace();
-    fault_plan->reconfig_failure_rate = *options.fault_rate;
-    fault_plan->stuck_job_rate = *options.fault_rate;
-    fault_plan->counter_corruption_rate = *options.fault_rate;
-  }
-  if (options.fault_seed.has_value()) {
-    if (!fault_plan.has_value()) fault_plan.emplace();
-    fault_plan->seed = *options.fault_seed;
-  }
-
-  const QueueDiscipline discipline = parse_discipline(options.discipline);
-  // --cores selects the machine size for every system: the paper layouts
-  // at 4 (the default), the scaled heterogeneous layout otherwise.
-  const std::size_t cores = options.experiment.core_count;
-  const SystemConfig hetero_system =
-      cores == 4 ? SystemConfig::paper_quadcore()
-                 : SystemConfig::scaled_heterogeneous(cores);
-  // Every system the run/compare commands can name comes out of the
-  // policy registry — including portfolio:... specs. `keep_policy`
-  // (optional) receives the policy after the run so the caller can read
-  // selector stats out of a portfolio; compare passes nullptr.
-  auto run_system = [&](const std::string& name, ScheduleObserver* observer,
-                        std::unique_ptr<SchedulerPolicy>* keep_policy)
-      -> SimulationResult {
-    const PolicyRegistry& registry = PolicyRegistry::instance();
-    if (!registry.known(name)) {
-      usage("unknown system " + name + " (expected " +
-            registry.names_help() + ")");
-    }
-    const PolicyContext ctx{&predictor, &experiment.suite(),
-                            options.experiment.seed};
-    std::unique_ptr<SchedulerPolicy> policy = registry.make(name, ctx);
-    // The base system pins every core to the base configuration; all
-    // other policies run on the heterogeneous layout.
-    const SystemConfig system =
-        name == "base" ? SystemConfig::fixed_base(cores) : hetero_system;
-    MulticoreSimulator sim(system, experiment.suite(), experiment.energy(),
-                           *policy, discipline);
-    if (observer != nullptr) sim.set_observer(observer);
-    // Each run gets a fresh injector so fault decisions cannot leak
-    // between the systems of a compare.
-    std::optional<FaultInjector> injector;
-    if (fault_plan.has_value()) {
-      injector.emplace(*fault_plan);
-      sim.set_fault_injector(&*injector);
-    }
-    SimulationResult result = sim.run(arrivals);
-    if (keep_policy != nullptr) *keep_policy = std::move(policy);
-    return result;
-  };
-
-  if (options.command == "run") {
-    EventTracer* tracer =
-        obs != nullptr ? &obs->add_system_tracer(options.system) : nullptr;
-    std::optional<ObserverStack> observers;
-    if (options.wants_windows()) {
-      observers.emplace(options.system, cores, options.window_cycles,
-                        &experiment.suite(), tracer);
-    }
-    SimulationResult result;
-    std::unique_ptr<SchedulerPolicy> run_policy;
-    {
-      const auto scope = timers.scope("run");
-      result = run_system(options.system,
-                          observers.has_value() ? observers->observer()
-                                                : tracer,
-                          &run_policy);
-    }
-    if (observers.has_value()) observers->finalize();
-    if (obs != nullptr) {
-      record_result_metrics(obs->metrics, options.system + ".", result);
-    }
-    print_result(options.system, result);
-
-    RunReport report;
-    report.command = "run";
-    report.name = options.system;
-    report.policy = options.system;
-    report.system = options.system == "base"
-                        ? "fixed-base"
-                        : (cores == 4 ? "paper-quad" : "scaled");
-    report.discipline = options.discipline;
-    report.cores = cores;
-    report.seed = options.experiment.seed;
-    report.jobs = arrivals.size();
-    report.suite_key =
-        suite_cache_key(options.experiment.suite, experiment.energy());
-    report.completed_jobs = result.completed_jobs;
-    report.makespan = result.makespan;
-    report.total_energy_mj = result.total_energy().millijoules();
-    if (observers.has_value()) observers->attach(report);
-    std::optional<PortfolioStats> portfolio;
-    if (const auto* selector =
-            dynamic_cast<const PortfolioPolicy*>(run_policy.get())) {
-      portfolio = selector->stats();
-      print_portfolio(*portfolio);
-      attach_portfolio_summary(report, *portfolio);
-    }
-    return export_reports(
-        options, obs, timers, std::move(report),
-        observers.has_value() ? observers->jsonl(portfolio) : std::string());
-  }
-
-  // compare: the four systems are independent (fresh simulator, policy
-  // and fault injector each), so they fan out over the shared pool.
-  const std::vector<std::string> names = {"base", "optimal",
-                                          "energy-centric", "proposed"};
+// compare: the four Section-V systems over one arrival stream, run as a
+// one-row grid of the flag scenario, normalised to the base system.
+int cmd_compare(const CliOptions& options, ObsSession* obs) {
+  SweepGrid grid;
+  grid.base = options.scenario;
+  grid.core_counts = {options.scenario.cores};
+  grid.mean_gaps = {options.scenario.arrivals.mean_interarrival_cycles};
+  grid.policies = {"base", "optimal", "energy-centric", "proposed"};
+  const ScenarioContext context(grid.context_scenario(),
+                                options.profile_cache_path,
+                                load_predictor(options));
   // Tracers (and their registry entries) are created serially before the
-  // fan-out; each then only sees its own run's events, so the merged
+  // fan-out; each then only sees its own system's events, so the merged
   // output is thread-count independent.
-  std::vector<EventTracer*> tracers(names.size(), nullptr);
+  SweepSupervisorOptions sopts;
   if (obs != nullptr) {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      tracers[i] = &obs->add_system_tracer(names[i]);
+    for (const std::string& name : grid.policies) {
+      sopts.cell_observers.push_back(&obs->add_system_tracer(name));
     }
   }
-  std::vector<SimulationResult> results(names.size());
-  ThreadPool::global().parallel_for(names.size(), [&](std::size_t i) {
-    results[i] = run_system(names[i], tracers[i], nullptr);
-  });
-  if (obs != nullptr) {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      record_result_metrics(obs->metrics, names[i] + ".", results[i]);
-    }
+  const SupervisedSweepResult sweep = run_sweep_supervised(
+      grid, context, grid.cell_count(), ThreadPool::global(), sopts);
+  if (!sweep.failed.empty()) {
+    throw std::runtime_error(sweep.failed.front().label + ": " +
+                             sweep.failed.front().reason);
   }
-  const SimulationResult& base = results[0];
+  const SimulationResult& base = sweep.cells[0].result;
   TablePrinter table({"system", "idle", "dynamic", "total", "cycles"});
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const NormalizedEnergy n = normalize(results[i], base);
-    table.add_row({names[i], TablePrinter::num(n.idle, 2),
+  for (const SweepCell& cell : sweep.cells) {
+    if (obs != nullptr) {
+      record_result_metrics(obs->metrics, cell.policy + ".", cell.result);
+    }
+    const NormalizedEnergy n = normalize(cell.result, base);
+    table.add_row({cell.policy, TablePrinter::num(n.idle, 2),
                    TablePrinter::num(n.dynamic, 2),
                    TablePrinter::num(n.total, 2),
                    TablePrinter::num(n.cycles, 2)});
   }
   std::cout << "normalised to the base system ("
-            << arrivals.size() << " arrivals, seed "
-            << options.experiment.seed << "):\n";
+            << options.scenario.arrivals.count << " arrivals, seed "
+            << options.scenario.seed << "):\n";
   table.print(std::cout);
   return 0;
 }
 
-std::optional<Scenario> load_scenario(const CliOptions& options) {
+Scenario load_scenario(const CliOptions& options) {
   if (options.scenario_path.empty()) {
-    std::cerr << "error: " << options.command << " requires --file FILE\n";
-    return std::nullopt;
+    throw std::runtime_error(options.command + " requires --file FILE");
   }
   std::ifstream in(options.scenario_path);
-  if (!in) {
-    std::cerr << "cannot open " << options.scenario_path << "\n";
-    return std::nullopt;
-  }
+  if (!in) throw std::runtime_error("cannot open " + options.scenario_path);
   return Scenario::parse(in);
 }
 
-// One body for every scenario run. Without windows, report or
-// checkpoint flags it is the plain streaming run (plus the CLI's
-// tracer); otherwise the observed driver runs it. Checkpointed runs attach
-// no sim tracer (trace buffers are not part of the resumable state, so a
-// resumed trace could never match), and their report's metrics come from
-// the driver's local registry, fed only by the deterministic scenario
-// metrics — together with --report-deterministic this makes every output
-// of a resumed run byte-identical to the uninterrupted one.
-int cmd_scenario(const CliOptions& options, ObsSession* obs) {
+// One body for every single-scenario run (`scenario` from --file, `run`
+// from the flags). Without windows, report or checkpoint flags it is the
+// plain streaming run (plus the CLI's tracer); otherwise the observed
+// driver runs it. Checkpointed runs attach no sim tracer (trace buffers
+// are not part of the resumable state, so a resumed trace could never
+// match), and their report's metrics come from the driver's local
+// registry, fed only by the deterministic scenario metrics — together
+// with --report-deterministic this makes every output of a resumed run
+// byte-identical to the uninterrupted one.
+int cmd_scenario(const CliOptions& options, ObsSession* obs,
+                 const Scenario& scenario) {
   PhaseTimers timers;
-  const std::optional<Scenario> scenario = load_scenario(options);
-  if (!scenario.has_value()) return 1;
   std::optional<ScenarioContext> context;
   {
     const auto scope = timers.scope("setup");
-    context.emplace(*scenario, options.experiment.profile_cache_path);
+    context.emplace(scenario, options.profile_cache_path,
+                    load_predictor(options));
   }
   const bool checkpointing = options.wants_checkpointing();
   if (checkpointing && !options.trace_out_path.empty()) {
@@ -979,7 +807,7 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs) {
           "(trace buffers are not part of the checkpointed state)");
   }
   EventTracer* tracer = obs != nullptr && !checkpointing
-                            ? &obs->add_system_tracer(scenario->name)
+                            ? &obs->add_system_tracer(scenario.name)
                             : nullptr;
 
   std::optional<CheckpointRunOutcome> observed;
@@ -994,9 +822,9 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs) {
       copts.resume_from = options.resume_from_path;
       copts.halt_after_checkpoints = options.halt_after_checkpoints;
       copts.observer = tracer;
-      observed.emplace(run_scenario_checkpointed(*scenario, *context, copts));
+      observed.emplace(run_scenario_checkpointed(scenario, *context, copts));
     } else {
-      outcome.emplace(run_scenario(*scenario, *context, tracer));
+      outcome.emplace(run_scenario(scenario, *context, tracer));
     }
   }
   if (observed.has_value()) {
@@ -1018,7 +846,7 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs) {
     outcome.emplace(observed->scenario_outcome());
   }
 
-  print_result(scenario->name, outcome->result);
+  print_result(scenario.name, outcome->result);
   std::cout << "stream: " << outcome->stream.slices() << " slices, digest 0x"
             << std::hex << outcome->stream.digest() << std::dec << ", "
             << outcome->stream.invariant_violations()
@@ -1026,12 +854,12 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs) {
   if (outcome->portfolio.has_value()) print_portfolio(*outcome->portfolio);
   if (outcome->dag.has_value()) print_dag(*outcome->dag);
   if (obs != nullptr) {
-    record_scenario_metrics(obs->metrics, scenario->name + ".", *outcome);
+    record_scenario_metrics(obs->metrics, scenario.name + ".", *outcome);
   }
   if (observed.has_value()) {
     const int export_status = export_reports(
         options, checkpointing ? nullptr : obs, timers,
-        observed_scenario_report(*scenario, *context, *observed),
+        observed_scenario_report(scenario, *context, *observed),
         observed->jsonl(observed->portfolio));
     if (export_status != 0) return export_status;
   }
@@ -1053,11 +881,10 @@ std::vector<std::string> split_list(const std::string& flag,
 
 int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   PhaseTimers timers;
-  const std::optional<Scenario> base = load_scenario(options);
-  if (!base.has_value()) return 1;
+  const Scenario base = load_scenario(options);
 
   SweepGrid grid;
-  grid.base = *base;
+  grid.base = base;
   grid.core_counts.clear();
   for (const std::string& item :
        split_list("--sweep-cores", options.sweep_cores)) {
@@ -1066,7 +893,7 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   }
   grid.mean_gaps.clear();
   if (options.sweep_gaps.empty()) {
-    grid.mean_gaps.push_back(base->arrivals.mean_interarrival_cycles);
+    grid.mean_gaps.push_back(base.arrivals.mean_interarrival_cycles);
   } else {
     for (const std::string& item :
          split_list("--sweep-gaps", options.sweep_gaps)) {
@@ -1079,80 +906,49 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   std::optional<ScenarioContext> context;
   {
     const auto scope = timers.scope("setup");
-    context.emplace(grid.context_scenario(),
-                    options.experiment.profile_cache_path);
+    context.emplace(grid.context_scenario(), options.profile_cache_path);
   }
   const std::size_t shards =
       options.shards == 0 ? grid.cell_count() : options.shards;
 
-  // Supervised mode: per-cell timeout/retry/quarantine, optional shard
-  // manifest for resume. Cell telemetry is captured by the supervisor
-  // itself (and carried through the manifest), so no per-cell tracers —
-  // a resumed sweep must reproduce the merged outputs byte-identically
-  // without re-running completed cells.
+  // Supervision flags add per-cell timeout/retry and an optional shard
+  // manifest for resume. Cell telemetry travels through the manifest, so
+  // supervised cells get no tracers: a resumed sweep must reproduce the
+  // merged outputs byte-identically without re-running completed cells.
   const bool supervised = options.wants_supervision();
   if (supervised && !options.trace_out_path.empty()) {
     usage("--trace-out cannot be combined with supervised-sweep flags "
           "(completed cells resumed from a manifest are not re-run)");
   }
-  std::vector<SweepCell> cells;
-  std::vector<SweepFailure> failed;
-  // Plain mode: one tracer and/or observer stack per cell, created
-  // serially before the fan-out (stable registration order), each
-  // touched only by the shard running its cell.
-  std::deque<ObserverStack> stacks;  // stable addresses
-  if (supervised) {
-    SweepSupervisorOptions sopts;
-    sopts.cell_timeout_ms = options.cell_timeout_ms;
-    sopts.max_attempts = options.cell_retries;
-    sopts.retry_backoff_ms = options.cell_backoff_ms;
-    sopts.window_cycles =
-        options.wants_windows() ? options.window_cycles : 0;
-    sopts.manifest_out = options.manifest_out_path;
-    sopts.resume_manifest = options.resume_from_path;
-    SupervisedSweepResult sweep;
-    {
-      const auto scope = timers.scope("run");
-      sweep = run_sweep_supervised(grid, *context, shards,
-                                   ThreadPool::global(), sopts);
-    }
-    if (sweep.resumed_cells > 0) {
-      std::cout << sweep.resumed_cells
-                << " cell(s) resumed from the manifest\n";
-    }
-    cells = std::move(sweep.cells);
-    failed = std::move(sweep.failed);
-  } else {
-    std::vector<ScheduleObserver*> cell_observers;
-    if (obs != nullptr || options.wants_windows()) {
-      for (std::size_t i = 0; i < grid.cell_count(); ++i) {
-        EventTracer* tracer =
-            obs != nullptr ? &obs->add_system_tracer(grid.cell_label(i))
-                           : nullptr;
-        if (options.wants_windows()) {
-          stacks.emplace_back(grid.cell_scenario(i), *context,
-                              options.window_cycles, tracer);
-          cell_observers.push_back(stacks.back().observer());
-        } else {
-          cell_observers.push_back(tracer);
-        }
-      }
-    }
-    {
-      const auto scope = timers.scope("run");
-      cells = run_sweep(grid, *context, shards, ThreadPool::global(),
-                        cell_observers);
-    }
-    for (std::size_t i = 0; i < stacks.size(); ++i) {
-      stacks[i].finalize();
-      capture_cell_windows(cells[i], stacks[i]);
+  SweepSupervisorOptions sopts;
+  sopts.cell_timeout_ms = options.cell_timeout_ms;
+  sopts.max_attempts = options.cell_retries;
+  sopts.retry_backoff_ms = options.cell_backoff_ms;
+  sopts.window_cycles = options.wants_windows() ? options.window_cycles : 0;
+  sopts.manifest_out = options.manifest_out_path;
+  sopts.resume_manifest = options.resume_from_path;
+  // One tracer per cell, created serially before the fan-out (stable
+  // registration order), each touched only by the shard running its cell.
+  if (obs != nullptr && !supervised) {
+    for (std::size_t i = 0; i < grid.cell_count(); ++i) {
+      sopts.cell_observers.push_back(
+          &obs->add_system_tracer(grid.cell_label(i)));
     }
   }
+  SupervisedSweepResult sweep;
+  {
+    const auto scope = timers.scope("run");
+    sweep = run_sweep_supervised(grid, *context, shards,
+                                 ThreadPool::global(), sopts);
+  }
+  if (sweep.resumed_cells > 0) {
+    std::cout << sweep.resumed_cells
+              << " cell(s) resumed from the manifest\n";
+  }
+  const std::vector<SweepCell>& cells = sweep.cells;
 
-  std::vector<std::string> header = {"cell", "completed", "total mJ",
-                                     "makespan", "digest"};
-  if (supervised) header.insert(header.begin() + 1, "status");
-  TablePrinter table(header);
+  TablePrinter table({"cell", "status", "completed", "total mJ", "makespan",
+                      "digest"});
   std::uint64_t violations = 0;
   for (const SweepCell& cell : cells) {
     if (!cell.completed) {
@@ -1161,20 +957,17 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
     }
     std::ostringstream digest;
     digest << std::hex << cell.stream_digest;
-    std::vector<std::string> row = {
-        cell.label, std::to_string(cell.result.completed_jobs),
-        TablePrinter::num(cell.result.total_energy().millijoules(), 2),
-        std::to_string(cell.result.makespan), digest.str()};
-    if (supervised) row.insert(row.begin() + 1, "ok");
-    table.add_row(row);
+    table.add_row(
+        {cell.label, "ok", std::to_string(cell.result.completed_jobs),
+         TablePrinter::num(cell.result.total_energy().millijoules(), 2),
+         std::to_string(cell.result.makespan), digest.str()});
     violations += cell.invariant_violations;
   }
   std::cout << grid.cell_count() << " cells in " << shards << " shards ("
-            << ThreadPool::global().thread_count() << " threads";
-  if (supervised) std::cout << ", " << failed.size() << " quarantined";
-  std::cout << "):\n";
+            << ThreadPool::global().thread_count() << " threads, "
+            << sweep.failed.size() << " quarantined):\n";
   table.print(std::cout);
-  for (const SweepFailure& f : failed) {
+  for (const SweepFailure& f : sweep.failed) {
     std::cerr << "quarantined " << f.label << " after " << f.attempts
               << " attempt(s): " << (f.timed_out ? "timeout: " : "")
               << f.reason << "\n";
@@ -1183,18 +976,19 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
 
   // Aggregated sweep report: totals over the completed cells; the window
   // summary sums each cell's (per-cell windows land in --windows-out, one
-  // JSONL block per cell in grid order, window indices restarting at 0).
+  // JSONL block per cell in grid order, window indices restarting at 0),
+  // and cells sharing a policy merge into one latency row.
   RunReport report;
   report.command = "sweep";
-  report.name = base->name;
+  report.name = base.name;
   report.policy = options.sweep_policies;
   report.system = "grid";
-  report.discipline = std::string(to_string(base->discipline));
+  report.discipline = std::string(to_string(base.discipline));
   report.cores = 0;
-  report.seed = base->seed;
+  report.seed = base.seed;
   report.jobs =
-      static_cast<std::uint64_t>(base->arrivals.count) * cells.size();
-  report.suite_key = suite_cache_key(base->suite, context->energy());
+      static_cast<std::uint64_t>(base.arrivals.count) * cells.size();
+  report.suite_key = suite_cache_key(base.suite, context->energy());
   std::string windows;
   for (const SweepCell& cell : cells) {
     if (!cell.completed) continue;
@@ -1210,30 +1004,26 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
     report.window_energy_mj += cell.window_energy_mj;
     windows += cell.windows_jsonl;
   }
-  for (const SweepFailure& f : failed) {
+  if (options.wants_windows()) {
+    attach_sweep_latency(report, cells, options.window_cycles);
+  }
+  for (const SweepFailure& f : sweep.failed) {
     report.failed_cells.push_back(
         {f.label, f.attempts, f.timed_out, f.reason});
   }
   if (supervised) {
     // Like the checkpointed scenario path, the report's metrics come
     // from a local registry so a resumed sweep's report is
-    // byte-identical to a clean run's. The latency section stays out
-    // until the manifest carries span state.
+    // byte-identical to a clean run's.
     MetricsRegistry local;
     record_sweep_metrics(local, "sweep.", cells);
     report.metrics_json = local.to_json();
-  } else if (!stacks.empty()) {
-    // Merged per-policy latency: cells sharing a policy fold into one
-    // row (fixed histogram boundaries make the merge exact).
-    std::vector<const JobSpanCollector*> spans;
-    for (const ObserverStack& stack : stacks) spans.push_back(&stack.spans);
-    attach_latency_summary(report, spans);
   }
   const int export_status = export_reports(
       options, supervised ? nullptr : obs, timers, std::move(report),
       windows);
   if (export_status != 0) return export_status;
-  if (!failed.empty()) return 1;
+  if (!sweep.failed.empty()) return 1;
   if (violations != 0) {
     std::cerr << "error: " << violations << " schedule invariant violations\n";
     return 1;
@@ -1335,10 +1125,7 @@ int cmd_analyze(const CliOptions& options) {
   return failed ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliOptions options = parse(argc, argv);
+int run_command(const CliOptions& options) {
   // Observability is opt-in: with neither flag the probe stays null and
   // the simulators run observer-free (the zero-cost disabled path).
   std::optional<ObsSession> obs;
@@ -1355,28 +1142,36 @@ int main(int argc, char** argv) {
   }
   ObsSession* obs_ptr = obs.has_value() ? &*obs : nullptr;
   int status = 2;
+  if (options.command == "characterize") {
+    status = cmd_characterize(options);
+  } else if (options.command == "train") {
+    status = cmd_train(options);
+  } else if (options.command == "run") {
+    status = cmd_scenario(options, obs_ptr, options.scenario);
+  } else if (options.command == "compare") {
+    status = cmd_compare(options, obs_ptr);
+  } else if (options.command == "scenario") {
+    status = cmd_scenario(options, obs_ptr, load_scenario(options));
+  } else if (options.command == "sweep") {
+    status = cmd_sweep(options, obs_ptr);
+  } else if (options.command == "bench-diff") {
+    status = cmd_bench_diff(options);
+  } else if (options.command == "analyze") {
+    status = cmd_analyze(options);
+  } else {
+    usage("unknown command " + options.command);
+  }
+  if (status == 0 && obs.has_value() && !obs->finish()) return 1;
+  return status;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
   try {
-    if (options.command == "characterize") {
-      status = cmd_characterize(options);
-    } else if (options.command == "train") {
-      status = cmd_train(options);
-    } else if (options.command == "run" || options.command == "compare") {
-      status = cmd_run_or_compare(options, obs_ptr);
-    } else if (options.command == "scenario") {
-      status = cmd_scenario(options, obs_ptr);
-    } else if (options.command == "sweep") {
-      status = cmd_sweep(options, obs_ptr);
-    } else if (options.command == "bench-diff") {
-      status = cmd_bench_diff(options);
-    } else if (options.command == "analyze") {
-      status = cmd_analyze(options);
-    } else {
-      usage("unknown command " + options.command);
-    }
+    return run_command(parse(argc, argv));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  if (status == 0 && obs.has_value() && !obs->finish()) return 1;
-  return status;
 }
