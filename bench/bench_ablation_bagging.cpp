@@ -24,9 +24,9 @@ int main() {
                       "scheduling hits", "mean degradation",
                       "worst degradation"});
   for (std::size_t ensemble : {1u, 3u, 10u, 30u, 60u}) {
-    PredictorConfig config = base_options.predictor;
+    PredictorConfig config = base_options.scenario.predictor_config();
     config.ensemble_size = ensemble;
-    Rng rng(base_options.seed);
+    Rng rng(base_options.scenario.seed);
     BestSizePredictor predictor(dataset, config, rng);
 
     RunningStats degradation;

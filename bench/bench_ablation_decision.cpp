@@ -63,7 +63,7 @@ int main() {
 
   ExperimentOptions options;
   Experiment experiment(options);
-  const SystemRun base = experiment.run_base();
+  const SystemRun base = experiment.run("base");
 
   std::cout << "=== Ablation: stall-vs-run decision ===\n\n";
 
@@ -78,23 +78,14 @@ int main() {
                    std::to_string(run.result.stall_events)});
   };
 
-  add(experiment.run_energy_centric_with(experiment.predictor(),
-                                         "always-stall (EC)"));
-  {
-    NeverStallPolicy policy(experiment.predictor());
-    MulticoreSimulator simulator(SystemConfig::paper_quadcore(),
-                                 experiment.suite(), experiment.energy(),
-                                 policy);
-    SystemRun run;
-    run.name = "never-stall";
-    run.result = simulator.run(experiment.arrivals());
-    add(run);
-  }
-  add(experiment.run_proposed());
-  {
-    OracleSizePredictor oracle(experiment.suite());
-    add(experiment.run_proposed_with(oracle, "decision + oracle ANN"));
-  }
+  EnergyCentricPolicy always_stall(experiment.predictor());
+  add(experiment.run(always_stall, "always-stall (EC)"));
+  NeverStallPolicy never_stall(experiment.predictor());
+  add(experiment.run(never_stall, "never-stall"));
+  add(experiment.run("proposed"));
+  const OracleSizePredictor oracle(experiment.suite());
+  ProposedPolicy with_oracle(oracle);
+  add(experiment.run(with_oracle, "decision + oracle ANN"));
   table.print(std::cout);
 
   std::cout << "\nAll values normalised to the base system. The paper's "

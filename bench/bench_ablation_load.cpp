@@ -22,7 +22,7 @@ int main() {
 
   for (double gap : gaps) {
     ExperimentOptions options;
-    options.arrivals.mean_interarrival_cycles = gap;
+    options.scenario.arrivals.mean_interarrival_cycles = gap;
     Experiment experiment(options);
 
     const Experiment::StandardRuns runs = experiment.run_standard_systems();

@@ -23,9 +23,10 @@ int main() {
 
   ExperimentOptions options;
   Experiment experiment(options);
+  const PredictorConfig config = options.scenario.predictor_config();
   const CharacterizedSuite& suite = experiment.suite();
   const Dataset dataset = build_ann_dataset(suite, suite.training_ids());
-  const SystemRun base = experiment.run_base();
+  const SystemRun base = experiment.run("base");
 
   std::cout << "=== Future work: alternative ML techniques ===\n\n";
 
@@ -33,9 +34,8 @@ int main() {
                       "mean degradation", "proposed total vs base"});
 
   auto evaluate = [&](std::unique_ptr<Regressor> model) {
-    Rng rng(options.seed);
-    ModelSizePredictor predictor(dataset, std::move(model),
-                                 options.predictor, rng);
+    Rng rng(options.scenario.seed);
+    ModelSizePredictor predictor(dataset, std::move(model), config, rng);
 
     RunningStats degradation;
     std::size_t hits = 0;
@@ -50,8 +50,9 @@ int main() {
                       1.0);
     }
 
-    const SystemRun run = experiment.run_proposed_with(
-        predictor, std::string(predictor.model().name()));
+    ProposedPolicy policy(predictor);
+    const SystemRun run =
+        experiment.run(policy, std::string(predictor.model().name()));
     const NormalizedEnergy n = normalize(run.result, base.result);
 
     table.add_row(
@@ -66,9 +67,9 @@ int main() {
 
   {
     BaggingConfig bagging;
-    bagging.ensemble_size = options.predictor.ensemble_size;
+    bagging.ensemble_size = config.ensemble_size;
     bagging.net.layer_sizes = {10, 18, 5, 1};
-    bagging.trainer = options.predictor.trainer;
+    bagging.trainer = config.trainer;
     evaluate(std::make_unique<BaggedMlpRegressor>(bagging));
   }
   evaluate(std::make_unique<KnnRegressor>());

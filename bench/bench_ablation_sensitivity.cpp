@@ -86,14 +86,14 @@ int main() {
                       "optimal/base total", "oracle sizes"});
   for (const Row& row : rows) {
     ExperimentOptions options;
-    options.arrivals.count = 2500;  // keep the sweep quick
+    options.scenario.arrivals.count = 2500;  // keep the sweep quick
     options.energy_params = row.params;
     Experiment experiment(options);
-    const SystemRun base = experiment.run_base();
+    const SystemRun base = experiment.run("base");
     const double prop =
-        normalize(experiment.run_proposed().result, base.result).total;
+        normalize(experiment.run("proposed").result, base.result).total;
     const double opt =
-        normalize(experiment.run_optimal().result, base.result).total;
+        normalize(experiment.run("optimal").result, base.result).total;
     table.add_row({row.label, TablePrinter::num(prop, 3),
                    TablePrinter::num(opt, 3),
                    size_histogram(experiment)});

@@ -19,7 +19,7 @@ int main() {
   using namespace hetsched;
 
   ExperimentOptions options;
-  options.arrivals.count = 3000;
+  options.scenario.arrivals.count = 3000;
   Experiment experiment(options);
   const CharacterizedSuite& suite = experiment.suite();
 
@@ -38,7 +38,7 @@ int main() {
 
   for (double slack : {2.0, 4.0, 8.0}) {
     std::vector<JobArrival> arrivals = experiment.arrivals();
-    arrivals.resize(options.arrivals.count);
+    arrivals.resize(options.scenario.arrivals.count);
     Rng rt_rng(123);
     RealtimeOptions rt;
     rt.slack_factor = slack;

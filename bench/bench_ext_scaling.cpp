@@ -19,10 +19,12 @@ int main() {
                       "proposed/base cycles", "stalls", "base util"});
   for (const std::size_t n : {2u, 4u, 8u, 12u}) {
     ExperimentOptions options;
-    options.arrivals.count = 3000;
+    options.scenario.arrivals.count = 3000;
     // Keep per-core offered load constant: the quad-core default gap is
     // 55k cycles, so an n-core machine gets gap 55k * 4 / n.
-    options.arrivals.mean_interarrival_cycles = 55000.0 * 4.0 / static_cast<double>(n);
+    options.scenario.arrivals.mean_interarrival_cycles =
+        55000.0 * 4.0 / static_cast<double>(n);
+    options.scenario.cores = n;
     Experiment experiment(options);
 
     const SystemConfig machine = SystemConfig::scaled_heterogeneous(n);
@@ -32,16 +34,8 @@ int main() {
     }
     mix.pop_back();
 
-    BasePolicy base_policy;
-    MulticoreSimulator base_sim(SystemConfig::fixed_base(n),
-                                experiment.suite(), experiment.energy(),
-                                base_policy);
-    const SimulationResult base = base_sim.run(experiment.arrivals());
-
-    ProposedPolicy policy(experiment.predictor());
-    MulticoreSimulator sim(machine, experiment.suite(),
-                           experiment.energy(), policy);
-    const SimulationResult proposed = sim.run(experiment.arrivals());
+    const SimulationResult base = experiment.run("base").result;
+    const SimulationResult proposed = experiment.run("proposed").result;
 
     double util = 0.0;
     for (const CoreUsage& core : base.per_core) util += core.utilization;

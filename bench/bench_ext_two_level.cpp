@@ -24,7 +24,7 @@ int main() {
 
   std::cout << "=== Extension: private L2 in the energy loop ===\n\n";
 
-  const auto kernels = make_suite_kernels(options.suite);
+  const auto kernels = make_suite_kernels(options.scenario.suite);
 
   TablePrinter table({"benchmark", "L1-only best", "two-level best",
                       "global miss rate", "energy vs L1-only model"});

@@ -22,7 +22,7 @@ int main() {
   using namespace hetsched;
 
   ExperimentOptions options;
-  options.arrivals.count = 2000;
+  options.scenario.arrivals.count = 2000;
   Experiment experiment(options);
   const OracleSizePredictor oracle(experiment.suite());
 

@@ -27,14 +27,15 @@ using namespace hetsched;
 
 // Runs the Figure-5 heuristic to convergence for one benchmark and size,
 // recording observations exactly as scheduled executions would.
-std::size_t converge(const BenchmarkProfile& profile,
-                     ProfilingTable::Entry& entry, std::uint32_t size) {
+std::size_t converge(const BenchmarkProfile& profile, ProfilingTable& table,
+                     std::size_t id, std::uint32_t size) {
+  const ProfilingTable::Entry& entry = table.entry(id);
   std::size_t executed = 0;
   while (auto next = TuningHeuristic::next_config(entry, size)) {
     const ConfigProfile& cp = profile.profile_for(*next);
-    entry.observations[*DesignSpace::index_of(*next)] =
-        Observation{cp.energy.total(), cp.energy.dynamic_energy,
-                    cp.energy.total_cycles};
+    table.record(id, *next,
+                 Observation{cp.energy.total(), cp.energy.dynamic_energy,
+                             cp.energy.total_cycles});
     ++executed;
   }
   return executed;
@@ -57,12 +58,12 @@ int main() {
   for (std::size_t id : experiment.scheduling_ids()) {
     const BenchmarkProfile& b = suite.benchmark(id);
     ProfilingTable fresh(suite.size());
-    ProfilingTable::Entry& entry = fresh.entry(id);
+    const ProfilingTable::Entry& entry = fresh.entry(id);
     std::size_t total = 0;
     std::vector<std::string> cells{b.instance.name};
     double worst_gap = 0.0;
     for (std::uint32_t size : DesignSpace::sizes()) {
-      const std::size_t runs = converge(b, entry, size);
+      const std::size_t runs = converge(b, fresh, id, size);
       total += runs;
       cells.push_back(std::to_string(runs));
       const CacheConfig found = TuningHeuristic::best_known(entry, size);
@@ -88,8 +89,8 @@ int main() {
             << TablePrinter::pct(quality.max()) << "\n";
 
   std::cout << "\n=== Online exploration footprint (full system runs) ===\n";
-  const SystemRun optimal = experiment.run_optimal();
-  const SystemRun proposed = experiment.run_proposed();
+  const SystemRun optimal = experiment.run("optimal");
+  const SystemRun proposed = experiment.run("proposed");
   RunningStats opt_explored, prop_explored;
   for (std::size_t i = 0; i < proposed.explored_configs.size(); ++i) {
     opt_explored.add(static_cast<double>(optimal.explored_configs[i]));

@@ -30,7 +30,8 @@ int main() {
   std::cout << "=== Figure 6: energy normalised to the base system ===\n"
             << "(" << experiment.arrivals().size()
             << " arrivals, mean inter-arrival "
-            << options.arrivals.mean_interarrival_cycles << " cycles)\n\n";
+            << options.scenario.arrivals.mean_interarrival_cycles
+            << " cycles)\n\n";
 
   TablePrinter table({"system", "idle", "dynamic", "total",
                       "paper idle", "paper dynamic", "paper total"});

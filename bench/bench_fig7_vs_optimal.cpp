@@ -22,9 +22,9 @@ int main() {
   ExperimentOptions options;
   Experiment experiment(options);
 
-  const SystemRun optimal = experiment.run_optimal();
-  const SystemRun ec = experiment.run_energy_centric();
-  const SystemRun proposed = experiment.run_proposed();
+  const SystemRun optimal = experiment.run("optimal");
+  const SystemRun ec = experiment.run("energy-centric");
+  const SystemRun proposed = experiment.run("proposed");
 
   std::cout << "=== Figure 7: cycles and energy normalised to the optimal "
                "system ===\n\n";

@@ -14,7 +14,7 @@ using namespace hetsched;
 const Experiment& shared_experiment() {
   static const Experiment experiment{[] {
     ExperimentOptions options = ExperimentOptions::quick();
-    options.arrivals.count = 1000;
+    options.scenario.arrivals.count = 1000;
     return options;
   }()};
   return experiment;
@@ -96,7 +96,7 @@ BENCHMARK(BM_KernelExecution)->Arg(0)->Arg(3)->Arg(12);
 void BM_FullSchedulingRun(benchmark::State& state) {
   const Experiment& experiment = shared_experiment();
   for (auto _ : state) {
-    SystemRun run = experiment.run_proposed();
+    SystemRun run = experiment.run("proposed");
     benchmark::DoNotOptimize(run.result.total_energy());
   }
   state.SetItemsProcessed(

@@ -47,7 +47,7 @@ int main() {
   using namespace hetsched;
 
   ExperimentOptions options = ExperimentOptions::quick();
-  options.arrivals.count = 1000;
+  options.scenario.arrivals.count = 1000;
   Experiment experiment(options);
 
   const int kRepeats = 5;
@@ -55,7 +55,7 @@ int main() {
   // Reference outputs + disabled-path timing.
   SystemRun reference;
   const double disabled_ms = time_ms([&] {
-    for (int i = 0; i < kRepeats; ++i) reference = experiment.run_proposed();
+    for (int i = 0; i < kRepeats; ++i) reference = experiment.run("proposed");
   });
 
   // Tracer + metrics registry attached to the simulator.
@@ -65,7 +65,7 @@ int main() {
     for (int i = 0; i < kRepeats; ++i) {
       MetricsRegistry metrics;
       EventTracer tracer(&metrics);
-      traced = experiment.run_proposed(&tracer);
+      traced = experiment.run("proposed", &tracer);
       trace_events = tracer.events().size();
     }
   });
@@ -79,7 +79,7 @@ int main() {
       EventTracer runtime;
       ProbeRecorder recorder(metrics, &runtime);
       ScopedProbe probe(&recorder);
-      full = experiment.run_proposed(&tracer);
+      full = experiment.run("proposed", &tracer);
       record_result_metrics(metrics, "proposed.", full.result);
     }
   });
@@ -91,10 +91,10 @@ int main() {
   std::uint64_t window_jobs = 0;
   const double windowed_ms = time_ms([&] {
     for (int i = 0; i < kRepeats; ++i) {
-      WindowedCollector collector(options.core_count,
+      WindowedCollector collector(options.scenario.cores,
                                   WindowedOptions{1'000'000, 0},
                                   &experiment.suite());
-      windowed_run = experiment.run_proposed(&collector);
+      windowed_run = experiment.run("proposed", &collector);
       collector.finalize();
       windows_closed = collector.windows_closed();
       window_jobs = 0;
@@ -115,12 +115,12 @@ int main() {
       EventTracer tracer(&metrics);
       tracer.set_job_spans(true);
       JobSpanCollector spans("proposed", 1'000'000);
-      WindowedCollector collector(options.core_count,
+      WindowedCollector collector(options.scenario.cores,
                                   WindowedOptions{1'000'000, 0},
                                   &experiment.suite());
       collector.set_span_source(&spans);
       FanoutObserver fanout({&tracer, &spans, &collector});
-      all_run = experiment.run_proposed(&fanout);
+      all_run = experiment.run("proposed", &fanout);
       spans.finalize();
       collector.finalize();
       span_jobs = spans.jobs_completed();
@@ -145,7 +145,7 @@ int main() {
   HETSCHED_REQUIRE(span_jobs == reference.result.completed_jobs);
 
   std::cout << "=== Observability overhead (proposed system, "
-            << options.arrivals.count << " arrivals, " << kRepeats
+            << options.scenario.arrivals.count << " arrivals, " << kRepeats
             << " repeats) ===\n\n";
   TablePrinter table({"mode", "wall ms", "vs disabled"});
   auto add = [&](const std::string& name, double ms) {
@@ -165,7 +165,7 @@ int main() {
   std::ostringstream json;
   json << "{\n"
        << "  \"benchmark\": \"obs_overhead\",\n"
-       << "  \"arrivals\": " << options.arrivals.count << ",\n"
+       << "  \"arrivals\": " << options.scenario.arrivals.count << ",\n"
        << "  \"repeats\": " << kRepeats << ",\n"
        << "  \"trace_events_per_run\": " << trace_events << ",\n"
        << "  \"windows_closed_per_run\": " << windows_closed << ",\n"

@@ -19,7 +19,7 @@ int main() {
   // Characterise the full suite, then restrict scheduling to the
   // automotive kernels.
   ExperimentOptions options;
-  options.arrivals.count = 3000;
+  options.scenario.arrivals.count = 3000;
   Experiment experiment(options);
   const CharacterizedSuite& suite = experiment.suite();
 

@@ -28,7 +28,7 @@ std::uint64_t observed_cycles_for_size(const ProfilingTable::Entry& entry,
   const auto& all = DesignSpace::all();
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (all[i].size_bytes != size_bytes) continue;
-    const auto& obs = entry.observations[i];
+    const auto& obs = entry.observations()[i];
     if (obs.has_value() && obs->cycles < best) best = obs->cycles;
   }
   return best;
@@ -38,7 +38,7 @@ std::uint64_t observed_cycles_for_size(const ProfilingTable::Entry& entry,
 // observation at minimum, once the job has been profiled).
 std::uint64_t observed_cycles_any(const ProfilingTable::Entry& entry) {
   std::uint64_t best = kNoCycles;
-  for (const auto& obs : entry.observations) {
+  for (const auto& obs : entry.observations()) {
     if (obs.has_value() && obs->cycles < best) best = obs->cycles;
   }
   return best;
@@ -50,7 +50,7 @@ double observed_energy_for_size(const ProfilingTable::Entry& entry,
   const auto& all = DesignSpace::all();
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (all[i].size_bytes != size_bytes) continue;
-    const auto& obs = entry.observations[i];
+    const auto& obs = entry.observations()[i];
     if (obs.has_value() && obs->total_energy.value() < best) {
       best = obs->total_energy.value();
     }
@@ -60,7 +60,7 @@ double observed_energy_for_size(const ProfilingTable::Entry& entry,
 
 double observed_energy_any(const ProfilingTable::Entry& entry) {
   double best = kNoEnergy;
-  for (const auto& obs : entry.observations) {
+  for (const auto& obs : entry.observations()) {
     if (obs.has_value() && obs->total_energy.value() < best) {
       best = obs->total_energy.value();
     }

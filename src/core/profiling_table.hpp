@@ -41,8 +41,13 @@ class ProfilingTable {
     bool profiled = false;
     ExecutionStatistics statistics;
     std::optional<std::uint32_t> predicted_best_size_bytes;
-    // Indexed parallel to DesignSpace::all().
-    std::array<std::optional<Observation>, kConfigCount> observations;
+    // Indexed parallel to DesignSpace::all(). Read-only: record() and
+    // restore_state() are the only writers, so `version` below always
+    // tracks the observations.
+    const std::array<std::optional<Observation>, kConfigCount>&
+    observations() const {
+      return observations_;
+    }
 
     std::size_t observed_count() const;
     std::size_t observed_count_for_size(std::uint32_t size_bytes) const;
@@ -79,6 +84,10 @@ class ProfilingTable {
       std::size_t explored = 0;
     };
     mutable std::array<WalkMemo, 3> walk_memo{};  // per size: 2/4/8KB
+
+   private:
+    friend class ProfilingTable;
+    std::array<std::optional<Observation>, kConfigCount> observations_;
   };
 
   explicit ProfilingTable(std::size_t benchmark_count);

@@ -1,19 +1,42 @@
 #include "experiment/experiment.hpp"
 
-#include "util/contracts.hpp"
+#include <limits>
+
 #include "util/thread_pool.hpp"
-#include "workload/profile_cache.hpp"
 
 namespace hetsched {
+namespace {
+
+// The options' scenario under `policy`, on that policy's Section-V
+// machine.
+Scenario standard_scenario(Scenario scenario, std::string policy) {
+  scenario.policy = std::move(policy);
+  scenario.use_standard_machine(scenario.cores);
+  return scenario;
+}
+
+SystemRun run_to_end(ScenarioRun& run, std::string name,
+                     const std::vector<std::size_t>& scheduling_ids) {
+  run.start();
+  run.advance_until(std::numeric_limits<SimTime>::max());
+  SystemRun out{std::move(name), run.finish(), {}};
+  for (std::size_t id : scheduling_ids) {
+    out.explored_configs.push_back(
+        run.simulator().table().entry(id).observed_count());
+  }
+  return out;
+}
+
+}  // namespace
 
 ExperimentOptions ExperimentOptions::quick() {
   ExperimentOptions opts;
-  opts.suite.kernel_scale = 0.25;
-  opts.suite.variants_per_kernel = 2;
-  opts.arrivals.count = 300;
-  opts.arrivals.mean_interarrival_cycles = 60000.0;
-  opts.predictor.ensemble_size = 5;
-  opts.predictor.trainer.max_epochs = 120;
+  opts.scenario.suite.kernel_scale = 0.25;
+  opts.scenario.suite.variants_per_kernel = 2;
+  opts.scenario.arrivals.count = 300;
+  opts.scenario.arrivals.mean_interarrival_cycles = 60000.0;
+  opts.scenario.predictor_ensemble = 5;
+  opts.scenario.predictor_max_epochs = 120;
   return opts;
 }
 
@@ -40,100 +63,39 @@ NormalizedEnergy normalize(const SimulationResult& system,
 
 Experiment::Experiment(const ExperimentOptions& options)
     : options_(options),
-      energy_(CactiModel{}, options.energy_params),
-      suite_(load_or_build_suite(options_.profile_cache_path, energy_,
-                                 options_.suite)),
-      // Train on the variant>0 instances, schedule the variant-0
-      // instances (held-out inputs of the same kernels); with a single
-      // variant per kernel, train on everything (the paper trains and
-      // evaluates on the same EEMBC suite).
-      predictor_(train_predictor(suite_, options_.predictor, options_.seed)) {
-  scheduling_ids_ = suite_.scheduling_ids();
-  HETSCHED_ASSERT(!scheduling_ids_.empty());
-  Rng arrival_rng(options_.seed ^ 0xa5a5a5a5ULL);
-  arrivals_ =
-      generate_arrivals(scheduling_ids_, options_.arrivals, arrival_rng);
+      context_(standard_scenario(options.scenario, "proposed"),
+               options.profile_cache_path, nullptr, options.energy_params) {
+  Rng arrival_rng(options_.scenario.seed ^ 0xa5a5a5a5ULL);
+  arrivals_ = generate_arrivals(scheduling_ids(), options_.scenario.arrivals,
+                                arrival_rng);
 }
 
-SystemRun Experiment::run_policy(const SystemConfig& system,
-                                 SchedulerPolicy& policy, std::string name,
-                                 ScheduleObserver* observer) const {
-  MulticoreSimulator simulator(system, suite_, energy_, policy);
-  if (observer != nullptr) simulator.set_observer(observer);
-  SystemRun run;
-  run.name = std::move(name);
-  run.result = simulator.run(arrivals_);
-  run.explored_configs.reserve(scheduling_ids_.size());
-  for (std::size_t id : scheduling_ids_) {
-    run.explored_configs.push_back(
-        simulator.table().entry(id).observed_count());
-  }
-  return run;
+SystemRun Experiment::run(const std::string& policy,
+                          ScheduleObserver* observer) const {
+  const Scenario scenario = standard_scenario(options_.scenario, policy);
+  ScenarioRun run(scenario, context_, observer,
+                  ScenarioRun::ObserverMode::kRaw);
+  return run_to_end(run, policy, scheduling_ids());
 }
 
-SystemConfig Experiment::heterogeneous_system() const {
-  return options_.core_count == 4
-             ? SystemConfig::paper_quadcore()
-             : SystemConfig::scaled_heterogeneous(options_.core_count);
-}
-
-SystemConfig Experiment::base_system() const {
-  return SystemConfig::fixed_base(options_.core_count);
-}
-
-SystemRun Experiment::run_base(ScheduleObserver* observer) const {
-  BasePolicy policy;
-  return run_policy(base_system(), policy, "base", observer);
-}
-
-SystemRun Experiment::run_optimal(ScheduleObserver* observer) const {
-  OptimalPolicy policy;
-  return run_policy(heterogeneous_system(), policy, "optimal", observer);
-}
-
-SystemRun Experiment::run_energy_centric(ScheduleObserver* observer) const {
-  EnergyCentricPolicy policy(*predictor_);
-  return run_policy(heterogeneous_system(), policy, "energy-centric",
-                    observer);
-}
-
-SystemRun Experiment::run_proposed(ScheduleObserver* observer) const {
-  ProposedPolicy policy(*predictor_);
-  return run_policy(heterogeneous_system(), policy, "proposed", observer);
-}
-
-Experiment::StandardRuns Experiment::run_standard_systems() const {
-  return run_standard_systems(StandardObservers{});
+SystemRun Experiment::run(SchedulerPolicy& policy, std::string name) const {
+  const Scenario scenario = standard_scenario(options_.scenario, "proposed");
+  ScenarioRun run(scenario, context_, policy, nullptr,
+                  ScenarioRun::ObserverMode::kRaw);
+  return run_to_end(run, std::move(name), scheduling_ids());
 }
 
 Experiment::StandardRuns Experiment::run_standard_systems(
-    const StandardObservers& observers) const {
+    const std::array<ScheduleObserver*, 4>& observers) const {
   StandardRuns runs;
-  SystemRun* const slots[4] = {&runs.base, &runs.optimal,
-                               &runs.energy_centric, &runs.proposed};
+  const std::array<SystemRun*, 4> slots = {
+      &runs.base, &runs.optimal, &runs.energy_centric, &runs.proposed};
+  const std::array<const char*, 4> policies = {"base", "optimal",
+                                               "energy-centric", "proposed"};
   ThreadPool::global().parallel_for(4, [&](std::size_t i) {
-    switch (i) {
-      case 0: *slots[0] = run_base(observers.base); break;
-      case 1: *slots[1] = run_optimal(observers.optimal); break;
-      case 2:
-        *slots[2] = run_energy_centric(observers.energy_centric);
-        break;
-      default: *slots[3] = run_proposed(observers.proposed); break;
-    }
+    *slots[i] = run(policies[i], observers[i]);
   });
   return runs;
-}
-
-SystemRun Experiment::run_proposed_with(const SizePredictor& predictor,
-                                        std::string name) const {
-  ProposedPolicy policy(predictor);
-  return run_policy(heterogeneous_system(), policy, std::move(name));
-}
-
-SystemRun Experiment::run_energy_centric_with(const SizePredictor& predictor,
-                                              std::string name) const {
-  EnergyCentricPolicy policy(predictor);
-  return run_policy(heterogeneous_system(), policy, std::move(name));
 }
 
 }  // namespace hetsched

@@ -1,29 +1,27 @@
-// End-to-end experiment harness (Section V): builds the characterised
-// suite, trains the ANN predictor, generates the 5000-job arrival stream,
-// and runs the four evaluated systems over the *same* stream. Every bench
-// binary and example builds on this class.
+// End-to-end experiment harness (Section V): one characterised suite, one
+// trained ANN predictor and one arrival stream, over which the four
+// evaluated systems (and any other policy) run. Every bench binary and
+// example builds on this class; it is a thin layer over the scenario
+// pipeline (ScenarioContext + ScenarioRun) that the CLI runs.
 #pragma once
 
-#include <memory>
+#include <array>
 #include <string>
+#include <vector>
 
 #include "core/policies.hpp"
-#include "core/simulator.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "workload/dataset_builder.hpp"
 
 namespace hetsched {
 
 struct ExperimentOptions {
-  SuiteOptions suite{};
-  ArrivalOptions arrivals{};
-  PredictorConfig predictor{};
+  // The workload every run shares: suite shape, arrival stream, seed,
+  // core count and predictor budget. Each run sets the policy and picks
+  // the Section-V machine for it (Scenario::use_standard_machine): 4
+  // cores (the default) reproduce the paper machines exactly.
+  Scenario scenario{};
   EnergyModelParams energy_params{};
-  std::uint64_t seed = 42;
-  // Number of cores in every evaluated system. 4 (the default) reproduces
-  // the paper machines exactly; other values use the scaled heterogeneous
-  // layout (system_config.hpp) for the reconfigurable systems and a
-  // same-sized fixed-base machine for the baseline.
-  std::size_t core_count = 4;
   // When non-empty, characterisation is served from this snapshot file
   // when it is present and keyed to (suite, energy_params); otherwise it
   // is built and the file refreshed (workload/profile_cache.hpp).
@@ -74,68 +72,54 @@ NormalizedEnergy normalize(const SimulationResult& system,
 
 class Experiment {
  public:
+  // Builds the suite and trains the predictor once (a ScenarioContext
+  // for the options' scenario under the proposed policy).
   explicit Experiment(const ExperimentOptions& options = {});
 
   const ExperimentOptions& options() const { return options_; }
-  const EnergyModel& energy() const { return energy_; }
-  const CharacterizedSuite& suite() const { return suite_; }
-  const BestSizePredictor& predictor() const { return *predictor_; }
+  const EnergyModel& energy() const { return context_.energy(); }
+  const CharacterizedSuite& suite() const { return context_.suite(); }
+  // The ANN the context trained (its scenario's policy needs one).
+  const BestSizePredictor& predictor() const {
+    return static_cast<const BestSizePredictor&>(*context_.predictor());
+  }
+  // The shared stream's jobs, materialised; every run generates the same
+  // jobs on demand.
   const std::vector<JobArrival>& arrivals() const { return arrivals_; }
   const std::vector<std::size_t>& scheduling_ids() const {
-    return scheduling_ids_;
+    return context_.scheduling_ids();
   }
 
-  // The four systems of Section V. Each runs the identical arrival stream
-  // on a fresh machine. An optional observer (ScheduleLog, EventTracer)
-  // receives that run's schedule events.
-  SystemRun run_base(ScheduleObserver* observer = nullptr) const;
-  SystemRun run_optimal(ScheduleObserver* observer = nullptr) const;
-  SystemRun run_energy_centric(ScheduleObserver* observer = nullptr) const;
-  SystemRun run_proposed(ScheduleObserver* observer = nullptr) const;
+  // Runs the registry policy `policy` (base, optimal, energy-centric,
+  // proposed, ...) over the shared stream on a fresh Section-V machine:
+  // fixed-base cores for base, the reconfigurable machine otherwise. An
+  // optional observer (ScheduleLog, EventTracer) receives that run's
+  // schedule events. The run is named after the policy.
+  SystemRun run(const std::string& policy,
+                ScheduleObserver* observer = nullptr) const;
+  // The same run for a policy outside the registry (an oracle-predictor
+  // ablation, a custom example policy) on the reconfigurable machine.
+  SystemRun run(SchedulerPolicy& policy, std::string name) const;
 
-  // All four Section-V systems, fanned out over the shared thread pool.
+  // The four Section-V systems, fanned out over the shared thread pool.
   // The runs are independent (fresh simulator and policy each, read-only
-  // suite/energy/predictor), so the results are identical to calling the
-  // four run_*() methods serially.
+  // context), so the results are identical to four serial run() calls.
   struct StandardRuns {
     SystemRun base;
     SystemRun optimal;
     SystemRun energy_centric;
     SystemRun proposed;
   };
-  // One optional observer per system; each receives only its own run's
-  // events (on that run's simulation thread), so per-run recorders need
-  // no synchronisation and their contents are thread-count independent.
-  struct StandardObservers {
-    ScheduleObserver* base = nullptr;
-    ScheduleObserver* optimal = nullptr;
-    ScheduleObserver* energy_centric = nullptr;
-    ScheduleObserver* proposed = nullptr;
-  };
-  StandardRuns run_standard_systems() const;
-  StandardRuns run_standard_systems(const StandardObservers& observers) const;
-
-  // Ablation entry point: the proposed/energy-centric systems with an
-  // arbitrary predictor (e.g. OracleSizePredictor).
-  SystemRun run_proposed_with(const SizePredictor& predictor,
-                              std::string name) const;
-  SystemRun run_energy_centric_with(const SizePredictor& predictor,
-                                    std::string name) const;
+  // One optional observer per system, in StandardRuns order; each
+  // receives only its own run's events (on that run's simulation thread),
+  // so per-run recorders need no synchronisation and their contents are
+  // thread-count independent.
+  StandardRuns run_standard_systems(
+      const std::array<ScheduleObserver*, 4>& observers = {}) const;
 
  private:
-  SystemRun run_policy(const SystemConfig& system, SchedulerPolicy& policy,
-                       std::string name,
-                       ScheduleObserver* observer = nullptr) const;
-  // The reconfigurable machine under evaluation: the paper quad-core at
-  // the default core_count, the scaled heterogeneous layout otherwise.
-  SystemConfig heterogeneous_system() const;
-  SystemConfig base_system() const;
-
   ExperimentOptions options_;
-  EnergyModel energy_;
-  CharacterizedSuite suite_;
-  std::unique_ptr<BestSizePredictor> predictor_;
-  std::vector<std::size_t> scheduling_ids_;
+  ScenarioContext context_;
   std::vector<JobArrival> arrivals_;
 };
 

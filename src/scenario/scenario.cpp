@@ -71,6 +71,15 @@ bool Scenario::needs_predictor() const {
   return PolicyRegistry::instance().needs_predictor(policy);
 }
 
+PredictorConfig Scenario::predictor_config() const {
+  PredictorConfig config;
+  config.ensemble_size = predictor_ensemble;
+  if (predictor_max_epochs > 0) {
+    config.trainer.max_epochs = predictor_max_epochs;
+  }
+  return config;
+}
+
 void Scenario::validate() const {
   if (name.empty()) invalid("name must not be empty");
   if (!known_policy(policy)) invalid("unknown policy '" + policy + "'");

@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 
+#include "core/predictor.hpp"
 #include "core/scheduler.hpp"
 #include "core/system_config.hpp"
 #include "fault/fault_plan.hpp"
@@ -74,6 +75,10 @@ struct Scenario {
   // True when the policy (or any portfolio contender) is ANN-backed and
   // needs a trained predictor.
   bool needs_predictor() const;
+
+  // The ANN training configuration for this scenario's budget
+  // (`predictor_ensemble`, `predictor_max_epochs`).
+  PredictorConfig predictor_config() const;
 
   // Structural checks (known policy/system, core count bounds, arrival
   // parameters, fault plan); throws std::invalid_argument on violation.

@@ -23,8 +23,9 @@ std::unique_ptr<SchedulerPolicy> make_scenario_policy(
 
 ScenarioContext::ScenarioContext(
     const Scenario& scenario, const std::string& profile_cache_path,
-    std::unique_ptr<const SizePredictor> predictor)
-    : energy_(CactiModel{}, EnergyModelParams{}),
+    std::unique_ptr<const SizePredictor> predictor,
+    const EnergyModelParams& energy_params)
+    : energy_(CactiModel{}, energy_params),
       suite_(load_or_build_suite(profile_cache_path, energy_,
                                  scenario.suite)),
       predictor_(std::move(predictor)) {
@@ -40,26 +41,36 @@ ScenarioContext::ScenarioContext(
   }
 
   if (predictor_ == nullptr && scenario.needs_predictor()) {
-    PredictorConfig config;
-    config.ensemble_size = scenario.predictor_ensemble;
-    if (scenario.predictor_max_epochs > 0) {
-      config.trainer.max_epochs = scenario.predictor_max_epochs;
-    }
-    predictor_ = train_predictor(suite_, config, scenario.seed);
+    predictor_ =
+        train_predictor(suite_, scenario.predictor_config(), scenario.seed);
   }
 }
 
 ScenarioRun::ScenarioRun(const Scenario& scenario,
                          const ScenarioContext& context,
                          ScheduleObserver* extra, ObserverMode mode)
+    : ScenarioRun(scenario, context, nullptr, extra, mode) {}
+
+ScenarioRun::ScenarioRun(const Scenario& scenario,
+                         const ScenarioContext& context,
+                         SchedulerPolicy& policy, ScheduleObserver* extra,
+                         ObserverMode mode)
+    : ScenarioRun(scenario, context, &policy, extra, mode) {}
+
+ScenarioRun::ScenarioRun(const Scenario& scenario,
+                         const ScenarioContext& context,
+                         SchedulerPolicy* policy, ScheduleObserver* extra,
+                         ObserverMode mode)
     : system_((scenario.validate(), scenario.make_system())),
-      policy_(make_scenario_policy(scenario, context)),
+      owned_policy_(policy == nullptr ? make_scenario_policy(scenario, context)
+                                      : nullptr),
+      policy_(policy == nullptr ? owned_policy_.get() : policy),
       simulator_(system_, context.suite(), context.energy(), *policy_,
                  scenario.discipline),
       stats_(system_.core_count()),
       fanout_({&stats_, extra}),
-      // The arrival seed derivation matches Experiment's, so a scenario
-      // reproduces its stream exactly.
+      // The arrival seed derivation matches Experiment::arrivals(), so
+      // the batch stream and this one are the same jobs.
       stream_(context.scheduling_ids(), scenario.arrivals,
               scenario.seed ^ 0xa5a5a5a5ULL) {
   std::optional<DagArrivalSource::RealtimeSetup> dag_realtime;
@@ -70,6 +81,8 @@ ScenarioRun::ScenarioRun(const Scenario& scenario,
         context.base_reference_cycles(), *scenario.realtime,
         scenario.seed ^ 0x5151ULL});
   }
+  ScheduleObserver* const stats =
+      mode == ObserverMode::kObserved ? &stats_ : nullptr;
   if (!scenario.dag.empty()) {
     // Same ids/options/seeds as stream_, so the nominal arrival draws are
     // bit-identical to the independent-job run of this scenario.
@@ -78,18 +91,18 @@ ScenarioRun::ScenarioRun(const Scenario& scenario,
     // The DAG source must observe every completion in every mode —
     // releases are simulation state, not telemetry — so it heads the
     // fanout chain; release events go back through the chain only when
-    // the run is observed.
-    const bool observed = mode == ObserverMode::kObserved;
-    fanout_ = FanoutObserver({&*dag_, observed ? &stats_ : nullptr,
-                              observed ? extra : nullptr});
+    // someone else listens.
+    fanout_ = FanoutObserver({&*dag_, stats, extra});
     simulator_.set_observer(&fanout_);
-    if (observed) dag_->set_release_observer(&fanout_);
-  } else if (mode == ObserverMode::kObserved) {
-    // Without an extra observer, attach the stats sink directly: the
-    // fanout hop costs an indirect call per event on the hot path.
-    simulator_.set_observer(
-        extra == nullptr ? static_cast<ScheduleObserver*>(&stats_)
-                         : &fanout_);
+    if (stats != nullptr || extra != nullptr) {
+      dag_->set_release_observer(&fanout_);
+    }
+  } else {
+    // A lone sink attaches directly: the fanout hop costs an indirect
+    // call per event on the hot path.
+    simulator_.set_observer(stats == nullptr   ? extra
+                            : extra == nullptr ? stats
+                                               : &fanout_);
   }
   if (!scenario.faults.empty()) {
     injector_.emplace(scenario.faults);

@@ -28,13 +28,14 @@ namespace hetsched {
 class ScenarioContext {
  public:
   // Builds the characterised suite (served from `profile_cache_path`
-  // when non-empty) and, when the scenario's policy needs one, trains
-  // the ANN predictor. A non-null `predictor` (e.g. a loaded
-  // PredictorSnapshot) replaces training.
+  // when non-empty) under the `energy_params` energy model and, when the
+  // scenario's policy needs one, trains the ANN predictor. A non-null
+  // `predictor` (e.g. a loaded PredictorSnapshot) replaces training.
   explicit ScenarioContext(const Scenario& scenario,
                            const std::string& profile_cache_path = "",
                            std::unique_ptr<const SizePredictor> predictor =
-                               nullptr);
+                               nullptr,
+                           const EnergyModelParams& energy_params = {});
 
   const EnergyModel& energy() const { return energy_; }
   const CharacterizedSuite& suite() const { return suite_; }
@@ -79,25 +80,31 @@ std::unique_ptr<SchedulerPolicy> make_scenario_policy(
     const Scenario& scenario, const ScenarioContext& context);
 
 // One scenario execution held open so it can be driven in slices —
-// the substrate for checkpointed runs and supervised (timeout-guarded)
-// sweep cells. Owns the policy, simulator, arrival stream, StreamStats
-// and optional fault injector that run_scenario would wire up
-// internally; running start() / advance_until(max) / finish() is
-// bit-identical to run_scenario. The scenario and context must outlive
-// the run.
+// the substrate for checkpointed runs, supervised (timeout-guarded)
+// sweep cells and the Experiment harness. Owns the simulator, arrival
+// stream, StreamStats, optional fault injector and (unless the caller
+// supplies one) the policy that run_scenario would wire up internally;
+// running start() / advance_until(max) / finish() is bit-identical to
+// run_scenario. The scenario and context must outlive the run.
 class ScenarioRun {
  public:
   // kObserved folds every event into the internal StreamStats (the
-  // digest-bearing default); kRaw attaches no observer at all, which is
-  // the simulator's pure dispatch throughput — observers never feed back
-  // into simulation state, so the SimulationResult is identical either
-  // way (stats() is simply empty).
+  // digest-bearing default); kRaw leaves it out, so a run without an
+  // `extra` observer is the simulator's pure dispatch throughput.
+  // Observers never feed back into simulation state, so the
+  // SimulationResult is identical either way (stats() is simply empty).
   enum class ObserverMode { kObserved, kRaw };
 
-  // `extra` (optional) receives every observer callback alongside the
-  // internal StreamStats and must outlive the run.
+  // `extra` (optional) receives every observer callback, in both modes,
+  // and must outlive the run.
   ScenarioRun(const Scenario& scenario, const ScenarioContext& context,
               ScheduleObserver* extra = nullptr,
+              ObserverMode mode = ObserverMode::kObserved);
+  // Runs the caller-owned `policy` (which must outlive the run) instead
+  // of the registry policy the scenario names; the scenario still picks
+  // the machine, stream and faults.
+  ScenarioRun(const Scenario& scenario, const ScenarioContext& context,
+              SchedulerPolicy& policy, ScheduleObserver* extra = nullptr,
               ObserverMode mode = ObserverMode::kObserved);
 
   // Stepping interface; see MulticoreSimulator's equivalents. A DAG
@@ -128,12 +135,18 @@ class ScenarioRun {
   }
 
  private:
+  // A null `policy` builds the scenario's registry policy.
+  ScenarioRun(const Scenario& scenario, const ScenarioContext& context,
+              SchedulerPolicy* policy, ScheduleObserver* extra,
+              ObserverMode mode);
+
   ArrivalSource& source() {
     return dag_.has_value() ? static_cast<ArrivalSource&>(*dag_) : stream_;
   }
 
   SystemConfig system_;
-  std::unique_ptr<SchedulerPolicy> policy_;
+  std::unique_ptr<SchedulerPolicy> owned_policy_;
+  SchedulerPolicy* policy_;
   MulticoreSimulator simulator_;
   StreamStats stats_;
   FanoutObserver fanout_;

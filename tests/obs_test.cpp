@@ -81,12 +81,12 @@ TEST(MetricsRegistryTest, JsonEscape) {
 
 TEST(EventTracerTest, CountersMatchSimulationResult) {
   ExperimentOptions options = ExperimentOptions::quick();
-  options.arrivals.count = 200;
+  options.scenario.arrivals.count = 200;
   Experiment experiment(options);
 
   MetricsRegistry metrics;
   EventTracer tracer(&metrics);
-  const SystemRun run = experiment.run_proposed(&tracer);
+  const SystemRun run = experiment.run("proposed", &tracer);
 
   EXPECT_EQ(metrics.counter("sim.dispatches").value(),
             run.result.completed_jobs);
@@ -106,13 +106,13 @@ TEST(EventTracerTest, CountersMatchSimulationResult) {
 
 TEST(EventTracerTest, ObserverDoesNotPerturbSimulation) {
   ExperimentOptions options = ExperimentOptions::quick();
-  options.arrivals.count = 150;
+  options.scenario.arrivals.count = 150;
   Experiment experiment(options);
 
-  const SystemRun bare = experiment.run_proposed();
+  const SystemRun bare = experiment.run("proposed");
   MetricsRegistry metrics;
   EventTracer tracer(&metrics);
-  const SystemRun traced = experiment.run_proposed(&tracer);
+  const SystemRun traced = experiment.run("proposed", &tracer);
 
   EXPECT_EQ(bare.result.makespan, traced.result.makespan);
   EXPECT_EQ(bare.result.completed_jobs, traced.result.completed_jobs);
@@ -137,7 +137,7 @@ std::pair<std::string, std::string> observed_run(std::size_t threads) {
   ScopedProbe probe(&recorder);
 
   ExperimentOptions options = ExperimentOptions::quick();
-  options.arrivals.count = 120;
+  options.scenario.arrivals.count = 120;
   options.profile_cache_path = cache_path;
   Experiment experiment(options);
 
@@ -148,13 +148,8 @@ std::pair<std::string, std::string> observed_run(std::size_t threads) {
   for (const char* name : names) {
     tracers.emplace_back(&metrics, std::string(name) + ".sim.");
   }
-  Experiment::StandardObservers observers;
-  observers.base = &tracers[0];
-  observers.optimal = &tracers[1];
-  observers.energy_centric = &tracers[2];
-  observers.proposed = &tracers[3];
-  const Experiment::StandardRuns runs =
-      experiment.run_standard_systems(observers);
+  const Experiment::StandardRuns runs = experiment.run_standard_systems(
+      {&tracers[0], &tracers[1], &tracers[2], &tracers[3]});
 
   record_result_metrics(metrics, "base.", runs.base.result);
   record_result_metrics(metrics, "optimal.", runs.optimal.result);

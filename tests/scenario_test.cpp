@@ -4,8 +4,10 @@
 // scenario (ctest label: integration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -374,6 +376,78 @@ TEST(ScenarioRunner, RandomScenarioInvariants) {
   }
 }
 
+// Every observer callback as kind@time/where, in delivery order.
+class EventLog final : public ScheduleObserver {
+ public:
+  std::vector<std::string> events;
+
+  void on_slice(const ScheduledSlice& e) override {
+    add("slice", e.end, e.core);
+  }
+  void on_fault(const FaultRecord& e) override { add("fault", e.time, 0); }
+  void on_arrival(const ArrivalEvent& e) override {
+    add("arrival", e.time, 0);
+  }
+  void on_dispatch(const DispatchEvent& e) override {
+    add("dispatch", e.time, e.core);
+  }
+  void on_reconfig(const ReconfigEvent& e) override {
+    add("reconfig", e.time, e.core);
+  }
+  void on_idle(const IdleEvent& e) override { add("idle", e.to, e.core); }
+  void on_preempt(const PreemptEvent& e) override {
+    add("preempt", e.time, e.core);
+  }
+  void on_stall(const StallEvent& e) override { add("stall", e.time, 0); }
+  void on_queue_depth(const QueueSample& e) override {
+    add("queue", e.time, 0);
+  }
+  void on_dag_release(const DagReleaseEvent& e) override {
+    add("release", e.time, e.node);
+  }
+
+ private:
+  void add(const char* kind, SimTime time, std::size_t where) {
+    events.push_back(std::string(kind) + "@" + std::to_string(time) + "/" +
+                     std::to_string(where));
+  }
+};
+
+// kRaw drops only the internal StreamStats: the caller's observer sees
+// exactly what it sees in an observed run, DAG releases included.
+TEST(ScenarioRunner, RawRunDeliversTheObservedEventsToItsObserver) {
+  World& w = world();
+  Scenario chains = w.base;
+  chains.name = "chains";
+  for (std::size_t job = 0; job + 1 < 60; job += 2) {
+    chains.dag.edges.push_back({job, job + 1});
+  }
+  for (const Scenario* s : {&w.base, &chains}) {
+    EventLog observed_log;
+    EventLog raw_log;
+    ScenarioRun observed(*s, w.context, &observed_log);
+    ScenarioRun raw(*s, w.context, &raw_log,
+                    ScenarioRun::ObserverMode::kRaw);
+    for (ScenarioRun* run : {&observed, &raw}) {
+      run->start();
+      run->advance_until(std::numeric_limits<SimTime>::max());
+      run->finish();
+    }
+    EXPECT_FALSE(observed_log.events.empty()) << s->name;
+    EXPECT_EQ(raw_log.events, observed_log.events) << s->name;
+    const auto releases = std::count_if(
+        raw_log.events.begin(), raw_log.events.end(),
+        [](const std::string& e) { return e.rfind("release@", 0) == 0; });
+    EXPECT_EQ(static_cast<std::size_t>(releases), s->dag.edges.size())
+        << s->name;
+    EXPECT_GT(observed.stats().slices(), 0u) << s->name;
+    EXPECT_EQ(raw.stats().slices(), 0u) << s->name;
+    EXPECT_EQ(raw.stats().dispatches(), 0u) << s->name;
+    EXPECT_EQ(raw.stats().digest(), StreamStats(s->cores).digest())
+        << s->name;
+  }
+}
+
 TEST(ScenarioRunner, EnergyMatchesPerSliceRecomputation) {
   World& w = world();
   const Scenario& s = w.base;
@@ -479,14 +553,14 @@ TEST(Scenario, GoldenStreamingSmokeScenario) {
 // non-paper core count.
 TEST(ExperimentCoreCount, SixCoreSystemsRunAllPolicies) {
   ExperimentOptions options = ExperimentOptions::quick();
-  options.suite.variants_per_kernel = 1;
-  options.arrivals.count = 150;
-  options.core_count = 6;
+  options.scenario.suite.variants_per_kernel = 1;
+  options.scenario.arrivals.count = 150;
+  options.scenario.cores = 6;
   const Experiment experiment(options);
 
   for (const SystemRun& run :
-       {experiment.run_base(), experiment.run_optimal(),
-        experiment.run_proposed()}) {
+       {experiment.run("base"), experiment.run("optimal"),
+        experiment.run("proposed")}) {
     EXPECT_EQ(run.result.per_core.size(), 6u) << run.name;
     EXPECT_EQ(run.result.completed_jobs, 150u) << run.name;
   }
