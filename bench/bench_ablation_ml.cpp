@@ -11,9 +11,7 @@
 
 #include "ann/decision_tree.hpp"
 #include "ann/knn.hpp"
-#include "ann/mlp_regressor.hpp"
 #include "ann/ridge.hpp"
-#include "core/model_predictor.hpp"
 #include "experiment/experiment.hpp"
 #include "util/stats.hpp"
 #include "util/table_printer.hpp"
@@ -23,7 +21,6 @@ int main() {
 
   ExperimentOptions options;
   Experiment experiment(options);
-  const PredictorConfig config = options.scenario.predictor_config();
   const CharacterizedSuite& suite = experiment.suite();
   const Dataset dataset = build_ann_dataset(suite, suite.training_ids());
   const SystemRun base = experiment.run("base");
@@ -35,7 +32,7 @@ int main() {
 
   auto evaluate = [&](std::unique_ptr<Regressor> model) {
     Rng rng(options.scenario.seed);
-    ModelSizePredictor predictor(dataset, std::move(model), config, rng);
+    BestSizePredictor predictor(dataset, std::move(model), rng);
 
     RunningStats degradation;
     std::size_t hits = 0;
@@ -65,13 +62,7 @@ int main() {
          TablePrinter::num(n.total, 3)});
   };
 
-  {
-    BaggingConfig bagging;
-    bagging.ensemble_size = config.ensemble_size;
-    bagging.net.layer_sizes = {10, 18, 5, 1};
-    bagging.trainer = config.trainer;
-    evaluate(std::make_unique<BaggedMlpRegressor>(bagging));
-  }
+  evaluate(paper_model(options.scenario.predictor_config()));
   evaluate(std::make_unique<KnnRegressor>());
   evaluate(std::make_unique<DecisionTreeRegressor>());
   evaluate(std::make_unique<RidgeRegressor>());

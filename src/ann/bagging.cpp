@@ -11,14 +11,9 @@ BaggedEnsemble::BaggedEnsemble(const BaggingConfig& config,
                                const Dataset& train,
                                const Dataset& validation, Rng& rng) {
   HETSCHED_REQUIRE(config.ensemble_size > 0);
-  HETSCHED_REQUIRE(config.sample_fraction > 0.0 &&
-                   config.sample_fraction <= 1.0);
   HETSCHED_REQUIRE(train.size() > 0);
 
   const Trainer trainer(config.trainer);
-  const auto sample_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config.sample_fraction *
-                                  static_cast<double>(train.size())));
 
   // Member streams are split off serially (split() advances `rng`, so the
   // order must not depend on scheduling); training is then fanned out over
@@ -36,7 +31,7 @@ BaggedEnsemble::BaggedEnsemble(const BaggingConfig& config,
       config.ensemble_size, [&](std::size_t m) {
         Rng member_rng = member_rngs[m];
         const auto indices =
-            member_rng.sample_with_replacement(train.size(), sample_size);
+            member_rng.sample_with_replacement(train.size(), train.size());
         const Dataset resample = train.subset(indices);
         Mlp net(config.net, member_rng);
         trainer.fit(net, resample, validation, member_rng);

@@ -15,17 +15,15 @@ namespace hetsched {
 
 struct BaggingConfig {
   std::size_t ensemble_size = 30;
-  // Bootstrap sample size as a fraction of the training set.
-  double sample_fraction = 1.0;
   MlpConfig net;
   TrainerConfig trainer;
 };
 
 class BaggedEnsemble {
  public:
-  // Trains `ensemble_size` nets on bootstrap resamples of `train`, each
-  // with independently random initial weights; `validation` drives early
-  // stopping for every member.
+  // Trains `ensemble_size` nets, each on a bootstrap resample as large
+  // as `train` and from independently random initial weights;
+  // `validation` drives early stopping for every member.
   BaggedEnsemble(const BaggingConfig& config, const Dataset& train,
                  const Dataset& validation, Rng& rng);
 

@@ -1,6 +1,8 @@
 // Adapter exposing the paper's bagged-MLP ensemble through the generic
-// Regressor interface, so it competes with the alternative models in the
-// future-work ML comparison on identical footing.
+// Regressor interface. It is the model the best-size predictor trains
+// for the paper (paper_model in core/predictor), so it competes with the
+// alternative models in the future-work ML comparison on identical
+// footing.
 #pragma once
 
 #include <memory>

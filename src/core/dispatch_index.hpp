@@ -40,8 +40,8 @@ struct CoreRuntime;  // defined in core/scheduler.hpp
 
 // Counters describing how much scanning the indexed decision paths
 // performed — the observability hook proving the O(cores)-per-event
-// scans are gone. Cheap relaxed increments, folded into a
-// MetricsRegistry via record_dispatch_metrics (scenario_runner).
+// scans are gone. Cheap relaxed increments, read through
+// MulticoreSimulator::dispatch_telemetry() and ScenarioOutcome::dispatch.
 struct DispatchTelemetry {
   std::uint64_t decisions = 0;      // policy decide() invocations
   std::uint64_t idle_queries = 0;   // indexed idle-set queries answered

@@ -1,31 +1,68 @@
 #include "core/predictor.hpp"
 
 #include "ann/metrics.hpp"
+#include "ann/mlp_regressor.hpp"
 #include "util/contracts.hpp"
 #include "workload/dataset_builder.hpp"
 
 namespace hetsched {
+namespace {
+
+// The paper's 70/15/15 train/validation/test split (Section IV.D).
+constexpr double kTrainFraction = 0.70;
+constexpr double kValidationFraction = 0.15;
+
+Matrix predict_rows(const Regressor& model, const Matrix& features) {
+  Matrix out(features.rows(), 1);
+  for (std::size_t r = 0; r < features.rows(); ++r) {
+    out.at(r, 0) = model.predict(features.row(r));
+  }
+  return out;
+}
+
+}  // namespace
+
+std::unique_ptr<Regressor> paper_model(const PredictorConfig& config) {
+  BaggingConfig bagging;
+  bagging.ensemble_size = config.ensemble_size;
+  // Two hidden layers of 18 and 5 PEs; the input width is the selected
+  // feature count, set at fit().
+  bagging.net.layer_sizes = {10, 18, 5, 1};
+  bagging.trainer = config.trainer;
+  return std::make_unique<BaggedMlpRegressor>(std::move(bagging));
+}
+
+std::vector<double> model_input(const ExecutionStatistics& stats,
+                                const SelectedFeatures& selected,
+                                const StandardScaler& scaler) {
+  auto raw = stats.to_vector();
+  for (std::size_t c = 0; c < raw.size(); ++c) {
+    raw[c] = transform_statistic(c, raw[c]);
+  }
+  return scaler.transform_row(selected.project_row(raw));
+}
 
 BestSizePredictor::BestSizePredictor(const Dataset& data,
-                                     const PredictorConfig& config,
-                                     Rng& rng) {
+                                     std::unique_ptr<Regressor> model,
+                                     Rng& rng)
+    : model_(std::move(model)) {
+  HETSCHED_REQUIRE(model_ != nullptr);
   HETSCHED_REQUIRE(data.consistent());
   HETSCHED_REQUIRE(data.size() >= 4);
   HETSCHED_REQUIRE(data.feature_count() == kNumExecutionStatistics);
 
   report_.dataset_rows = data.size();
 
-  // 70/15/15 split on the raw dataset, stratified by application so every
-  // kernel contributes training rows.
+  // Split on the raw dataset, stratified by application so every kernel
+  // contributes training rows.
   DataSplit split =
       data.groups.empty()
-          ? split_dataset(data, config.train_fraction,
-                          config.validation_fraction, rng)
-          : split_dataset_stratified(data, config.train_fraction,
-                                     config.validation_fraction, rng);
+          ? split_dataset(data, kTrainFraction, kValidationFraction, rng)
+          : split_dataset_stratified(data, kTrainFraction,
+                                     kValidationFraction, rng);
 
-  // Feature selection fitted on training rows only.
-  selected_ = select_features(split.train, config.selection);
+  // Feature selection (the paper's top 10) fitted on training rows only.
+  selected_ = select_features(split.train);
   report_.selected_features = selected_.indices.size();
 
   Dataset train = selected_.project(split.train);
@@ -41,27 +78,16 @@ BestSizePredictor::BestSizePredictor(const Dataset& data,
     test.features = scaler_.transform(test.features);
   }
 
-  BaggingConfig bagging;
-  bagging.ensemble_size = config.ensemble_size;
-  bagging.net.layer_sizes.clear();
-  bagging.net.layer_sizes.push_back(selected_.indices.size());
-  for (std::size_t h : config.hidden) {
-    bagging.net.layer_sizes.push_back(h);
-  }
-  bagging.net.layer_sizes.push_back(1);
-  bagging.trainer = config.trainer;
-
-  ensemble_ =
-      std::make_unique<BaggedEnsemble>(bagging, train, validation, rng);
+  model_->fit(train, validation, rng);
 
   report_.train_rows = train.size();
   report_.validation_rows = validation.size();
   report_.test_rows = test.size();
-  report_.train_accuracy = snapped_accuracy(
-      ensemble_->predict(train.features), train.targets,
-      size_target_classes());
+  report_.train_accuracy =
+      snapped_accuracy(predict_rows(*model_, train.features), train.targets,
+                       size_target_classes());
   if (test.size() > 0) {
-    const Matrix predictions = ensemble_->predict(test.features);
+    const Matrix predictions = predict_rows(*model_, test.features);
     report_.test_mse = mean_squared_error(predictions, test.targets);
     report_.test_accuracy = snapped_accuracy(predictions, test.targets,
                                              size_target_classes());
@@ -70,14 +96,7 @@ BestSizePredictor::BestSizePredictor(const Dataset& data,
 
 double BestSizePredictor::predict_raw(
     const ExecutionStatistics& stats) const {
-  auto raw = stats.to_vector();
-  // Same feature transform the training dataset was built with.
-  for (std::size_t c = 0; c < raw.size(); ++c) {
-    raw[c] = transform_statistic(c, raw[c]);
-  }
-  const std::vector<double> projected = selected_.project_row(raw);
-  const std::vector<double> scaled = scaler_.transform_row(projected);
-  return ensemble_->predict_one(scaled).front();
+  return model_->predict(model_input(stats, selected_, scaler_));
 }
 
 std::uint32_t BestSizePredictor::predict_size_bytes(

@@ -1,29 +1,29 @@
-// Best-core (best cache size) predictor: the full ANN pipeline of
-// Section IV.C/IV.D.
+// Best-core (best cache size) predictor: the full pipeline of
+// Section IV.C/IV.D around a pluggable regression model.
 //
 // 18 execution statistics → feature selection (top 10 by relevance) →
-// standardisation → bagged ensemble of 30 {10,18,5,1} MLPs trained on a
-// 70/15/15 split → single regression output snapped to {2,4,8} KB.
+// standardisation → regression model trained on a 70/15/15 split →
+// single regression output snapped to {2,4,8} KB. The paper's model is a
+// bagged ensemble of 30 {10,18,5,1} MLPs (paper_model); the §VIII
+// comparison of machine-learning techniques runs the other Regressors
+// through the same pipeline.
 #pragma once
 
 #include <memory>
-#include <optional>
 
-#include "ann/bagging.hpp"
-#include "ann/dataset.hpp"
 #include "ann/feature_selection.hpp"
+#include "ann/regressor.hpp"
+#include "ann/trainer.hpp"
 #include "trace/counters.hpp"
 
 namespace hetsched {
 
 class CharacterizedSuite;
 
+// The settings callers vary. The split fractions, feature selection and
+// hidden layers are the paper's constants (predictor.cpp).
 struct PredictorConfig {
-  FeatureSelectionConfig selection{};      // max_features = 10
-  std::vector<std::size_t> hidden{18, 5};  // {n, 18, 5, 1} topology
   std::size_t ensemble_size = 30;
-  double train_fraction = 0.70;
-  double validation_fraction = 0.15;
   TrainerConfig trainer{};
 };
 
@@ -52,12 +52,28 @@ class SizePredictor {
                                 const ExecutionStatistics& stats) const = 0;
 };
 
+// The paper's model: a bagged ensemble of `config.ensemble_size`
+// {n, 18, 5, 1} MLPs over the n selected statistics.
+std::unique_ptr<Regressor> paper_model(const PredictorConfig& config);
+
+// The model input for an application's profiled statistics: the
+// dataset's per-statistic transform, then the selected columns, then
+// standardisation, as every training row went through.
+std::vector<double> model_input(const ExecutionStatistics& stats,
+                                const SelectedFeatures& selected,
+                                const StandardScaler& scaler);
+
 class BestSizePredictor final : public SizePredictor {
  public:
   // `data`: rows of 18 statistics with log2(best KB) targets (see
-  // workload/dataset_builder). Training is deterministic given `rng`.
-  BestSizePredictor(const Dataset& data, const PredictorConfig& config,
+  // workload/dataset_builder). Fits `model` on them; training is
+  // deterministic given `rng`.
+  BestSizePredictor(const Dataset& data, std::unique_ptr<Regressor> model,
                     Rng& rng);
+  // The paper's predictor: paper_model(config).
+  BestSizePredictor(const Dataset& data, const PredictorConfig& config,
+                    Rng& rng)
+      : BestSizePredictor(data, paper_model(config), rng) {}
 
   // Predicts the best cache size in bytes for an application's profiled
   // statistics.
@@ -69,18 +85,18 @@ class BestSizePredictor final : public SizePredictor {
     return predict_size_bytes(stats);
   }
 
-  // Raw (un-snapped) ensemble output, for diagnostics.
+  // Raw (un-snapped) model output, for diagnostics.
   double predict_raw(const ExecutionStatistics& stats) const;
 
   const PredictorReport& report() const { return report_; }
   const SelectedFeatures& selected_features() const { return selected_; }
   const StandardScaler& scaler() const { return scaler_; }
-  const BaggedEnsemble& ensemble() const { return *ensemble_; }
+  const Regressor& model() const { return *model_; }
 
  private:
+  std::unique_ptr<Regressor> model_;
   SelectedFeatures selected_;
   StandardScaler scaler_;
-  std::unique_ptr<BaggedEnsemble> ensemble_;
   PredictorReport report_;
 };
 

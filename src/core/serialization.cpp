@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ann/mlp_regressor.hpp"
 #include "util/contracts.hpp"
 #include "util/snapshot_text.hpp"
 #include "workload/dataset_builder.hpp"
@@ -28,6 +29,15 @@ T read_value(std::istream& in, const char* what) {
   return snapshot_text::read_value<T>(in, what, kContext);
 }
 
+Activation read_activation(std::istream& in, const char* what) {
+  const int code = read_value<int>(in, what);
+  if (code < static_cast<int>(Activation::kIdentity) ||
+      code > static_cast<int>(Activation::kRelu)) {
+    fail("unknown activation code");
+  }
+  return static_cast<Activation>(code);
+}
+
 Matrix read_matrix(std::istream& in, std::size_t rows, std::size_t cols) {
   Matrix m(rows, cols);
   for (double& v : m.flat()) {
@@ -41,10 +51,13 @@ Matrix read_matrix(std::istream& in, std::size_t rows, std::size_t cols) {
 
 PredictorSnapshot PredictorSnapshot::from(
     const BestSizePredictor& predictor) {
+  const auto* bagged =
+      dynamic_cast<const BaggedMlpRegressor*>(&predictor.model());
+  HETSCHED_REQUIRE(bagged != nullptr);
   PredictorSnapshot snapshot;
   snapshot.selected_ = predictor.selected_features();
   snapshot.scaler_ = predictor.scaler();
-  const BaggedEnsemble& ensemble = predictor.ensemble();
+  const BaggedEnsemble& ensemble = bagged->ensemble();
   snapshot.members_.reserve(ensemble.size());
   for (std::size_t i = 0; i < ensemble.size(); ++i) {
     snapshot.members_.push_back(ensemble.member(i));
@@ -161,10 +174,8 @@ PredictorSnapshot PredictorSnapshot::load(std::istream& raw_in) {
     if (config.layer_sizes.front() != n_features) {
       fail("net input width does not match feature count");
     }
-    config.hidden_activation =
-        static_cast<Activation>(read_value<int>(in, "hidden activation"));
-    config.output_activation =
-        static_cast<Activation>(read_value<int>(in, "output activation"));
+    config.hidden_activation = read_activation(in, "hidden activation");
+    config.output_activation = read_activation(in, "output activation");
 
     std::vector<Matrix> weights, biases;
     for (std::size_t l = 0; l + 1 < n_layers; ++l) {
@@ -182,15 +193,10 @@ PredictorSnapshot PredictorSnapshot::load(std::istream& raw_in) {
 double PredictorSnapshot::predict_raw(
     const ExecutionStatistics& stats) const {
   HETSCHED_REQUIRE(!members_.empty());
-  auto raw = stats.to_vector();
-  for (std::size_t c = 0; c < raw.size(); ++c) {
-    raw[c] = transform_statistic(c, raw[c]);
-  }
-  const std::vector<double> projected = selected_.project_row(raw);
-  const std::vector<double> scaled = scaler_.transform_row(projected);
+  const std::vector<double> input = model_input(stats, selected_, scaler_);
   double sum = 0.0;
   for (const Mlp& net : members_) {
-    sum += net.predict_one(scaled).front();
+    sum += net.predict_one(input).front();
   }
   return sum / static_cast<double>(members_.size());
 }

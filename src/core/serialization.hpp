@@ -20,7 +20,8 @@ namespace hetsched {
 // BestSizePredictor without the training machinery.
 class PredictorSnapshot final : public SizePredictor {
  public:
-  // Snapshot a trained predictor.
+  // Snapshot a predictor trained on the paper's bagged MLP
+  // (paper_model); any other model is a contract failure.
   static PredictorSnapshot from(const BestSizePredictor& predictor);
 
   // Serialisation. save() writes the versioned text format; load()

@@ -375,11 +375,13 @@ std::string window_to_json(const WindowRecord& w) {
   line += ",\"energy_mj\":" + CsvWriter::number(w.energy_mj);
   line += ",\"busy_cycles\":[";
   for (std::size_t i = 0; i < w.busy_cycles.size(); ++i) {
-    line += (i == 0 ? "" : ",") + std::to_string(w.busy_cycles[i]);
+    if (i != 0) line += ',';
+    line += std::to_string(w.busy_cycles[i]);
   }
   line += "],\"idle_cycles\":[";
   for (std::size_t i = 0; i < w.idle_cycles.size(); ++i) {
-    line += (i == 0 ? "" : ",") + std::to_string(w.idle_cycles[i]);
+    if (i != 0) line += ',';
+    line += std::to_string(w.idle_cycles[i]);
   }
   line += "]}";
   return line;

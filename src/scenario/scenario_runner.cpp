@@ -185,15 +185,4 @@ void attach_dag_summary(RunReport& report, const DagStats& stats) {
   report.dag = summary;
 }
 
-void record_dispatch_metrics(MetricsRegistry& metrics,
-                             const std::string& prefix,
-                             const DispatchTelemetry& dispatch) {
-  metrics.counter(prefix + "decisions").add(dispatch.decisions);
-  metrics.counter(prefix + "idle_queries").add(dispatch.idle_queries);
-  metrics.counter(prefix + "words_scanned").add(dispatch.words_scanned);
-  metrics.counter(prefix + "clamp_lookups").add(dispatch.clamp_lookups);
-  metrics.counter(prefix + "clamp_hits").add(dispatch.clamp_hits);
-  metrics.counter(prefix + "rebuilds").add(dispatch.rebuilds);
-}
-
 }  // namespace hetsched

@@ -182,11 +182,4 @@ void attach_portfolio_summary(RunReport& report,
 // (same obs-layer-stays-plain-data split as attach_portfolio_summary).
 void attach_dag_summary(RunReport& report, const DagStats& stats);
 
-// Deposits the dispatch-index telemetry under `prefix` (e.g.
-// "scale64.dispatch."). Deliberately separate from
-// record_scenario_metrics, whose output is golden-pinned byte-for-byte.
-void record_dispatch_metrics(MetricsRegistry& metrics,
-                             const std::string& prefix,
-                             const DispatchTelemetry& dispatch);
-
 }  // namespace hetsched

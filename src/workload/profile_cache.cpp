@@ -144,7 +144,7 @@ CharacterizedSuite load_suite_snapshot(std::istream& raw_in,
 
   std::string magic, version;
   if (!(in >> magic >> version) || magic != kMagic ||
-      version != "v" + std::to_string(kVersion)) {
+      version != std::string("v") + std::to_string(kVersion)) {
     fail("bad header");
   }
 

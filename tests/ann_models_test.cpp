@@ -1,5 +1,5 @@
 // Tests for the alternative regression models (knn, decision tree, ridge)
-// and the generic ModelSizePredictor pipeline.
+// and the best-size predictor pipeline running each of them.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,7 @@
 #include "ann/knn.hpp"
 #include "ann/mlp_regressor.hpp"
 #include "ann/ridge.hpp"
-#include "core/model_predictor.hpp"
+#include "core/predictor.hpp"
 #include "workload/dataset_builder.hpp"
 
 namespace hetsched {
@@ -207,7 +207,7 @@ TEST(ModelPredictorTest, AllModelsRunTheFullPipeline) {
   auto check = [&](std::unique_ptr<Regressor> model) {
     Rng rng(12);
     const std::string name(model->name());
-    ModelSizePredictor predictor(data, std::move(model), config, rng);
+    BestSizePredictor predictor(data, std::move(model), rng);
     EXPECT_EQ(predictor.report().selected_features, 10u) << name;
     EXPECT_GT(predictor.report().train_accuracy, 0.5) << name;
     // Prediction snaps to a legal size.
@@ -215,6 +215,7 @@ TEST(ModelPredictorTest, AllModelsRunTheFullPipeline) {
         0, suite.benchmark(0).base_statistics);
     EXPECT_TRUE(size == 2048 || size == 4096 || size == 8192) << name;
   };
+  check(paper_model(config));
   check(std::make_unique<KnnRegressor>());
   check(std::make_unique<DecisionTreeRegressor>());
   check(std::make_unique<RidgeRegressor>());

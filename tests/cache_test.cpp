@@ -1,10 +1,9 @@
 // Tests for src/cache: configuration model, Table-1 design space,
-// set-associative cache behaviour, replacement policies, hierarchy and
-// tuner — including property sweeps over all 18 configurations.
+// set-associative cache behaviour, replacement policies and hierarchy —
+// including property sweeps over all 18 configurations.
 #include <gtest/gtest.h>
 
 #include "cache/cache.hpp"
-#include "cache/cache_tuner.hpp"
 #include "cache/hierarchy.hpp"
 #include "util/rng.hpp"
 
@@ -282,8 +281,8 @@ TEST_P(CacheConfigSweep, WorkingSetSmallerThanCacheEventuallyAllHits) {
 
 INSTANTIATE_TEST_SUITE_P(
     Table1, CacheConfigSweep, ::testing::ValuesIn(DesignSpace::all()),
-    [](const ::testing::TestParamInfo<CacheConfig>& info) {
-      return info.param.name();
+    [](const ::testing::TestParamInfo<CacheConfig>& param_info) {
+      return param_info.param.name();
     });
 
 TEST(CacheHierarchyTest, L2AbsorbsL1Misses) {
@@ -316,26 +315,6 @@ TEST(CacheHierarchyTest, SimulateHelperMatchesManualLoop) {
   for (const MemRef& ref : trace) h.access(ref);
   EXPECT_EQ(a.l1.hits, h.stats().l1.hits);
   EXPECT_EQ(a.l2.misses, h.stats().l2.misses);
-}
-
-TEST(CacheTunerTest, ReconfigureFlushesAndCounts) {
-  CacheTuner tuner(8192, CacheConfig{8192, 1, 16});
-  tuner.cache().access(0x0, 4, true);
-  tuner.cache().access(0x40, 4, false);
-  const ReconfigureCost cost = tuner.reconfigure(CacheConfig{8192, 2, 32});
-  EXPECT_EQ(cost.flushed_writebacks, 1u);
-  EXPECT_EQ(tuner.reconfigurations(), 1u);
-  EXPECT_EQ(tuner.cache().config().associativity, 2u);
-  EXPECT_FALSE(tuner.cache().access(0x0, 4, false).hit) << "cold start";
-}
-
-TEST(CacheTunerTest, SameConfigReconfigureIsFree) {
-  CacheTuner tuner(8192, CacheConfig{8192, 1, 16});
-  tuner.cache().access(0x0, 4, true);
-  const ReconfigureCost cost = tuner.reconfigure(CacheConfig{8192, 1, 16});
-  EXPECT_EQ(cost.flushed_writebacks, 0u);
-  EXPECT_EQ(tuner.reconfigurations(), 0u);
-  EXPECT_TRUE(tuner.cache().access(0x0, 4, false).hit) << "state preserved";
 }
 
 }  // namespace

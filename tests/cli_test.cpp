@@ -50,7 +50,7 @@ struct CliRun {
 // stdout and stderr under `dir`.
 CliRun run_cli(const std::string& args, const std::string& dir) {
   const std::string out_path = dir + "/stdout.txt";
-  const std::string command = "'" + std::string(HETSCHED_CLI) + "' " + args +
+  const std::string command = std::string("'") + HETSCHED_CLI + "' " + args +
                               " > '" + out_path + "' 2> '" + dir +
                               "/stderr.txt'";
   const int raw = std::system(command.c_str());

@@ -201,8 +201,8 @@ TEST_P(EnergySweep, AllQuantitiesPositive) {
 
 INSTANTIATE_TEST_SUITE_P(
     Table1, EnergySweep, ::testing::ValuesIn(DesignSpace::all()),
-    [](const ::testing::TestParamInfo<CacheConfig>& info) {
-      return info.param.name();
+    [](const ::testing::TestParamInfo<CacheConfig>& param_info) {
+      return param_info.param.name();
     });
 
 }  // namespace

@@ -57,9 +57,9 @@ TEST_P(ExtendedKernelParamTest, CountersMatchTrace) {
 INSTANTIATE_TEST_SUITE_P(
     AllExtended, ExtendedKernelParamTest,
     ::testing::Range<std::size_t>(0, 8),
-    [](const ::testing::TestParamInfo<std::size_t>& info) {
+    [](const ::testing::TestParamInfo<std::size_t>& param_info) {
       static const auto kernels = make_extended_kernels(0.5);
-      return kernels[info.param]->name();
+      return kernels[param_info.param]->name();
     });
 
 TEST(ExtendedSuiteTest, IncludeExtendedGrowsTheSuite) {

@@ -115,8 +115,8 @@ TEST_P(GoldenModelSweep, ProductionCacheMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Table1, GoldenModelSweep, ::testing::ValuesIn(DesignSpace::all()),
-    [](const ::testing::TestParamInfo<CacheConfig>& info) {
-      return info.param.name();
+    [](const ::testing::TestParamInfo<CacheConfig>& param_info) {
+      return param_info.param.name();
     });
 
 TEST(ScaledSystemTest, ScaledHeterogeneousShapes) {

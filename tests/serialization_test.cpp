@@ -1,9 +1,13 @@
 // Tests for predictor persistence: bit-exact round trips, prediction
-// equivalence, and rejection of malformed inputs.
+// equivalence, a golden of the trained weights, and rejection of
+// malformed inputs.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 
+#include "ann/ridge.hpp"
 #include "core/serialization.hpp"
 #include "experiment/experiment.hpp"
 
@@ -76,6 +80,38 @@ TEST(SerializationTest, SecondSaveIsByteIdentical) {
   EXPECT_EQ(a.str(), b.str());
 }
 
+// The fixture's snapshot, byte for byte: pins training (split, feature
+// selection, scaling, bagging, every weight update) bit for bit.
+TEST(SerializationTest, TrainedSnapshotMatchesGolden) {
+  std::stringstream out;
+  PredictorSnapshot::from(*trained().predictor).save(out);
+  const std::string golden_path =
+      std::string(HETSCHED_SOURCE_DIR) + "/tests/golden/trained_predictor.txt";
+  if (std::getenv("HETSCHED_REGEN_GOLDEN") != nullptr) {
+    std::ofstream golden_out(golden_path);
+    golden_out << out.str();
+    ASSERT_TRUE(golden_out) << "cannot write " << golden_path;
+    GTEST_SKIP() << "golden snapshot regenerated at " << golden_path;
+  }
+  std::ifstream golden_in(golden_path);
+  ASSERT_TRUE(golden_in) << "missing golden snapshot " << golden_path
+                         << "; regenerate with HETSCHED_REGEN_GOLDEN=1";
+  std::stringstream golden;
+  golden << golden_in.rdbuf();
+  EXPECT_TRUE(out.str() == golden.str())
+      << "trained weights diverged from the checked-in golden; if the "
+         "change is intended, regenerate with HETSCHED_REGEN_GOLDEN=1 "
+         "and commit the new file";
+}
+
+TEST(SerializationTest, SnapshotRequiresThePaperModel) {
+  const Trained& t = trained();
+  Rng rng(21);
+  const BestSizePredictor ridge(build_ann_dataset(t.suite, {}),
+                                std::make_unique<RidgeRegressor>(), rng);
+  EXPECT_DEATH((void)PredictorSnapshot::from(ridge), "precondition");
+}
+
 TEST(SerializationTest, RejectsBadHeader) {
   std::stringstream in("not-a-predictor v1\n");
   EXPECT_THROW(PredictorSnapshot::load(in), std::runtime_error);
@@ -134,6 +170,26 @@ TEST(SerializationTest, AcceptsLegacySnapshotWithoutChecksum) {
   const PredictorSnapshot loaded = PredictorSnapshot::load(legacy);
   const auto& stats = t.suite.benchmark(0).base_statistics;
   EXPECT_DOUBLE_EQ(loaded.predict_raw(stats), snapshot.predict_raw(stats));
+}
+
+TEST(SerializationTest, RejectsUnknownActivation) {
+  // A structurally valid one-net snapshot; only the activation codes on
+  // its `mlp` line vary. Codes outside kIdentity..kRelu are rejected.
+  auto snapshot = [](const std::string& codes) {
+    return "hetsched-predictor v1\n"
+           "features 2 0 1\n"
+           "scaler 2 0x0p+0 0x0p+0 0x1p+0 0x1p+0\n"
+           "members 1\n"
+           "mlp 3 2 2 1 " + codes + "\n"
+           "0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0\n"
+           "0x0p+0 0x0p+0 0x0p+0\n";
+  };
+  std::stringstream valid(snapshot("1 0"));
+  EXPECT_NO_THROW(PredictorSnapshot::load(valid));
+  for (const char* codes : {"7 0", "-1 0", "1 4", "1 -1"}) {
+    std::stringstream in(snapshot(codes));
+    EXPECT_THROW(PredictorSnapshot::load(in), std::runtime_error) << codes;
+  }
 }
 
 TEST(SerializationTest, RejectsNonFiniteParameters) {

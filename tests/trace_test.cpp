@@ -188,9 +188,9 @@ TEST_P(KernelParamTest, ScaleChangesWork) {
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelParamTest,
     ::testing::Range<std::size_t>(0, 19),
-    [](const ::testing::TestParamInfo<std::size_t>& info) {
+    [](const ::testing::TestParamInfo<std::size_t>& param_info) {
       static const auto kernels = make_standard_kernels(0.5);
-      return kernels[info.param]->name();
+      return kernels[param_info.param]->name();
     });
 
 }  // namespace

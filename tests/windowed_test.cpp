@@ -437,7 +437,7 @@ TEST(EventTracerCap, DropsBeyondMaxAndCountsDrops) {
   EventTracer tracer(&metrics, "sim.");
   tracer.set_max_events(3);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    tracer.add_instant("e" + std::to_string(i), i, 0);
+    tracer.add_instant(std::string("e") + std::to_string(i), i, 0);
   }
   EXPECT_EQ(tracer.events().size(), 3u);
   EXPECT_EQ(tracer.events().front().name, "e0");  // prefix retained
