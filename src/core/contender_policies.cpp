@@ -173,11 +173,9 @@ void RandomPolicy::save_state(std::ostream& out) const {
 
 void RandomPolicy::restore_state(std::istream& in,
                                  const std::string& context) {
-  const auto header = st::read_value<std::string>(in, "policy tag", context);
-  const auto tag = st::read_value<std::string>(in, "policy name", context);
-  if (header != "policy-state" || tag != "random") {
-    st::fail(context, "mismatched random policy state header");
-  }
+  st::Reader r(in, context);
+  r.expect("policy-state");
+  r.expect("random");
   rng_.restore_state(in, context);
 }
 

@@ -31,6 +31,13 @@ struct Job {
   std::uint32_t cp_rank = 0;
 };
 
+// A job a paused simulator holds (admitted, not retired): its id and,
+// when a core runs it, the cycle its current execution started at.
+struct HeldJob {
+  std::uint64_t job_id = 0;
+  std::optional<SimTime> started_at;
+};
+
 // Why an execution was scheduled; drives overhead accounting.
 enum class ExecutionKind {
   kNormal,     // run in a best-known configuration

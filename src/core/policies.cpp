@@ -22,12 +22,9 @@ void SchedulerPolicy::save_state(std::ostream& out) const {
 
 void SchedulerPolicy::restore_state(std::istream& in,
                                     const std::string& context) {
-  namespace st = snapshot_text;
-  const auto header = st::read_value<std::string>(in, "policy tag", context);
-  const auto tag = st::read_value<std::string>(in, "policy name", context);
-  if (header != "policy-state" || tag != "none") {
-    st::fail(context, "mismatched stateless policy state header");
-  }
+  snapshot_text::Reader r(in, context);
+  r.expect("policy-state");
+  r.expect("none");
 }
 
 namespace policy_detail {

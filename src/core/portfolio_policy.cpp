@@ -176,58 +176,43 @@ void PortfolioPolicy::save_state(std::ostream& out) const {
 
 void PortfolioPolicy::restore_state(std::istream& in,
                                     const std::string& context) {
-  const auto header = st::read_value<std::string>(in, "policy tag", context);
-  const auto tag = st::read_value<std::string>(in, "policy name", context);
-  if (header != "policy-state" || tag != "portfolio") {
-    st::fail(context, "mismatched portfolio policy state header");
+  st::Reader r(in, context);
+  r.expect("policy-state");
+  r.expect("portfolio");
+  if (r.read<std::size_t>("contender count") != contenders_.size()) {
+    r.fail("portfolio contender count mismatch");
   }
-  const auto count =
-      st::read_value<std::size_t>(in, "contender count", context);
-  if (count != contenders_.size()) {
-    st::fail(context, "portfolio contender count mismatch");
-  }
-  const auto window_tag = st::read_value<std::string>(in, "window tag", context);
-  if (window_tag != "window") st::fail(context, "expected window tag");
-  window_index_ = st::read_value<std::uint64_t>(in, "window index", context);
-  window_end_ = st::read_value<SimTime>(in, "window end", context);
-  active_ = st::read_value<std::size_t>(in, "active contender", context);
-  if (active_ >= contenders_.size()) {
-    st::fail(context, "active contender out of range");
-  }
+  r.expect("window");
+  window_index_ = r.read<std::uint64_t>("window index");
+  window_end_ = r.read<SimTime>("window end");
+  active_ = r.read<std::size_t>("active contender");
+  if (active_ >= contenders_.size()) r.fail("active contender out of range");
   for (std::size_t i = 0; i < contenders_.size(); ++i) {
-    const auto label =
-        st::read_value<std::string>(in, "contender label", context);
-    if (label != labels_[i]) {
-      st::fail(context, "portfolio contender roster mismatch");
+    if (r.token("contender label") != labels_[i]) {
+      r.fail("portfolio contender roster mismatch");
     }
-    scored_[i] = st::read_value<std::uint64_t>(in, "scored windows", context);
-    led_[i] = st::read_value<std::uint64_t>(in, "led windows", context);
-    score_[i] = st::read_value<double>(in, "score", context);
+    scored_[i] = r.read<std::uint64_t>("scored windows");
+    led_[i] = r.read<std::uint64_t>("led windows");
+    score_[i] = r.read<double>("score");
   }
-  const auto account_tag =
-      st::read_value<std::string>(in, "account tag", context);
-  if (account_tag != "account") st::fail(context, "expected account tag");
-  account_.decisions = st::read_value<std::uint64_t>(in, "decisions", context);
-  account_.stalls = st::read_value<std::uint64_t>(in, "stalls", context);
-  account_.placed = st::read_value<std::uint64_t>(in, "placed", context);
-  account_.predicted = st::read_value<std::uint64_t>(in, "predicted", context);
-  account_.hits = st::read_value<std::uint64_t>(in, "hits", context);
-  account_.known_jobs =
-      st::read_value<std::uint64_t>(in, "known jobs", context);
-  account_.known_energy_nj = st::read_value<double>(in, "known energy", context);
-  const auto switches_tag =
-      st::read_value<std::string>(in, "switches tag", context);
-  if (switches_tag != "switches") st::fail(context, "expected switches tag");
-  const auto switch_count =
-      st::read_value<std::size_t>(in, "switch count", context);
+  r.expect("account");
+  account_.decisions = r.read<std::uint64_t>("decisions");
+  account_.stalls = r.read<std::uint64_t>("stalls");
+  account_.placed = r.read<std::uint64_t>("placed");
+  account_.predicted = r.read<std::uint64_t>("predicted");
+  account_.hits = r.read<std::uint64_t>("hits");
+  account_.known_jobs = r.read<std::uint64_t>("known jobs");
+  account_.known_energy_nj = r.read<double>("known energy");
+  r.expect("switches");
+  const std::size_t switch_count = r.count("switch count", 8);
   switches_.clear();
   switches_.reserve(switch_count);
   for (std::size_t i = 0; i < switch_count; ++i) {
     PortfolioStats::Switch s;
-    s.window = st::read_value<std::uint64_t>(in, "switch window", context);
-    s.time = st::read_value<SimTime>(in, "switch time", context);
-    s.from = st::read_value<std::string>(in, "switch from", context);
-    s.to = st::read_value<std::string>(in, "switch to", context);
+    s.window = r.read<std::uint64_t>("switch window");
+    s.time = r.read<SimTime>("switch time");
+    s.from = r.token("switch from");
+    s.to = r.token("switch to");
     switches_.push_back(std::move(s));
   }
   for (auto& contender : contenders_) {

@@ -149,26 +149,16 @@ void ProfilingTable::save_state(std::ostream& out) const {
 
 void ProfilingTable::restore_state(std::istream& in,
                                    const std::string& context) {
-  std::string token;
-  if (!(in >> token) || token != "profiling-table") {
-    snapshot_text::fail(context, "expected 'profiling-table'");
-  }
-  const auto count =
-      snapshot_text::read_value<std::size_t>(in, "table size", context);
-  if (count != entries_.size()) {
-    snapshot_text::fail(context,
-                        "profiling table benchmark count does not match");
+  snapshot_text::Reader r(in, context);
+  r.expect("profiling-table");
+  if (r.read<std::size_t>("table size") != entries_.size()) {
+    r.fail("profiling table benchmark count does not match");
   }
   for (std::size_t id = 0; id < entries_.size(); ++id) {
-    if (!(in >> token) || token != "entry") {
-      snapshot_text::fail(context, "expected 'entry'");
-    }
-    const auto got =
-        snapshot_text::read_value<std::size_t>(in, "entry id", context);
-    if (got != id) snapshot_text::fail(context, "entry ids out of order");
+    r.expect("entry");
+    if (r.read<std::size_t>("entry id") != id) r.fail("entry ids out of order");
     Entry entry;
-    entry.profiled =
-        snapshot_text::read_value<int>(in, "profiled flag", context) != 0;
+    entry.profiled = r.flag("profiled flag");
     auto& s = entry.statistics;
     double* const fields[kNumExecutionStatistics] = {
         &s.total_instructions, &s.cycles,        &s.loads,
@@ -177,38 +167,22 @@ void ProfilingTable::restore_state(std::istream& in,
         &s.l1_misses,          &s.l1_miss_rate,  &s.compulsory_misses,
         &s.writebacks,         &s.working_set_bytes, &s.load_fraction,
         &s.mem_intensity,      &s.compute_intensity, &s.branch_fraction};
-    for (double* field : fields) {
-      *field = snapshot_text::read_value<double>(in, "statistic", context);
+    for (double* field : fields) *field = r.read<double>("statistic");
+    r.expect("prediction");
+    if (r.flag("prediction flag")) {
+      entry.predicted_best_size_bytes = r.read<std::uint32_t>("predicted size");
     }
-    if (!(in >> token) || token != "prediction") {
-      snapshot_text::fail(context, "expected 'prediction'");
-    }
-    if (snapshot_text::read_value<int>(in, "prediction flag", context) != 0) {
-      entry.predicted_best_size_bytes = snapshot_text::read_value<
-          std::uint32_t>(in, "predicted size", context);
-    }
-    if (!(in >> token) || token != "observations") {
-      snapshot_text::fail(context, "expected 'observations'");
-    }
-    const auto observed =
-        snapshot_text::read_value<std::size_t>(in, "observation count",
-                                               context);
-    if (observed > kConfigCount) {
-      snapshot_text::fail(context, "too many observations");
-    }
+    r.expect("observations");
+    const std::size_t observed = r.count("observation count");
+    if (observed > kConfigCount) r.fail("too many observations");
     for (std::size_t n = 0; n < observed; ++n) {
-      const auto idx = snapshot_text::read_value<std::size_t>(
-          in, "observation index", context);
-      if (idx >= kConfigCount) {
-        snapshot_text::fail(context, "observation index out of range");
-      }
+      const auto idx = r.read<std::size_t>("observation index");
+      if (idx >= kConfigCount) r.fail("observation index out of range");
       Observation obs;
-      obs.total_energy = NanoJoules(snapshot_text::read_value<double>(
-          in, "observation total energy", context));
-      obs.dynamic_energy = NanoJoules(snapshot_text::read_value<double>(
-          in, "observation dynamic energy", context));
-      obs.cycles =
-          snapshot_text::read_value<Cycles>(in, "observation cycles", context);
+      obs.total_energy = NanoJoules(r.read<double>("observation total energy"));
+      obs.dynamic_energy =
+          NanoJoules(r.read<double>("observation dynamic energy"));
+      obs.cycles = r.read<Cycles>("observation cycles");
       entry.observations_[idx] = obs;
     }
     entries_[id] = entry;

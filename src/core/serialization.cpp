@@ -20,29 +20,22 @@ const std::string kContext = "PredictorSnapshot::load";
 
 using snapshot_text::write_double;
 
-[[noreturn]] void fail(const std::string& what) {
-  snapshot_text::fail(kContext, what);
-}
-
-template <typename T>
-T read_value(std::istream& in, const char* what) {
-  return snapshot_text::read_value<T>(in, what, kContext);
-}
-
-Activation read_activation(std::istream& in, const char* what) {
-  const int code = read_value<int>(in, what);
+Activation read_activation(snapshot_text::Reader& r, const char* what) {
+  const int code = r.read<int>(what);
   if (code < static_cast<int>(Activation::kIdentity) ||
       code > static_cast<int>(Activation::kRelu)) {
-    fail("unknown activation code");
+    r.fail("unknown activation code");
   }
   return static_cast<Activation>(code);
 }
 
-Matrix read_matrix(std::istream& in, std::size_t rows, std::size_t cols) {
+Matrix read_matrix(snapshot_text::Reader& r, std::size_t rows,
+                   std::size_t cols) {
+  r.require_fit(rows * cols, 2, "matrix element count");
   Matrix m(rows, cols);
   for (double& v : m.flat()) {
-    v = read_value<double>(in, "matrix element");
-    if (!std::isfinite(v)) fail("non-finite network parameter");
+    v = r.read<double>("matrix element");
+    if (!std::isfinite(v)) r.fail("non-finite network parameter");
   }
   return m;
 }
@@ -115,78 +108,74 @@ PredictorSnapshot PredictorSnapshot::load(std::istream& raw_in) {
   // token-level parsing. Files from before the checksum was introduced
   // simply lack the line and are still accepted.
   std::istringstream in(snapshot_text::read_verified(raw_in, kContext));
+  snapshot_text::Reader r(in, kContext);
   std::string magic, version;
   if (!(in >> magic >> version) || magic != kMagic ||
       version != "v" + std::to_string(kVersion)) {
-    fail("bad header");
+    r.fail("bad header");
   }
 
   PredictorSnapshot snapshot;
 
-  std::string token;
-  in >> token;
-  if (token != "features") fail("expected 'features'");
-  const auto n_features = read_value<std::size_t>(in, "feature count");
+  r.expect("features");
+  const std::size_t n_features = r.count("feature count");
   if (n_features == 0 || n_features > kNumExecutionStatistics) {
-    fail("implausible feature count");
+    r.fail("implausible feature count");
   }
   snapshot.selected_.indices.resize(n_features);
   for (auto& idx : snapshot.selected_.indices) {
-    idx = read_value<std::size_t>(in, "feature index");
-    if (idx >= kNumExecutionStatistics) fail("feature index out of range");
+    idx = r.read<std::size_t>("feature index");
+    if (idx >= kNumExecutionStatistics) r.fail("feature index out of range");
   }
   snapshot.selected_.relevance.assign(kNumExecutionStatistics, 0.0);
 
-  in >> token;
-  if (token != "scaler") fail("expected 'scaler'");
-  const auto d = read_value<std::size_t>(in, "scaler width");
-  if (d != n_features) fail("scaler width mismatch");
+  r.expect("scaler");
+  const std::size_t d = r.count("scaler width", 4);
+  if (d != n_features) r.fail("scaler width mismatch");
   std::vector<double> means(d), stds(d);
   for (auto& v : means) {
-    v = read_value<double>(in, "scaler mean");
-    if (!std::isfinite(v)) fail("non-finite scaler mean");
+    v = r.read<double>("scaler mean");
+    if (!std::isfinite(v)) r.fail("non-finite scaler mean");
   }
   for (auto& v : stds) {
-    v = read_value<double>(in, "scaler stddev");
+    v = r.read<double>("scaler stddev");
     if (!std::isfinite(v) || v <= 0.0) {
-      fail("scaler stddev not finite and positive");
+      r.fail("scaler stddev not finite and positive");
     }
   }
   snapshot.scaler_ =
       StandardScaler::from_moments(std::move(means), std::move(stds));
 
-  in >> token;
-  if (token != "members") fail("expected 'members'");
-  const auto n_members = read_value<std::size_t>(in, "member count");
-  if (n_members == 0 || n_members > 10000) fail("implausible member count");
+  r.expect("members");
+  const std::size_t n_members = r.count("member count");
+  if (n_members == 0 || n_members > 10000) r.fail("implausible member count");
   snapshot.members_.reserve(n_members);
   for (std::size_t m = 0; m < n_members; ++m) {
-    in >> token;
-    if (token != "mlp") fail("expected 'mlp'");
-    const auto n_layers = read_value<std::size_t>(in, "layer count");
-    if (n_layers < 2 || n_layers > 64) fail("implausible layer count");
+    r.expect("mlp");
+    const std::size_t n_layers = r.count("layer count");
+    if (n_layers < 2 || n_layers > 64) r.fail("implausible layer count");
     MlpConfig config;
     config.layer_sizes.resize(n_layers);
     for (auto& s : config.layer_sizes) {
-      s = read_value<std::size_t>(in, "layer size");
-      if (s == 0 || s > 100000) fail("implausible layer size");
+      s = r.read<std::size_t>("layer size");
+      if (s == 0 || s > 100000) r.fail("implausible layer size");
     }
     if (config.layer_sizes.front() != n_features) {
-      fail("net input width does not match feature count");
+      r.fail("net input width does not match feature count");
     }
-    config.hidden_activation = read_activation(in, "hidden activation");
-    config.output_activation = read_activation(in, "output activation");
+    config.hidden_activation = read_activation(r, "hidden activation");
+    config.output_activation = read_activation(r, "output activation");
 
     std::vector<Matrix> weights, biases;
     for (std::size_t l = 0; l + 1 < n_layers; ++l) {
-      weights.push_back(read_matrix(in, config.layer_sizes[l],
+      weights.push_back(read_matrix(r, config.layer_sizes[l],
                                     config.layer_sizes[l + 1]));
-      biases.push_back(read_matrix(in, 1, config.layer_sizes[l + 1]));
+      biases.push_back(read_matrix(r, 1, config.layer_sizes[l + 1]));
     }
     snapshot.members_.push_back(Mlp::from_parameters(
         std::move(config), std::move(weights), std::move(biases)));
   }
-  if (in >> token) fail("trailing garbage after last member");
+  if (!r.at_end()) r.fail("trailing garbage after last member");
   return snapshot;
 }
 

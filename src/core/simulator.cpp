@@ -26,27 +26,16 @@ void write_job(std::ostream& out, const Job& job) {
   out << "\n";
 }
 
-Job read_job(std::istream& in, const std::string& context) {
+Job read_job(st::Reader& r) {
   Job job;
-  job.job_id = st::read_value<std::uint64_t>(in, "job id", context);
-  job.benchmark_id = st::read_value<std::size_t>(in, "benchmark id", context);
-  job.arrival = st::read_value<SimTime>(in, "job arrival", context);
-  job.priority = st::read_value<int>(in, "job priority", context);
-  if (st::read_value<int>(in, "deadline flag", context) != 0) {
-    job.deadline = st::read_value<SimTime>(in, "job deadline", context);
-  }
-  job.cp_rank = st::read_value<std::uint32_t>(in, "job cp rank", context);
-  job.remaining_fraction =
-      st::read_value<double>(in, "remaining fraction", context);
+  job.job_id = r.read<std::uint64_t>("job id");
+  job.benchmark_id = r.read<std::size_t>("benchmark id");
+  job.arrival = r.read<SimTime>("job arrival");
+  job.priority = r.read<int>("job priority");
+  if (r.flag("deadline flag")) job.deadline = r.read<SimTime>("job deadline");
+  job.cp_rank = r.read<std::uint32_t>("job cp rank");
+  job.remaining_fraction = r.read<double>("remaining fraction");
   return job;
-}
-
-void expect_token(std::istream& in, const char* token,
-                  const std::string& context) {
-  std::string got;
-  if (!(in >> got) || got != token) {
-    st::fail(context, std::string("expected '") + token + "'");
-  }
 }
 
 }  // namespace
@@ -87,67 +76,54 @@ void save_simulation_result(std::ostream& out, const SimulationResult& r) {
 
 void load_simulation_result(std::istream& in, SimulationResult& r,
                             const std::string& context) {
-  expect_token(in, "result", context);
-  expect_token(in, "energies", context);
+  st::Reader reader(in, context);
+  reader.expect("result");
+  reader.expect("energies");
   for (NanoJoules* e :
        {&r.idle_energy, &r.dynamic_energy, &r.busy_static_energy,
         &r.cpu_energy, &r.reconfig_energy, &r.profiling_energy,
         &r.tuning_energy}) {
-    *e = NanoJoules(st::read_value<double>(in, "energy", context));
+    *e = NanoJoules(reader.read<double>("energy"));
   }
-  expect_token(in, "counts", context);
-  r.makespan = st::read_value<Cycles>(in, "makespan", context);
-  r.total_execution_cycles =
-      st::read_value<Cycles>(in, "total execution cycles", context);
-  r.completed_jobs =
-      st::read_value<std::uint64_t>(in, "completed jobs", context);
-  r.stall_events = st::read_value<std::uint64_t>(in, "stall events", context);
-  r.profiling_runs =
-      st::read_value<std::uint64_t>(in, "profiling runs", context);
-  r.tuning_runs = st::read_value<std::uint64_t>(in, "tuning runs", context);
-  r.reconfigurations =
-      st::read_value<std::uint64_t>(in, "reconfigurations", context);
-  r.preemptions = st::read_value<std::uint64_t>(in, "preemptions", context);
-  r.jobs_with_deadline =
-      st::read_value<std::uint64_t>(in, "jobs with deadline", context);
-  r.deadline_misses =
-      st::read_value<std::uint64_t>(in, "deadline misses", context);
-  r.total_response_cycles =
-      st::read_value<Cycles>(in, "total response cycles", context);
-  expect_token(in, "faults", context);
+  reader.expect("counts");
+  r.makespan = reader.read<Cycles>("makespan");
+  r.total_execution_cycles = reader.read<Cycles>("total execution cycles");
+  r.completed_jobs = reader.read<std::uint64_t>("completed jobs");
+  r.stall_events = reader.read<std::uint64_t>("stall events");
+  r.profiling_runs = reader.read<std::uint64_t>("profiling runs");
+  r.tuning_runs = reader.read<std::uint64_t>("tuning runs");
+  r.reconfigurations = reader.read<std::uint64_t>("reconfigurations");
+  r.preemptions = reader.read<std::uint64_t>("preemptions");
+  r.jobs_with_deadline = reader.read<std::uint64_t>("jobs with deadline");
+  r.deadline_misses = reader.read<std::uint64_t>("deadline misses");
+  r.total_response_cycles = reader.read<Cycles>("total response cycles");
+  reader.expect("faults");
   FaultStats& f = r.faults;
   for (std::uint64_t* field :
        {&f.injected, &f.core_failures, &f.core_recoveries, &f.jobs_requeued,
         &f.counter_corruptions, &f.reconfig_failures, &f.reconfig_retries,
         &f.degraded_executions, &f.prediction_fallbacks,
         &f.watchdog_fires}) {
-    *field = st::read_value<std::uint64_t>(in, "fault counter", context);
+    *field = reader.read<std::uint64_t>("fault counter");
   }
-  expect_token(in, "per-priority", context);
-  const auto priorities =
-      st::read_value<std::size_t>(in, "priority count", context);
+  reader.expect("per-priority");
+  const std::size_t priorities = reader.count("priority count");
   r.per_priority.clear();
   for (std::size_t i = 0; i < priorities; ++i) {
-    const int priority = st::read_value<int>(in, "priority level", context);
+    const int priority = reader.read<int>("priority level");
     SimulationResult::PriorityStats stats;
-    stats.completed =
-        st::read_value<std::uint64_t>(in, "priority completed", context);
+    stats.completed = reader.read<std::uint64_t>("priority completed");
     stats.total_response_cycles =
-        st::read_value<Cycles>(in, "priority response cycles", context);
-    stats.deadline_misses =
-        st::read_value<std::uint64_t>(in, "priority misses", context);
+        reader.read<Cycles>("priority response cycles");
+    stats.deadline_misses = reader.read<std::uint64_t>("priority misses");
     r.per_priority.emplace(priority, stats);
   }
-  expect_token(in, "per-core", context);
-  const auto core_count =
-      st::read_value<std::size_t>(in, "core usage count", context);
-  r.per_core.assign(core_count, CoreUsage{});
+  reader.expect("per-core");
+  r.per_core.assign(reader.count("core usage count"), CoreUsage{});
   for (CoreUsage& usage : r.per_core) {
-    usage.busy_cycles = st::read_value<Cycles>(in, "core busy", context);
-    usage.executions =
-        st::read_value<std::uint64_t>(in, "core executions", context);
-    usage.utilization =
-        st::read_value<double>(in, "core utilization", context);
+    usage.busy_cycles = reader.read<Cycles>("core busy");
+    usage.executions = reader.read<std::uint64_t>("core executions");
+    usage.utilization = reader.read<double>("core utilization");
   }
 }
 
@@ -847,13 +823,13 @@ void MulticoreSimulator::save_stream_state(std::ostream& out) const {
     const CoreRuntime& c = cores_[i];
     out << "core " << i << ' ' << c.current_config.name() << ' '
         << (c.busy ? 1 : 0) << ' ' << (c.online ? 1 : 0) << ' '
-        << c.busy_until << ' ' << c.running_job_id << ' '
-        << c.running_benchmark << ' ' << static_cast<int>(c.running_kind)
-        << ' ' << c.idle_since << ' ' << c.busy_cycles << ' '
+        << c.busy_until << ' ' << static_cast<int>(c.running_kind) << ' '
+        << c.idle_since << ' ' << c.busy_cycles << ' '
         << c.executions << "\n";
   }
   // Every running-job slot verbatim (stale slots included) so restored
-  // memory is byte-stable, not just behaviourally equivalent.
+  // memory is byte-stable, not just behaviourally equivalent; a core's
+  // running job id and benchmark are its slot's.
   out << "running-jobs " << running_jobs_.size() << "\n";
   for (const Job& job : running_jobs_) write_job(out, job);
   out << "started-at";
@@ -889,142 +865,153 @@ void MulticoreSimulator::save_stream_state(std::ostream& out) const {
 }
 
 void MulticoreSimulator::restore_stream_state(std::istream& in,
+                                              SimTime paused_at,
                                               const std::string& context) {
   HETSCHED_REQUIRE(!ran_);
-  expect_token(in, "simulator", context);
-  const auto cores = st::read_value<std::size_t>(in, "core count", context);
-  if (cores != cores_.size()) {
-    st::fail(context, "core count does not match the configured system");
+  st::Reader r(in, context);
+  r.expect("simulator");
+  if (r.read<std::size_t>("core count") != cores_.size()) {
+    r.fail("core count does not match the configured system");
   }
   for (std::size_t i = 0; i < cores_.size(); ++i) {
-    expect_token(in, "core", context);
-    if (st::read_value<std::size_t>(in, "core index", context) != i) {
-      st::fail(context, "core indices out of order");
+    r.expect("core");
+    if (r.read<std::size_t>("core index") != i) {
+      r.fail("core indices out of order");
     }
     CoreRuntime& c = cores_[i];
-    std::string config_name;
-    if (!(in >> config_name)) {
-      st::fail(context, "cannot read core configuration");
-    }
+    const std::string config_name = r.token("core configuration");
     const auto config = CacheConfig::parse(config_name);
     if (!config.has_value() ||
         config->size_bytes != c.spec.cache_size_bytes) {
-      st::fail(context, "core configuration '" + config_name +
-                            "' is invalid for this system");
+      r.fail("core configuration '" + config_name +
+             "' is invalid for this system");
     }
     c.current_config = *config;
-    c.busy = st::read_value<int>(in, "core busy", context) != 0;
-    c.online = st::read_value<int>(in, "core online", context) != 0;
-    c.busy_until = st::read_value<SimTime>(in, "core busy-until", context);
-    c.running_job_id =
-        st::read_value<std::uint64_t>(in, "core running job", context);
-    c.running_benchmark =
-        st::read_value<std::size_t>(in, "core running benchmark", context);
-    const int kind = st::read_value<int>(in, "core running kind", context);
+    c.busy = r.flag("core busy");
+    c.online = r.flag("core online");
+    // Only a fault plan takes a core offline, and never a busy one.
+    if (!c.online && (c.busy || injector_ == nullptr)) {
+      r.fail("core offline while busy or without a fault plan");
+    }
+    c.busy_until = r.read<SimTime>("core busy-until");
+    const int kind = r.read<int>("core running kind");
     if (kind < 0 || kind > static_cast<int>(ExecutionKind::kTuning)) {
-      st::fail(context, "core running kind out of range");
+      r.fail("core running kind out of range");
     }
     c.running_kind = static_cast<ExecutionKind>(kind);
-    c.idle_since = st::read_value<SimTime>(in, "core idle-since", context);
-    c.busy_cycles = st::read_value<Cycles>(in, "core busy cycles", context);
-    c.executions =
-        st::read_value<std::uint64_t>(in, "core executions", context);
-    if (c.running_benchmark >= suite_.size()) {
-      st::fail(context, "core running benchmark out of range");
-    }
+    c.idle_since = r.read<SimTime>("core idle-since");
+    c.busy_cycles = r.read<Cycles>("core busy cycles");
+    c.executions = r.read<std::uint64_t>("core executions");
   }
-  // Derived per-core state: the running-execution profile pointer is
-  // re-resolved from the restored (benchmark, configuration) pair.
+  r.expect("running-jobs");
+  if (r.read<std::size_t>("running-job count") != running_jobs_.size()) {
+    r.fail("running-job count does not match core count");
+  }
   for (std::size_t i = 0; i < cores_.size(); ++i) {
+    running_jobs_[i] = read_job(r);
+    if (running_jobs_[i].benchmark_id >= suite_.size()) {
+      r.fail("core running benchmark out of range");
+    }
+    // Derived per-core state: the running job's identity and the
+    // execution profile of its (benchmark, configuration) pair.
+    CoreRuntime& c = cores_[i];
+    c.running_job_id = running_jobs_[i].job_id;
+    c.running_benchmark = running_jobs_[i].benchmark_id;
     running_profile_[i] =
-        cores_[i].busy
-            ? &suite_.benchmark(cores_[i].running_benchmark)
-                   .profile_for(cores_[i].current_config)
-            : nullptr;
+        c.busy ? &suite_.benchmark(c.running_benchmark)
+                      .profile_for(c.current_config)
+               : nullptr;
   }
-  expect_token(in, "running-jobs", context);
-  if (st::read_value<std::size_t>(in, "running-job count", context) !=
-      running_jobs_.size()) {
-    st::fail(context, "running-job count does not match core count");
-  }
-  for (Job& job : running_jobs_) job = read_job(in, context);
-  expect_token(in, "started-at", context);
-  for (SimTime& t : started_at_) {
-    t = st::read_value<SimTime>(in, "started-at", context);
-  }
-  expect_token(in, "hung", context);
-  for (char& h : hung_) {
-    h = static_cast<char>(st::read_value<int>(in, "hung flag", context));
-  }
-  expect_token(in, "ready", context);
-  const auto queued =
-      st::read_value<std::size_t>(in, "ready-queue size", context);
+  r.expect("started-at");
+  for (SimTime& t : started_at_) t = r.read<SimTime>("started-at");
+  r.expect("hung");
+  for (char& h : hung_) h = r.flag("hung flag") ? 1 : 0;
+  r.expect("ready");
+  const std::size_t queued = r.count("ready-queue size");
   ready_.clear();
   for (std::size_t i = 0; i < queued; ++i) {
-    Job job = read_job(in, context);
-    if (job.benchmark_id >= suite_.size()) {
-      st::fail(context, "queued benchmark id out of range");
+    ready_.push_back(read_job(r));
+    if (ready_.back().benchmark_id >= suite_.size()) {
+      r.fail("queued benchmark id out of range");
     }
-    ready_.push_back(job);
   }
-  expect_token(in, "completions", context);
-  const auto in_flight =
-      st::read_value<std::size_t>(in, "completion count", context);
+  r.expect("completions");
+  const std::size_t in_flight = r.count("completion count");
   while (!completions_.empty()) completions_.pop();
   for (std::size_t i = 0; i < in_flight; ++i) {
     Completion c;
-    c.time = st::read_value<SimTime>(in, "completion time", context);
-    c.core = st::read_value<std::size_t>(in, "completion core", context);
-    c.job_id = st::read_value<std::uint64_t>(in, "completion job", context);
-    if (c.core >= cores_.size()) {
-      st::fail(context, "completion core out of range");
-    }
+    c.time = r.read<SimTime>("completion time");
+    c.core = r.read<std::size_t>("completion core");
+    c.job_id = r.read<std::uint64_t>("completion job");
+    if (c.core >= cores_.size()) r.fail("completion core out of range");
+    if (c.time < paused_at) r.fail("completion before the boundary");
     completions_.push(c);
   }
-  expect_token(in, "watchdog", context);
-  const auto watchdogs =
-      st::read_value<std::size_t>(in, "watchdog count", context);
+  r.expect("watchdog");
+  const std::size_t watchdogs = r.count("watchdog count");
   watchdog_counts_.clear();
   for (std::size_t i = 0; i < watchdogs; ++i) {
-    const auto job_id =
-        st::read_value<std::uint64_t>(in, "watchdog job", context);
-    watchdog_counts_[job_id] =
-        st::read_value<std::uint32_t>(in, "watchdog fires", context);
+    const auto job_id = r.read<std::uint64_t>("watchdog job");
+    watchdog_counts_[job_id] = r.read<std::uint32_t>("watchdog fires");
   }
   table_.restore_state(in, context);
   load_simulation_result(in, result_, context);
   cached_level_ = nullptr;  // result_ was replaced; map nodes are new
   if (result_.per_core.size() != cores_.size()) {
-    st::fail(context, "per-core usage count does not match");
+    r.fail("per-core usage count does not match");
   }
-  expect_token(in, "pending", context);
+  r.expect("pending");
   pending_.reset();
-  if (st::read_value<int>(in, "pending flag", context) != 0) {
+  if (r.flag("pending flag")) {
     JobArrival arrival;
-    arrival.benchmark_id =
-        st::read_value<std::size_t>(in, "pending benchmark", context);
-    arrival.arrival = st::read_value<SimTime>(in, "pending arrival", context);
-    arrival.priority = st::read_value<int>(in, "pending priority", context);
-    if (st::read_value<int>(in, "pending deadline flag", context) != 0) {
-      arrival.deadline =
-          st::read_value<SimTime>(in, "pending deadline", context);
+    arrival.benchmark_id = r.read<std::size_t>("pending benchmark");
+    arrival.arrival = r.read<SimTime>("pending arrival");
+    arrival.priority = r.read<int>("pending priority");
+    if (r.flag("pending deadline flag")) {
+      arrival.deadline = r.read<SimTime>("pending deadline");
     }
-    arrival.cp_rank =
-        st::read_value<std::uint32_t>(in, "pending cp rank", context);
+    arrival.cp_rank = r.read<std::uint32_t>("pending cp rank");
     if (arrival.benchmark_id >= suite_.size()) {
-      st::fail(context, "pending benchmark id out of range");
+      r.fail("pending benchmark id out of range");
+    }
+    if (arrival.arrival < paused_at) {
+      r.fail("pending arrival before the boundary");
     }
     pending_ = arrival;
   }
-  expect_token(in, "admitted", context);
-  admitted_ = st::read_value<std::uint64_t>(in, "admitted count", context);
-  next_job_id_ = st::read_value<std::uint64_t>(in, "next job id", context);
+  r.expect("admitted");
+  admitted_ = r.read<std::uint64_t>("admitted count");
+  next_job_id_ = r.read<std::uint64_t>("next job id");
+  // Every held job once, under an id already handed out.
+  std::vector<std::uint64_t> held;
+  for (const HeldJob& job : held_jobs()) {
+    if (job.job_id >= next_job_id_) r.fail("held job id not yet admitted");
+    held.push_back(job.job_id);
+  }
+  std::sort(held.begin(), held.end());
+  if (std::adjacent_find(held.begin(), held.end()) != held.end()) {
+    r.fail("held job id listed twice");
+  }
+  // Every admitted job is either retired or held, under ids 0, 1, ...
+  if (next_job_id_ != admitted_ ||
+      admitted_ != result_.completed_jobs + held.size()) {
+    r.fail("admitted count does not match the retired and held jobs");
+  }
   // The index is derived state: rebuild it from the restored cores
   // instead of serializing it, so checkpoints stay format-stable and the
   // resumed run is bit-identical by construction.
   index_.rebuild(cores_);
   ran_ = true;
   streaming_ = true;
+}
+
+std::vector<HeldJob> MulticoreSimulator::held_jobs() const {
+  std::vector<HeldJob> held;
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
+    if (cores_[i].busy) held.push_back({running_jobs_[i].job_id, started_at_[i]});
+  }
+  for (const Job& job : ready_) held.push_back({job.job_id, std::nullopt});
+  return held;
 }
 
 }  // namespace hetsched

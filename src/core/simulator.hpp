@@ -32,6 +32,7 @@
 #include <memory>
 #include <queue>
 #include <string>
+#include <vector>
 
 #include "core/schedule_log.hpp"
 #include "core/scheduler.hpp"
@@ -183,10 +184,19 @@ class MulticoreSimulator {
   // system/suite/energy/policy/discipline (and injector when the saved
   // run had one) before any run; the caller also restores the arrival
   // source to its saved position, after which advance_stream_until
-  // continues bit-identically. Throws std::runtime_error (tagged with
-  // `context`) on malformed or mismatched input.
+  // continues bit-identically. `paused_at` is the limit the saved run
+  // paused at: nothing may be due before it. Throws std::runtime_error
+  // (tagged with `context`) on malformed or mismatched input.
   void save_stream_state(std::ostream& out) const;
-  void restore_stream_state(std::istream& in, const std::string& context);
+  void restore_stream_state(std::istream& in, SimTime paused_at,
+                            const std::string& context);
+
+  // The jobs held: running ones in core order, then the ready queue.
+  std::vector<HeldJob> held_jobs() const;
+  // The one-arrival lookahead of a stream run, and the id the next
+  // admitted job gets.
+  const std::optional<JobArrival>& lookahead() const { return pending_; }
+  std::uint64_t next_job_id() const { return next_job_id_; }
 
   // Final profiling-table state (exploration counts etc.); valid after
   // run().

@@ -75,8 +75,10 @@ namespace st = snapshot_text;
 // JSONL carries real lat_* columns; version-1 manifests (lat_* all zero)
 // are rejected rather than merged with new cells. Version 3 added each
 // cell's span state, so a resumed sweep's report carries the latency
-// section; version-2 manifests have none and are rejected.
-constexpr int kManifestVersion = 3;
+// section; version-2 manifests have none and are rejected. Version 4
+// carries the span state of checkpoint version 6 (untaken window
+// digests instead of a window clock); older span blobs are rejected.
+constexpr int kManifestVersion = 4;
 
 // Runs one cell to completion, under a cooperative wall-clock deadline
 // when one is set: the simulation advances in fixed simulated-time
@@ -145,20 +147,15 @@ void write_blob(std::ostream& out, const std::string& tag,
   out << tag << ' ' << bytes.size() << "\n" << bytes << "\n";
 }
 
-// `max_bytes` bounds the declared length (the manifest body's size), so
-// a corrupted prefix fails cleanly instead of allocating.
-std::string read_blob(std::istream& in, const std::string& tag,
-                      std::size_t max_bytes, const std::string& context) {
-  std::string token;
-  if (!(in >> token) || token != tag) {
-    st::fail(context, "expected '" + tag + "'");
-  }
-  const auto bytes = st::read_value<std::size_t>(in, "byte count", context);
-  in.get();  // the newline terminating the length prefix
-  std::string blob(std::min(bytes, max_bytes), '\0');
-  if (bytes > max_bytes ||
-      !in.read(blob.data(), static_cast<std::streamsize>(bytes))) {
-    st::fail(context, "truncated " + tag + " payload");
+// The declared length must fit in the rest of the manifest body, so a
+// corrupted prefix fails cleanly instead of allocating.
+std::string read_blob(st::Reader& r, const char* tag) {
+  r.expect(tag);
+  const std::size_t bytes = r.count("byte count", 1);
+  r.stream().get();  // the newline terminating the length prefix
+  std::string blob(bytes, '\0');
+  if (!r.stream().read(blob.data(), static_cast<std::streamsize>(bytes))) {
+    r.fail(std::string("truncated ") + tag + " payload");
   }
   return blob;
 }
@@ -231,75 +228,50 @@ std::vector<SweepCell> parse_sweep_manifest(const std::string& text,
   const std::string body = st::read_checksummed(raw, context);
   std::istringstream in(body);
 
-  std::string token;
-  if (!(in >> token) || token != "hetsched-sweep-manifest") {
-    st::fail(context, "not a hetsched sweep manifest");
+  st::Reader r(in, context);
+  if (r.token("header") != "hetsched-sweep-manifest") {
+    r.fail("not a hetsched sweep manifest");
   }
-  if (st::read_value<int>(in, "version", context) != kManifestVersion) {
-    st::fail(context, "unsupported manifest version");
+  if (r.read<int>("version") != kManifestVersion) {
+    r.fail("unsupported manifest version");
   }
-  if (!(in >> token) || token != "grid-hash") {
-    st::fail(context, "expected 'grid-hash'");
+  r.expect("grid-hash");
+  if (r.read<std::uint64_t>("grid hash") != sweep_grid_fingerprint(grid)) {
+    r.fail("manifest was written for a different sweep grid");
   }
-  if (st::read_value<std::uint64_t>(in, "grid hash", context) !=
-      sweep_grid_fingerprint(grid)) {
-    st::fail(context, "manifest was written for a different sweep grid");
+  r.expect("cells");
+  if (r.read<std::size_t>("cell count") != grid.cell_count()) {
+    r.fail("manifest cell count does not match the grid");
   }
-  if (!(in >> token) || token != "cells") {
-    st::fail(context, "expected 'cells'");
-  }
-  if (st::read_value<std::size_t>(in, "cell count", context) !=
-      grid.cell_count()) {
-    st::fail(context, "manifest cell count does not match the grid");
-  }
-  const auto completed =
-      st::read_value<std::size_t>(in, "completed count", context);
+  const std::size_t completed = r.count("completed count");
   if (completed > grid.cell_count()) {
-    st::fail(context, "completed count exceeds the grid");
+    r.fail("completed count exceeds the grid");
   }
 
   std::vector<SweepCell> cells;
   std::size_t last_index = 0;
   for (std::size_t n = 0; n < completed; ++n) {
-    if (!(in >> token) || token != "cell") {
-      st::fail(context, "expected 'cell'");
-    }
-    const auto index =
-        st::read_value<std::size_t>(in, "cell index", context);
-    if (index >= grid.cell_count()) {
-      st::fail(context, "cell index out of range");
-    }
-    if (n > 0 && index <= last_index) {
-      st::fail(context, "cell indices out of order");
-    }
+    r.expect("cell");
+    const auto index = r.read<std::size_t>("cell index");
+    if (index >= grid.cell_count()) r.fail("cell index out of range");
+    if (n > 0 && index <= last_index) r.fail("cell indices out of order");
     last_index = index;
     SweepCell cell;
     fill_cell_identity(cell, grid, index);
-    std::string label;
-    if (!(in >> label) || label != cell.label) {
-      st::fail(context, "cell label does not match the grid");
+    if (r.token("cell label") != cell.label) {
+      r.fail("cell label does not match the grid");
     }
     load_simulation_result(in, cell.result, context);
-    if (!(in >> token) || token != "stream") {
-      st::fail(context, "expected 'stream'");
-    }
-    cell.stream_digest =
-        st::read_value<std::uint64_t>(in, "stream digest", context);
-    cell.invariant_violations =
-        st::read_value<std::uint64_t>(in, "invariant violations", context);
-    if (!(in >> token) || token != "windows") {
-      st::fail(context, "expected 'windows'");
-    }
-    cell.windows_closed =
-        st::read_value<std::uint64_t>(in, "windows closed", context);
-    cell.dropped_windows =
-        st::read_value<std::uint64_t>(in, "dropped windows", context);
-    cell.window_jobs_completed =
-        st::read_value<std::uint64_t>(in, "window jobs", context);
-    cell.window_energy_mj =
-        st::read_value<double>(in, "window energy", context);
-    cell.windows_jsonl = read_blob(in, "windows-jsonl", body.size(), context);
-    cell.span_state = read_blob(in, "span-state", body.size(), context);
+    r.expect("stream");
+    cell.stream_digest = r.read<std::uint64_t>("stream digest");
+    cell.invariant_violations = r.read<std::uint64_t>("invariant violations");
+    r.expect("windows");
+    cell.windows_closed = r.read<std::uint64_t>("windows closed");
+    cell.dropped_windows = r.read<std::uint64_t>("dropped windows");
+    cell.window_jobs_completed = r.read<std::uint64_t>("window jobs");
+    cell.window_energy_mj = r.read<double>("window energy");
+    cell.windows_jsonl = read_blob(r, "windows-jsonl");
+    cell.span_state = read_blob(r, "span-state");
     cells.push_back(std::move(cell));
   }
   return cells;

@@ -144,24 +144,15 @@ void FaultInjector::save_state(std::ostream& out) const {
 
 void FaultInjector::restore_state(std::istream& in,
                                   const std::string& context) {
-  namespace st = snapshot_text;
-  std::string token;
-  if (!(in >> token) || token != "fault-injector") {
-    st::fail(context, "expected 'fault-injector'");
-  }
-  cursor_ = st::read_value<std::size_t>(in, "event cursor", context);
-  if (cursor_ > plan_.core_events.size()) {
-    st::fail(context, "event cursor beyond the plan");
-  }
-  if (!(in >> token) || token != "hung-jobs") {
-    st::fail(context, "expected 'hung-jobs'");
-  }
-  const auto hung =
-      st::read_value<std::size_t>(in, "hung-job count", context);
+  snapshot_text::Reader r(in, context);
+  r.expect("fault-injector");
+  cursor_ = r.read<std::size_t>("event cursor");
+  if (cursor_ > plan_.core_events.size()) r.fail("event cursor beyond the plan");
+  r.expect("hung-jobs");
+  const std::size_t hung = r.count("hung-job count");
   jobs_hung_.clear();
   for (std::size_t i = 0; i < hung; ++i) {
-    jobs_hung_.insert(
-        st::read_value<std::uint64_t>(in, "hung job id", context));
+    jobs_hung_.insert(r.read<std::uint64_t>("hung job id"));
   }
 }
 

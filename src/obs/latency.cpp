@@ -82,25 +82,23 @@ void Log2Histogram::save_state(std::ostream& out) const {
 
 void Log2Histogram::restore_state(std::istream& in,
                                   const std::string& context) {
-  std::string token;
-  if (!(in >> token) || token != "hist") {
-    st::fail(context, "expected 'hist'");
-  }
-  count_ = st::read_value<std::uint64_t>(in, "histogram count", context);
-  sum_ = st::read_value<std::uint64_t>(in, "histogram sum", context);
-  max_ = st::read_value<std::uint64_t>(in, "histogram max", context);
-  const auto nonzero =
-      st::read_value<std::size_t>(in, "histogram bucket count", context);
+  st::Reader r(in, context);
+  r.expect("hist");
+  count_ = r.read<std::uint64_t>("histogram count");
+  sum_ = r.read<std::uint64_t>("histogram sum");
+  max_ = r.read<std::uint64_t>("histogram max");
+  const std::size_t nonzero = r.count("histogram bucket count");
   buckets_.fill(0);
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nonzero; ++i) {
-    const auto k = st::read_value<std::size_t>(in, "bucket index", context);
-    if (k >= kBuckets) st::fail(context, "bucket index out of range");
-    buckets_[k] = st::read_value<std::uint64_t>(in, "bucket value", context);
+  for (std::size_t i = 0, next = 0; i < nonzero; ++i) {
+    const auto k = r.read<std::size_t>("bucket index");
+    if (k < next || k >= kBuckets) r.fail("bucket index out of order");
+    next = k + 1;
+    buckets_[k] = r.read<std::uint64_t>("bucket value");
     total += buckets_[k];
   }
   if (total != count_) {
-    st::fail(context, "histogram bucket counts do not sum to the count");
+    r.fail("histogram bucket counts do not sum to the count");
   }
 }
 
@@ -120,48 +118,21 @@ JobSpanCollector::JobSpanCollector(std::string policy_label,
   HETSCHED_REQUIRE(top_k_ > 0);
 }
 
-void JobSpanCollector::advance(SimTime t) {
-  HETSCHED_REQUIRE(!finalized_ &&
-                   "JobSpanCollector received an event after finalize()");
-  saw_event_ = true;
-  while (t >= window_start_ + window_cycles_) {
-    close_window();
-    window_start_ += window_cycles_;
-    ++window_index_;
+WindowLatency JobSpanCollector::take_window(std::uint64_t index) {
+  Log2Histogram sojourn;
+  if (const auto it = untaken_.find(index); it != untaken_.end()) {
+    sojourn = it->second;
   }
-}
-
-void JobSpanCollector::close_window() {
-  WindowLatency lat;
-  lat.index = window_index_;
-  lat.jobs = window_sojourn_.count();
-  lat.p50 = window_sojourn_.percentile(50.0);
-  lat.p95 = window_sojourn_.percentile(95.0);
-  lat.p99 = window_sojourn_.percentile(99.0);
-  lat.max = window_sojourn_.max();
-  ring_[window_index_ % kWindowRing] = lat;
-  window_sojourn_ = Log2Histogram{};
-}
-
-WindowLatency JobSpanCollector::window_latency(std::uint64_t index) const {
-  // Closed windows are those the clock advanced past, plus the trailing
-  // window finalize() closed in place.
-  const std::uint64_t closed =
-      window_index_ + ((finalized_ && saw_event_) ? 1 : 0);
-  HETSCHED_REQUIRE(index < closed && "window not closed yet");
-  const WindowLatency& entry = ring_[index % kWindowRing];
-  HETSCHED_REQUIRE(entry.index == index &&
-                   "window digest evicted from the ring (or the collector "
-                   "was restored past it)");
-  return entry;
+  untaken_.erase(untaken_.begin(), untaken_.upper_bound(index));
+  return WindowLatency{index,
+                       sojourn.count(),
+                       sojourn.percentile(50.0),
+                       sojourn.percentile(95.0),
+                       sojourn.percentile(99.0),
+                       sojourn.max()};
 }
 
 void JobSpanCollector::on_arrival(const ArrivalEvent& event) {
-  // Arrivals do not advance the window clock: the simulator always emits
-  // a queue-depth sample at the same SimTime right after admission, and
-  // keeping the clock in lockstep with the WindowedCollector (which has
-  // no arrival callback) guarantees both close window k in the same
-  // event delivery.
   Span span;
   span.benchmark_id = event.benchmark_id;
   span.arrival = event.time;
@@ -170,7 +141,6 @@ void JobSpanCollector::on_arrival(const ArrivalEvent& event) {
 }
 
 void JobSpanCollector::on_dispatch(const DispatchEvent& event) {
-  advance(event.time);
   const auto it = spans_.find(event.job_id);
   HETSCHED_REQUIRE(it != spans_.end() &&
                    "dispatch for a job whose arrival was not observed — "
@@ -196,7 +166,8 @@ void JobSpanCollector::retire(const ScheduledSlice& slice, Span& span) {
   totals_.service.record(span.service);
   totals_.stall.record(stall);
   totals_.sojourn.record(sojourn);
-  window_sojourn_.record(sojourn);
+  untaken_[end / window_cycles_].record(sojourn);
+  if (untaken_.size() > kMaxUntakenWindows) untaken_.erase(untaken_.begin());
 
   SlowJob job;
   job.job_id = slice.job_id;
@@ -216,7 +187,6 @@ void JobSpanCollector::retire(const ScheduledSlice& slice, Span& span) {
 }
 
 void JobSpanCollector::on_slice(const ScheduledSlice& slice) {
-  advance(slice.end);
   const auto it = spans_.find(slice.job_id);
   HETSCHED_REQUIRE(it != spans_.end() &&
                    "slice for a job whose arrival was not observed — "
@@ -230,46 +200,13 @@ void JobSpanCollector::on_slice(const ScheduledSlice& slice) {
   spans_.erase(it);
 }
 
-void JobSpanCollector::on_fault(const FaultRecord& record) {
-  advance(record.time);
-}
-
-void JobSpanCollector::on_reconfig(const ReconfigEvent& event) {
-  advance(event.time);
-}
-
-void JobSpanCollector::on_idle(const IdleEvent& event) { advance(event.to); }
-
-void JobSpanCollector::on_preempt(const PreemptEvent& event) {
-  advance(event.time);
-}
-
-void JobSpanCollector::on_stall(const StallEvent& event) {
-  advance(event.time);
-}
-
-void JobSpanCollector::on_queue_depth(const QueueSample& sample) {
-  advance(sample.time);
-}
-
-void JobSpanCollector::on_dag_release(const DagReleaseEvent& event) {
-  advance(event.time);
-}
-
-void JobSpanCollector::finalize() {
-  if (finalized_) return;
-  finalized_ = true;
-  // Mirror WindowedCollector::finalize: close the in-progress window only
-  // when the run advanced the clock at all, so both collectors close the
-  // same window sequence.
-  if (saw_event_) close_window();
-}
-
 void JobSpanCollector::save_state(std::ostream& out) const {
   out << "spans " << window_cycles_ << ' ' << top_k_ << "\n";
-  out << "clock " << window_index_ << ' ' << window_start_ << ' '
-      << (saw_event_ ? 1 : 0) << ' ' << (finalized_ ? 1 : 0) << "\n";
-  window_sojourn_.save_state(out);
+  out << "untaken " << untaken_.size() << "\n";
+  for (const auto& [index, sojourn] : untaken_) {
+    out << index << ' ';
+    sojourn.save_state(out);
+  }
   totals_.queue.save_state(out);
   totals_.service.save_state(out);
   totals_.stall.save_state(out);
@@ -293,73 +230,89 @@ void JobSpanCollector::save_state(std::ostream& out) const {
 
 void JobSpanCollector::restore_state(std::istream& in,
                                      const std::string& context) {
-  std::string token;
-  if (!(in >> token) || token != "spans") {
-    st::fail(context, "expected 'spans'");
+  st::Reader r(in, context);
+  r.expect("spans");
+  if (r.read<SimTime>("span window width") != window_cycles_) {
+    r.fail("span window width does not match");
   }
-  if (st::read_value<SimTime>(in, "span window width", context) !=
-      window_cycles_) {
-    st::fail(context, "span window width does not match");
+  if (r.read<std::size_t>("span top-k") != top_k_) {
+    r.fail("span top-k does not match");
   }
-  if (st::read_value<std::size_t>(in, "span top-k", context) != top_k_) {
-    st::fail(context, "span top-k does not match");
+  r.expect("untaken");
+  const std::size_t untaken = r.count("untaken window count");
+  if (untaken > kMaxUntakenWindows) r.fail("too many untaken windows");
+  untaken_.clear();
+  for (std::size_t i = 0; i < untaken; ++i) {
+    const auto index = r.read<std::uint64_t>("untaken window index");
+    if (!untaken_.empty() && index <= untaken_.rbegin()->first) {
+      r.fail("untaken windows out of order");
+    }
+    untaken_[index].restore_state(in, context);
   }
-  if (!(in >> token) || token != "clock") {
-    st::fail(context, "expected 'clock'");
-  }
-  window_index_ = st::read_value<std::uint64_t>(in, "window index", context);
-  window_start_ = st::read_value<SimTime>(in, "window start", context);
-  saw_event_ = st::read_value<int>(in, "saw-event flag", context) != 0;
-  finalized_ = st::read_value<int>(in, "finalized flag", context) != 0;
-  window_sojourn_.restore_state(in, context);
   totals_.queue.restore_state(in, context);
   totals_.service.restore_state(in, context);
   totals_.stall.restore_state(in, context);
   totals_.sojourn.restore_state(in, context);
-  if (!(in >> token) || token != "slowest") {
-    st::fail(context, "expected 'slowest'");
-  }
-  const auto slow = st::read_value<std::size_t>(in, "slowest count", context);
-  if (slow > top_k_) st::fail(context, "slowest list exceeds top-k");
+  r.expect("slowest");
+  const std::size_t slow = r.count("slowest count");
+  if (slow > top_k_) r.fail("slowest list exceeds top-k");
   slowest_.clear();
   for (std::size_t i = 0; i < slow; ++i) {
     SlowJob job;
-    job.job_id = st::read_value<std::uint64_t>(in, "slow job id", context);
-    job.benchmark_id =
-        st::read_value<std::size_t>(in, "slow benchmark", context);
-    job.arrival = st::read_value<SimTime>(in, "slow arrival", context);
-    job.queue = st::read_value<Cycles>(in, "slow queue", context);
-    job.service = st::read_value<Cycles>(in, "slow service", context);
-    job.stall = st::read_value<Cycles>(in, "slow stall", context);
-    job.sojourn = st::read_value<Cycles>(in, "slow sojourn", context);
-    job.slices = st::read_value<std::uint64_t>(in, "slow slices", context);
+    job.job_id = r.read<std::uint64_t>("slow job id");
+    job.benchmark_id = r.read<std::size_t>("slow benchmark");
+    job.arrival = r.read<SimTime>("slow arrival");
+    job.queue = r.read<Cycles>("slow queue");
+    job.service = r.read<Cycles>("slow service");
+    job.stall = r.read<Cycles>("slow stall");
+    job.sojourn = r.read<Cycles>("slow sojourn");
+    job.slices = r.read<std::uint64_t>("slow slices");
     if (i > 0 && slower(job, slowest_.back())) {
-      st::fail(context, "slowest list is not in slowest-first order");
+      r.fail("slowest list is not in slowest-first order");
     }
     slowest_.push_back(job);
   }
-  if (!(in >> token) || token != "inflight") {
-    st::fail(context, "expected 'inflight'");
-  }
-  const auto inflight =
-      st::read_value<std::size_t>(in, "in-flight count", context);
+  r.expect("inflight");
+  const std::size_t inflight = r.count("in-flight count");
   spans_.clear();
-  ring_.fill(WindowLatency{});
   for (std::size_t i = 0; i < inflight; ++i) {
-    const auto job_id =
-        st::read_value<std::uint64_t>(in, "in-flight job id", context);
+    const auto job_id = r.read<std::uint64_t>("in-flight job id");
     Span span;
-    span.benchmark_id =
-        st::read_value<std::size_t>(in, "in-flight benchmark", context);
-    span.arrival = st::read_value<SimTime>(in, "in-flight arrival", context);
-    span.first_dispatch =
-        st::read_value<SimTime>(in, "in-flight dispatch", context);
-    span.dispatched =
-        st::read_value<int>(in, "in-flight dispatched flag", context) != 0;
-    span.service = st::read_value<Cycles>(in, "in-flight service", context);
-    span.slices = st::read_value<std::uint64_t>(in, "in-flight slices",
-                                                context);
-    spans_[job_id] = span;
+    span.benchmark_id = r.read<std::size_t>("in-flight benchmark");
+    span.arrival = r.read<SimTime>("in-flight arrival");
+    span.first_dispatch = r.read<SimTime>("in-flight dispatch");
+    span.dispatched = r.flag("in-flight dispatched flag");
+    span.service = r.read<Cycles>("in-flight service");
+    span.slices = r.read<std::uint64_t>("in-flight slices");
+    if (span.dispatched && span.first_dispatch < span.arrival) {
+      r.fail("in-flight span dispatched before its arrival");
+    }
+    if (!spans_.emplace(job_id, span).second) {
+      r.fail("in-flight job id listed twice");
+    }
+  }
+}
+
+void JobSpanCollector::check_resumed(const std::vector<HeldJob>& held,
+                                     SimTime now,
+                                     const std::string& context) const {
+  if (held.size() != spans_.size()) {
+    st::fail(context, "in-flight spans do not match the simulator's jobs");
+  }
+  for (const HeldJob& job : held) {
+    const auto it = spans_.find(job.job_id);
+    if (it == spans_.end() || (job.started_at && !it->second.dispatched)) {
+      st::fail(context, "in-flight spans do not match the simulator's jobs");
+    }
+    const Span& span = it->second;
+    const SimTime until = job.started_at.value_or(now);
+    if (span.arrival > now ||
+        (span.dispatched && (span.first_dispatch > until ||
+                             span.service > until - span.first_dispatch))) {
+      st::fail(context, "in-flight span of job " +
+                            std::to_string(job.job_id) +
+                            " does not fit before the boundary");
+    }
   }
 }
 

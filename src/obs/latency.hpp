@@ -23,19 +23,18 @@
 // histograms immediately; only a bounded top-K list of the slowest jobs
 // is retained for forensics.
 //
-// Window handshake: the collector tumbles on the same window clock as a
-// WindowedCollector (same width, same per-event timestamps) and keeps a
-// small ring of per-window sojourn digests. A WindowedCollector wired
-// via set_span_source() pulls the matching digest when it closes a
-// window — the source of the windows-JSONL `lat_*` columns. Because the
-// span collector must sit BEFORE the windowed collector in the fanout,
-// it has always closed window k by the time the windowed collector asks
-// for it.
+// Window digests: each retirement's sojourn is also recorded under its
+// window, `retirement cycle / window width` (the WindowedCollector's own
+// rule), and a WindowedCollector wired via set_span_source() takes window
+// k's digest when it closes k — the source of the windows-JSONL `lat_*`
+// columns. The collector keeps no window clock of its own, so the two
+// may sit in either fanout order and be finalized in either order.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -125,18 +124,10 @@ class JobSpanCollector final : public ScheduleObserver {
   void on_arrival(const ArrivalEvent& event) override;
   void on_dispatch(const DispatchEvent& event) override;
   void on_slice(const ScheduledSlice& slice) override;
-  void on_fault(const FaultRecord& record) override;
-  void on_reconfig(const ReconfigEvent& event) override;
-  void on_idle(const IdleEvent& event) override;
-  void on_preempt(const PreemptEvent& event) override;
-  void on_stall(const StallEvent& event) override;
-  void on_queue_depth(const QueueSample& sample) override;
-  void on_dag_release(const DagReleaseEvent& event) override;
 
-  // Closes the in-progress window (if any event advanced the clock).
-  // Call BEFORE finalizing a WindowedCollector wired to this collector.
-  // Idempotent.
-  void finalize();
+  // Nothing to close (the collector has no clock); kept so a run can
+  // finalize all of its collectors alike.
+  void finalize() {}
 
   const std::string& policy_label() const { return policy_label_; }
   SimTime window_cycles() const { return window_cycles_; }
@@ -148,20 +139,28 @@ class JobSpanCollector final : public ScheduleObserver {
   // at most top_k entries.
   const std::vector<SlowJob>& slowest() const { return slowest_; }
 
-  // Sojourn digest of a closed window, served from a small ring of the
-  // most recently closed windows. The windowed collector asks for window
-  // k in the same event delivery that closed it, so the ring never needs
-  // to be deep; asking for an evicted or never-closed window throws.
-  WindowLatency window_latency(std::uint64_t index) const;
+  // Sojourn digest of window `index` (zeros when no job retired in it).
+  // Taking it drops that window and every earlier one; at most
+  // kMaxUntakenWindows are kept for a windowed collector to take, so a
+  // collector nobody takes from stays bounded.
+  static constexpr std::size_t kMaxUntakenWindows = 64;
+  WindowLatency take_window(std::uint64_t index);
 
-  // Checkpoint support: serializes the window clock, the histograms, the
-  // slowest-K list and every in-flight span (sorted by job id, so the
+  // Checkpoint support: serializes the untaken windows, the histograms,
+  // the slowest-K list and every in-flight span (sorted by job id, so the
   // text never depends on hash-map iteration order). restore_state
   // requires a collector constructed with the same window width and
   // top-K and throws std::runtime_error (tagged with `context`) on
   // malformed or mismatched input.
   void save_state(std::ostream& out) const;
   void restore_state(std::istream& in, const std::string& context);
+  // A restored collector against the run it resumes at `now`: the
+  // in-flight spans are exactly the `held` jobs, a running job's span is
+  // dispatched, no span arrived after `now`, and none holds more service
+  // than the cycles from its first dispatch to its current execution's
+  // start (to `now` when queued). Throws std::runtime_error otherwise.
+  void check_resumed(const std::vector<HeldJob>& held, SimTime now,
+                     const std::string& context) const;
 
  private:
   // An admitted job that has not retired yet.
@@ -174,23 +173,14 @@ class JobSpanCollector final : public ScheduleObserver {
     std::uint64_t slices = 0;
   };
 
-  static constexpr std::size_t kWindowRing = 64;
-
-  void advance(SimTime t);  // same close rule as WindowedCollector
-  void close_window();
   void retire(const ScheduledSlice& slice, Span& span);
 
   std::string policy_label_;
   SimTime window_cycles_ = 0;
   std::size_t top_k_ = kDefaultTopK;
 
-  std::uint64_t window_index_ = 0;
-  SimTime window_start_ = 0;
-  bool saw_event_ = false;
-  bool finalized_ = false;
-  Log2Histogram window_sojourn_;  // retirements in the current window
-  std::array<WindowLatency, kWindowRing> ring_{};
-
+  // Sojourns of retirements by window index, until the window is taken.
+  std::map<std::uint64_t, Log2Histogram> untaken_;
   LatencyAccumulator totals_;
   std::vector<SlowJob> slowest_;
   std::unordered_map<std::uint64_t, Span> spans_;

@@ -38,32 +38,27 @@ void write_window(std::ostream& out, const WindowRecord& w) {
   out << "\n";
 }
 
-WindowRecord read_window(std::istream& in, std::size_t cores,
-                         const std::string& context) {
+WindowRecord read_window(st::Reader& r, std::size_t cores) {
   WindowRecord w;
-  w.index = st::read_value<std::uint64_t>(in, "window index", context);
-  w.start = st::read_value<SimTime>(in, "window start", context);
-  w.end = st::read_value<SimTime>(in, "window end", context);
+  w.index = r.read<std::uint64_t>("window index");
+  w.start = r.read<SimTime>("window start");
+  w.end = r.read<SimTime>("window end");
   for (std::uint64_t* field :
        {&w.jobs_completed, &w.slices, &w.dispatches, &w.preemptions,
         &w.stalls, &w.migrations, &w.fault_migrations, &w.queue_peak,
         &w.prediction_hits, &w.prediction_misses, &w.reconfig_attempts,
         &w.faults, &w.dag_releases, &w.dag_ready_peak,
         &w.dag_release_latency, &w.dag_cp_slack, &w.lat_jobs, &w.lat_max}) {
-    *field = st::read_value<std::uint64_t>(in, "window counter", context);
+    *field = r.read<std::uint64_t>("window counter");
   }
-  w.lat_p50 = st::read_value<double>(in, "window latency p50", context);
-  w.lat_p95 = st::read_value<double>(in, "window latency p95", context);
-  w.lat_p99 = st::read_value<double>(in, "window latency p99", context);
-  w.energy_mj = st::read_value<double>(in, "window energy", context);
+  w.lat_p50 = r.read<double>("window latency p50");
+  w.lat_p95 = r.read<double>("window latency p95");
+  w.lat_p99 = r.read<double>("window latency p99");
+  w.energy_mj = r.read<double>("window energy");
   w.busy_cycles.resize(cores, 0);
   w.idle_cycles.resize(cores, 0);
-  for (Cycles& c : w.busy_cycles) {
-    c = st::read_value<Cycles>(in, "window busy cycles", context);
-  }
-  for (Cycles& c : w.idle_cycles) {
-    c = st::read_value<Cycles>(in, "window idle cycles", context);
-  }
+  for (Cycles& c : w.busy_cycles) c = r.read<Cycles>("window busy cycles");
+  for (Cycles& c : w.idle_cycles) c = r.read<Cycles>("window idle cycles");
   return w;
 }
 
@@ -104,7 +99,7 @@ void WindowedCollector::reset_current(SimTime start) {
   current_.idle_cycles.resize(cores, 0);
 }
 
-void WindowedCollector::set_span_source(const JobSpanCollector* spans) {
+void WindowedCollector::set_span_source(JobSpanCollector* spans) {
   HETSCHED_REQUIRE(spans == nullptr ||
                    spans->window_cycles() == options_.window_cycles);
   spans_ = spans;
@@ -112,7 +107,7 @@ void WindowedCollector::set_span_source(const JobSpanCollector* spans) {
 
 void WindowedCollector::close_window() {
   if (spans_ != nullptr) {
-    const WindowLatency lat = spans_->window_latency(current_.index);
+    const WindowLatency lat = spans_->take_window(current_.index);
     current_.lat_jobs = lat.jobs;
     current_.lat_p50 = lat.p50;
     current_.lat_p95 = lat.p95;
@@ -256,8 +251,8 @@ void WindowedCollector::save_state(std::ostream& out) const {
   const std::size_t cores = current_.busy_cycles.size();
   out << "windowed " << cores << ' ' << options_.window_cycles << ' '
       << options_.max_windows << "\n";
-  out << "state " << (saw_event_ ? 1 : 0) << ' ' << (finalized_ ? 1 : 0)
-      << ' ' << windows_closed_ << ' ' << dropped_windows_ << "\n";
+  out << "state " << (saw_event_ ? 1 : 0) << ' ' << windows_closed_ << ' '
+      << dropped_windows_ << "\n";
   out << "current ";
   write_window(out, current_);
   if (saved_windows_ < windows_.size()) {
@@ -281,60 +276,44 @@ void WindowedCollector::save_state(std::ostream& out) const {
 void WindowedCollector::restore_state(std::istream& in,
                                       const std::string& context) {
   const std::size_t cores = current_.busy_cycles.size();
-  std::string token;
-  if (!(in >> token) || token != "windowed") {
-    st::fail(context, "expected 'windowed'");
+  st::Reader r(in, context);
+  r.expect("windowed");
+  if (r.read<std::size_t>("core count") != cores) {
+    r.fail("windowed-collector core count does not match");
   }
-  if (st::read_value<std::size_t>(in, "core count", context) != cores) {
-    st::fail(context, "windowed-collector core count does not match");
+  if (r.read<SimTime>("window width") != options_.window_cycles) {
+    r.fail("window width does not match");
   }
-  if (st::read_value<SimTime>(in, "window width", context) !=
-      options_.window_cycles) {
-    st::fail(context, "window width does not match");
+  if (r.read<std::size_t>("retention limit") != options_.max_windows) {
+    r.fail("window retention limit does not match");
   }
-  if (st::read_value<std::size_t>(in, "retention limit", context) !=
-      options_.max_windows) {
-    st::fail(context, "window retention limit does not match");
+  r.expect("state");
+  saw_event_ = r.flag("saw-event flag");
+  finalized_ = false;
+  windows_closed_ = r.read<std::uint64_t>("windows closed");
+  dropped_windows_ = r.read<std::uint64_t>("dropped windows");
+  r.expect("current");
+  current_ = read_window(r, cores);
+  if (current_.start != current_.index * options_.window_cycles ||
+      current_.end != current_.start + options_.window_cycles) {
+    r.fail("current window span does not match the width");
   }
-  if (!(in >> token) || token != "state") {
-    st::fail(context, "expected 'state'");
-  }
-  saw_event_ = st::read_value<int>(in, "saw-event flag", context) != 0;
-  finalized_ = st::read_value<int>(in, "finalized flag", context) != 0;
-  windows_closed_ =
-      st::read_value<std::uint64_t>(in, "windows closed", context);
-  dropped_windows_ =
-      st::read_value<std::uint64_t>(in, "dropped windows", context);
-  if (!(in >> token) || token != "current") {
-    st::fail(context, "expected 'current'");
-  }
-  current_ = read_window(in, cores, context);
-  if (current_.end != current_.start + options_.window_cycles) {
-    st::fail(context, "current window span does not match the width");
-  }
-  if (!(in >> token) || token != "retained") {
-    st::fail(context, "expected 'retained'");
-  }
-  const auto retained =
-      st::read_value<std::size_t>(in, "retained count", context);
+  r.expect("retained");
+  const std::size_t retained = r.count("retained count");
   windows_.clear();
   saved_text_.clear();
   saved_windows_ = 0;
   for (std::size_t i = 0; i < retained; ++i) {
-    windows_.push_back(read_window(in, cores, context));
+    windows_.push_back(read_window(r, cores));
   }
-  if (!(in >> token) || token != "last-core") {
-    st::fail(context, "expected 'last-core'");
-  }
-  const auto tracked =
-      st::read_value<std::size_t>(in, "tracked job count", context);
+  r.expect("last-core");
+  const std::size_t tracked = r.count("tracked job count");
   last_core_.clear();
   for (std::size_t i = 0; i < tracked; ++i) {
-    const auto job_id =
-        st::read_value<std::uint64_t>(in, "tracked job id", context);
+    const auto job_id = r.read<std::uint64_t>("tracked job id");
     LastCore last;
-    last.core = st::read_value<std::size_t>(in, "tracked core", context);
-    last.fault = st::read_value<int>(in, "tracked fault flag", context) != 0;
+    last.core = r.read<std::size_t>("tracked core");
+    last.fault = r.flag("tracked fault flag");
     last_core_[job_id] = last;
   }
 }
@@ -455,56 +434,21 @@ std::vector<Anomaly> detect_anomalies(std::span<const WindowRecord> windows,
     }
   }
 
-  // Energy-per-job drift: compare each productive window against the mean
-  // of the previous `trailing_windows` productive windows.
-  if (config.energy_drift_factor > 0.0 && config.trailing_windows > 0) {
+  // Trailing-mean drift: each productive window's `value` against the
+  // mean over the previous `trailing_windows` productive windows. Bounded
+  // lookback: compacting to productive windows must not let a rule reach
+  // across a long idle gap and judge a window against stale history; if
+  // the oldest trailing window lies further back (in real window indices)
+  // than the bound allows, there is not enough fresh evidence and the
+  // rule stays silent.
+  const auto drift = [&](Anomaly::Rule rule, double factor,
+                         bool (*productive_window)(const WindowRecord&),
+                         double (*value)(const WindowRecord&),
+                         const std::string& what, const std::string& unit) {
+    if (factor <= 0.0 || config.trailing_windows == 0) return;
     std::vector<const WindowRecord*> productive;
     for (const WindowRecord& w : windows) {
-      if (w.jobs_completed > 0) productive.push_back(&w);
-    }
-    for (std::size_t i = config.trailing_windows; i < productive.size();
-         ++i) {
-      // Bounded lookback: compacting to productive windows must not let
-      // the rule reach across a long idle gap and judge this window
-      // against stale history. If the oldest trailing productive window
-      // is further away (in real window indices) than the bound allows,
-      // there is not enough fresh evidence — the rule stays silent.
-      const std::size_t oldest = i - config.trailing_windows;
-      if (config.drift_lookback_windows > 0 &&
-          productive[i]->index - productive[oldest]->index >
-              config.drift_lookback_windows) {
-        continue;
-      }
-      double trailing = 0.0;
-      for (std::size_t k = oldest; k < i; ++k) {
-        trailing += productive[k]->energy_per_job_mj();
-      }
-      const double mean =
-          trailing / static_cast<double>(config.trailing_windows);
-      const double per_job = productive[i]->energy_per_job_mj();
-      if (mean > 0.0 && per_job > config.energy_drift_factor * mean) {
-        Anomaly a;
-        a.rule = Anomaly::Rule::kEnergyDrift;
-        a.window = productive[i]->index;
-        a.value = per_job;
-        a.reference = config.energy_drift_factor * mean;
-        a.message = "energy per job " + CsvWriter::number(per_job) +
-                    " mJ exceeds " +
-                    CsvWriter::number(config.energy_drift_factor) +
-                    "x the trailing mean " + CsvWriter::number(mean) + " mJ";
-        anomalies.push_back(std::move(a));
-      }
-    }
-  }
-
-  // Tail-latency spike: a window's p99 sojourn far above the trailing
-  // mean p99 of productive windows, with the same bounded lookback as
-  // the energy rule. Windows without latency columns (no span collector
-  // wired) have lat_jobs == 0 and never participate.
-  if (config.tail_latency_factor > 0.0 && config.trailing_windows > 0) {
-    std::vector<const WindowRecord*> productive;
-    for (const WindowRecord& w : windows) {
-      if (w.lat_jobs > 0) productive.push_back(&w);
+      if (productive_window(w)) productive.push_back(&w);
     }
     for (std::size_t i = config.trailing_windows; i < productive.size();
          ++i) {
@@ -515,27 +459,36 @@ std::vector<Anomaly> detect_anomalies(std::span<const WindowRecord> windows,
         continue;
       }
       double trailing = 0.0;
-      for (std::size_t k = oldest; k < i; ++k) {
-        trailing += productive[k]->lat_p99;
-      }
+      for (std::size_t k = oldest; k < i; ++k) trailing += value(*productive[k]);
       const double mean =
           trailing / static_cast<double>(config.trailing_windows);
-      const double p99 = productive[i]->lat_p99;
-      if (mean > 0.0 && p99 > config.tail_latency_factor * mean) {
+      const double observed = value(*productive[i]);
+      if (mean > 0.0 && observed > factor * mean) {
         Anomaly a;
-        a.rule = Anomaly::Rule::kTailLatencySpike;
+        a.rule = rule;
         a.window = productive[i]->index;
-        a.value = p99;
-        a.reference = config.tail_latency_factor * mean;
-        a.message = "p99 sojourn " + CsvWriter::number(p99) +
-                    " cycles exceeds " +
-                    CsvWriter::number(config.tail_latency_factor) +
-                    "x the trailing mean " + CsvWriter::number(mean) +
-                    " cycles";
+        a.value = observed;
+        a.reference = factor * mean;
+        a.message = what + " " + CsvWriter::number(observed) + unit +
+                    " exceeds " + CsvWriter::number(factor) +
+                    "x the trailing mean " + CsvWriter::number(mean) + unit;
         anomalies.push_back(std::move(a));
       }
     }
-  }
+  };
+  // Energy per job over windows that retired jobs.
+  drift(
+      Anomaly::Rule::kEnergyDrift, config.energy_drift_factor,
+      [](const WindowRecord& w) { return w.jobs_completed > 0; },
+      [](const WindowRecord& w) { return w.energy_per_job_mj(); },
+      "energy per job", " mJ");
+  // Window p99 sojourn over windows with latency columns (lat_jobs == 0
+  // without a span collector, so those never participate).
+  drift(
+      Anomaly::Rule::kTailLatencySpike, config.tail_latency_factor,
+      [](const WindowRecord& w) { return w.lat_jobs > 0; },
+      [](const WindowRecord& w) { return w.lat_p99; }, "p99 sojourn",
+      " cycles");
 
   std::stable_sort(anomalies.begin(), anomalies.end(),
                    [](const Anomaly& a, const Anomaly& b) {

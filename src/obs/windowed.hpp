@@ -122,11 +122,11 @@ class WindowedCollector final : public ScheduleObserver {
   void set_sink(std::ostream* sink) { sink_ = sink; }
 
   // Wires a span collector as the source of the per-window `lat_*`
-  // columns. The span collector must tumble on the same window width,
-  // sit BEFORE this collector in the observer fanout (so it has closed
-  // window k when this collector closes it) and be finalized first; it
-  // must outlive the collector (or be cleared with nullptr).
-  void set_span_source(const JobSpanCollector* spans);
+  // columns: closing window k takes the span collector's digest of k.
+  // Both must observe the same run with the same window width, in either
+  // fanout order; the span collector must outlive this collector (or be
+  // cleared with nullptr).
+  void set_span_source(JobSpanCollector* spans);
 
   void on_slice(const ScheduledSlice& slice) override;
   void on_fault(const FaultRecord& record) override;
@@ -156,7 +156,8 @@ class WindowedCollector final : public ScheduleObserver {
   // collector folds the remaining events into the exact window stream
   // the uninterrupted run would produce. Closed windows never change, so
   // each one is formatted by the first save that sees it and that text
-  // is reused by every later save. restore_state requires a
+  // is reused by every later save. Saves are taken mid-run, so a
+  // restored collector is never finalized. restore_state requires a
   // collector constructed with the same core count and window width and
   // throws std::runtime_error (tagged with `context`) on malformed or
   // mismatched input.
@@ -171,7 +172,7 @@ class WindowedCollector final : public ScheduleObserver {
   WindowedOptions options_;
   const CharacterizedSuite* suite_;
   std::ostream* sink_ = nullptr;
-  const JobSpanCollector* spans_ = nullptr;
+  JobSpanCollector* spans_ = nullptr;
 
   WindowRecord current_;
   bool saw_event_ = false;     // current window (or any before finalize)

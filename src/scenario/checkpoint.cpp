@@ -30,8 +30,14 @@ namespace st = snapshot_text;
 // Version 5 shrank the DAG block to live state (root cursor, unretired
 // jobs, partly satisfied nodes, the completion-released heap); the
 // per-node frontier and the emission log left the file, so version-4
-// snapshots cannot be restored.
-constexpr int kCheckpointVersion = 5;
+// snapshots cannot be restored. Version 6 dropped the span collector's
+// window clock: its block stores the histograms of the windows no
+// windowed collector has taken yet, and the windowed collector's
+// `current` line is the checkpoint's one window clock. A core's running
+// job id and benchmark left its `core` line (its running-job slot holds
+// them), and the windowed collector's finalized flag left its `state`
+// line (checkpoints are taken mid-run).
+constexpr int kCheckpointVersion = 6;
 
 std::string make_checkpoint_text(std::uint64_t fingerprint,
                                  const CheckpointRunOptions& options,
@@ -73,61 +79,57 @@ std::uint64_t restore_checkpoint_text(const std::string& text,
   const std::string body = st::read_checksummed(raw, context);
   std::istringstream in(body);
 
-  std::string token;
-  if (!(in >> token) || token != "hetsched-checkpoint") {
-    st::fail(context, "not a hetsched checkpoint");
+  st::Reader r(in, context);
+  if (r.token("header") != "hetsched-checkpoint") {
+    r.fail("not a hetsched checkpoint");
   }
-  if (st::read_value<int>(in, "version", context) != kCheckpointVersion) {
-    st::fail(context, "unsupported checkpoint version");
+  if (r.read<int>("version") != kCheckpointVersion) {
+    r.fail("unsupported checkpoint version");
   }
-  if (!(in >> token) || token != "scenario-hash") {
-    st::fail(context, "expected 'scenario-hash'");
+  r.expect("scenario-hash");
+  if (r.read<std::uint64_t>("scenario hash") != fingerprint) {
+    r.fail("checkpoint was taken for a different scenario definition");
   }
-  if (st::read_value<std::uint64_t>(in, "scenario hash", context) !=
-      fingerprint) {
-    st::fail(context,
-             "checkpoint was taken for a different scenario definition");
+  r.expect("window-cycles");
+  if (r.read<SimTime>("window cycles") != options.window_cycles ||
+      r.read<std::uint64_t>("checkpoint stride") != options.checkpoint_every) {
+    r.fail("checkpoint window/stride parameters do not match this run");
   }
-  if (!(in >> token) || token != "window-cycles") {
-    st::fail(context, "expected 'window-cycles'");
+  r.expect("boundary");
+  const auto boundary = r.read<std::uint64_t>("boundary index");
+  const SimTime stride = options.window_cycles * options.checkpoint_every;
+  if (boundary == 0 ||
+      boundary > std::numeric_limits<SimTime>::max() / stride) {
+    r.fail("boundary index out of range");
   }
-  if (st::read_value<SimTime>(in, "window cycles", context) !=
-          options.window_cycles ||
-      st::read_value<std::uint64_t>(in, "checkpoint stride", context) !=
-          options.checkpoint_every) {
-    st::fail(context,
-             "checkpoint window/stride parameters do not match this run");
-  }
-  if (!(in >> token) || token != "boundary") {
-    st::fail(context, "expected 'boundary'");
-  }
-  const auto boundary =
-      st::read_value<std::uint64_t>(in, "boundary index", context);
-  if (boundary == 0) st::fail(context, "boundary index must be positive");
+  const SimTime paused_at = boundary * stride;
 
-  run.simulator().restore_stream_state(in, context);
+  run.simulator().restore_stream_state(in, paused_at, context);
   run.arrivals().restore_state(in, context);
-  if (!(in >> token) || token != "dag") {
-    st::fail(context, "expected 'dag'");
-  }
-  const bool had_dag = st::read_value<int>(in, "dag flag", context) != 0;
-  if (had_dag != (run.dag() != nullptr)) {
-    st::fail(context,
-             "checkpoint DAG state does not match the scenario");
+  r.expect("dag");
+  if (r.flag("dag flag") != (run.dag() != nullptr)) {
+    r.fail("checkpoint DAG state does not match the scenario");
   }
   if (run.dag() != nullptr) run.dag()->restore_state(in, context);
   run.stats().restore_state(in, context);
   spans.restore_state(in, context);
+  // The restored pieces must describe one run: the same held jobs, and a
+  // source that continues after the simulator's lookahead.
+  const MulticoreSimulator& sim = run.simulator();
+  const auto held = sim.held_jobs();
+  spans.check_resumed(held, paused_at, context);
+  if (run.dag() != nullptr) {
+    run.dag()->check_resumed(held, sim.next_job_id(), sim.lookahead(),
+                             paused_at, context);
+  } else if (sim.lookahead().has_value() &&
+             run.arrivals().clock() < sim.lookahead()->arrival) {
+    r.fail("arrival stream clock behind the simulator's lookahead");
+  }
   collector.restore_state(in, context);
   run.policy().restore_state(in, context);
-  if (!(in >> token) || token != "faults") {
-    st::fail(context, "expected 'faults'");
-  }
-  const bool had_injector =
-      st::read_value<int>(in, "fault flag", context) != 0;
-  if (had_injector != (run.injector() != nullptr)) {
-    st::fail(context,
-             "checkpoint fault-injection state does not match the scenario");
+  r.expect("faults");
+  if (r.flag("fault flag") != (run.injector() != nullptr)) {
+    r.fail("checkpoint fault-injection state does not match the scenario");
   }
   if (run.injector() != nullptr) {
     run.injector()->restore_state(in, context);

@@ -14,24 +14,63 @@ namespace {
 
 namespace st = snapshot_text;
 
-// Kahn's algorithm over the edge list; returns the pop order (empty
-// slots absent — size < node_count exactly when the graph has a cycle).
-std::vector<std::size_t> topological_order(const std::vector<DagEdge>& edges,
-                                           std::size_t node_count) {
-  std::vector<std::size_t> indegree(node_count, 0);
-  std::vector<std::vector<std::size_t>> successors(node_count);
-  for (const DagEdge& e : edges) {
-    ++indegree[e.to];
-    successors[e.from].push_back(e.to);
+// The graph over only the nodes the edges touch: their sorted ids, each
+// edge's endpoints renumbered into them, and CSR successor lists (each
+// in edge order). Costs O(E log E), whatever the declared job count.
+struct EdgeGraph {
+  std::vector<std::size_t> nodes;
+  std::vector<std::size_t> ends;  // edge i: ends[2i] -> ends[2i + 1]
+  std::vector<std::size_t> begin;
+  std::vector<std::size_t> successors;
+  std::vector<std::size_t> indegree;
+};
+
+EdgeGraph edge_graph(const std::vector<DagEdge>& edges) {
+  // (node, endpoint slot) sorted by node: one pass names the distinct
+  // nodes and renumbers every endpoint.
+  std::vector<std::pair<std::size_t, std::size_t>> by_node;
+  by_node.reserve(2 * edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    by_node.emplace_back(edges[i].from, 2 * i);
+    by_node.emplace_back(edges[i].to, 2 * i + 1);
   }
+  std::sort(by_node.begin(), by_node.end());
+  EdgeGraph g;
+  g.ends.resize(by_node.size());
+  for (const auto& [node, slot] : by_node) {
+    if (g.nodes.empty() || g.nodes.back() != node) g.nodes.push_back(node);
+    g.ends[slot] = g.nodes.size() - 1;
+  }
+  g.begin.assign(g.nodes.size() + 1, 0);
+  g.indegree.assign(g.nodes.size(), 0);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    ++g.begin[g.ends[2 * i] + 1];
+    ++g.indegree[g.ends[2 * i + 1]];
+  }
+  for (std::size_t v = 0; v < g.nodes.size(); ++v) {
+    g.begin[v + 1] += g.begin[v];
+  }
+  g.successors.resize(edges.size());
+  std::vector<std::size_t> fill(g.begin.begin(), g.begin.end() - 1);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    g.successors[fill[g.ends[2 * i]]++] = g.ends[2 * i + 1];
+  }
+  return g;
+}
+
+// Kahn's algorithm; returns the pop order in graph indices (size <
+// node count exactly when the graph has a cycle).
+std::vector<std::size_t> topological_order(const EdgeGraph& g) {
+  std::vector<std::size_t> indegree = g.indegree;
   std::vector<std::size_t> order;
-  order.reserve(node_count);
-  for (std::size_t v = 0; v < node_count; ++v) {
+  order.reserve(g.nodes.size());
+  for (std::size_t v = 0; v < g.nodes.size(); ++v) {
     if (indegree[v] == 0) order.push_back(v);
   }
   for (std::size_t head = 0; head < order.size(); ++head) {
-    for (const std::size_t s : successors[order[head]]) {
-      if (--indegree[s] == 0) order.push_back(s);
+    const std::size_t v = order[head];
+    for (std::size_t k = g.begin[v]; k < g.begin[v + 1]; ++k) {
+      if (--indegree[g.successors[k]] == 0) order.push_back(g.successors[k]);
     }
   }
   return order;
@@ -74,13 +113,13 @@ std::optional<DagSpec::Issue> DagSpec::validate(
                        std::to_string(a.to)};
     }
   }
-  const std::vector<std::size_t> order =
-      topological_order(edges, node_count);
-  if (order.size() < node_count) {
-    std::vector<char> popped(node_count, 0);
+  const EdgeGraph graph = edge_graph(edges);
+  const std::vector<std::size_t> order = topological_order(graph);
+  if (order.size() < graph.nodes.size()) {
+    std::vector<char> popped(graph.nodes.size(), 0);
     for (const std::size_t v : order) popped[v] = 1;
     for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (!popped[edges[i].from] && !popped[edges[i].to]) {
+      if (!popped[graph.ends[2 * i]] && !popped[graph.ends[2 * i + 1]]) {
         return Issue{i, "dep edges form a cycle through job " +
                             std::to_string(edges[i].from)};
       }
@@ -91,17 +130,21 @@ std::optional<DagSpec::Issue> DagSpec::validate(
 }
 
 std::vector<std::uint32_t> DagSpec::ranks(std::size_t node_count) const {
-  std::vector<std::vector<std::size_t>> successors(node_count);
-  for (const DagEdge& e : edges) successors[e.from].push_back(e.to);
-  const std::vector<std::size_t> order =
-      topological_order(edges, node_count);
-  HETSCHED_REQUIRE(order.size() == node_count && "ranks on a cyclic graph");
-  std::vector<std::uint32_t> rank(node_count, 0);
+  const EdgeGraph graph = edge_graph(edges);
+  const std::vector<std::size_t> order = topological_order(graph);
+  HETSCHED_REQUIRE(order.size() == graph.nodes.size() &&
+                   "ranks on a cyclic graph");
+  std::vector<std::uint32_t> graph_rank(graph.nodes.size(), 0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const std::size_t v = *it;
-    for (const std::size_t s : successors[v]) {
-      rank[v] = std::max(rank[v], rank[s] + 1);
+    for (std::size_t k = graph.begin[v]; k < graph.begin[v + 1]; ++k) {
+      graph_rank[v] =
+          std::max(graph_rank[v], graph_rank[graph.successors[k]] + 1);
     }
+  }
+  std::vector<std::uint32_t> rank(node_count, 0);
+  for (std::size_t v = 0; v < graph.nodes.size(); ++v) {
+    rank[graph.nodes[v]] = graph_rank[v];
   }
   return rank;
 }
@@ -306,106 +349,150 @@ void DagArrivalSource::save_state(std::ostream& out) const {
 void DagArrivalSource::restore_state(std::istream& in,
                                      const std::string& context) {
   HETSCHED_REQUIRE(emitted_ == 0 && "restore into a fresh DAG source");
-  auto expect = [&](const char* word) {
-    std::string token;
-    if (!(in >> token) || token != word) {
-      st::fail(context, std::string("expected '") + word + "'");
-    }
-  };
+  st::Reader r(in, context);
   const std::size_t count = base_.size();
-  // Each node may appear once across the live, partial and heap lists.
-  std::vector<char> listed(count, 0);
-  auto read_node = [&](const char* what) {
-    const auto node = st::read_value<std::size_t>(in, what, context);
-    if (node >= count) st::fail(context, std::string(what) + " out of range");
-    if (listed[node] != 0) {
-      st::fail(context, std::string(what) + " listed twice");
+  // Each node may appear once across the live, partial and heap lists;
+  // `listed` records which one.
+  enum : char { kUnlisted, kLive, kPartial, kEligible };
+  std::vector<char> listed(count, kUnlisted);
+  auto read_node = [&](const char* what, char list) {
+    const auto node = r.read<std::size_t>(what);
+    if (node >= count) r.fail(std::string(what) + " out of range");
+    if (listed[node] != kUnlisted) {
+      r.fail(std::string(what) + " listed twice");
     }
-    listed[node] = 1;
+    listed[node] = list;
     return node;
   };
 
-  expect("dag-arrivals");
-  if (st::read_value<std::size_t>(in, "dag node count", context) != count) {
-    st::fail(context, "dag node count does not match the scenario");
+  r.expect("dag-arrivals");
+  if (r.read<std::size_t>("dag node count") != count) {
+    r.fail("dag node count does not match the scenario");
   }
-  if (st::read_value<std::uint64_t>(in, "dag edge count", context) !=
-      stats_.edges) {
-    st::fail(context, "dag edge count does not match the scenario");
+  if (r.read<std::uint64_t>("dag edge count") != stats_.edges) {
+    r.fail("dag edge count does not match the scenario");
   }
-  expect("stale");
-  stale_ = st::read_value<int>(in, "dag stale flag", context) != 0;
+  r.expect("stale");
+  stale_ = r.flag("dag stale flag");
 
-  expect("roots");
-  const auto cursor =
-      st::read_value<std::size_t>(in, "dag root cursor", context);
-  const auto emitted_count =
-      st::read_value<std::uint64_t>(in, "dag emitted count", context);
-  if (cursor > roots_.size()) {
-    st::fail(context, "dag root cursor beyond the root count");
-  }
+  r.expect("roots");
+  const auto cursor = r.read<std::size_t>("dag root cursor");
+  const auto emitted_count = r.read<std::uint64_t>("dag emitted count");
+  if (cursor > roots_.size()) r.fail("dag root cursor beyond the root count");
   if (emitted_count > count || emitted_count < cursor) {
-    st::fail(context, "dag emitted count inconsistent with the graph");
+    r.fail("dag emitted count inconsistent with the graph");
   }
   root_cursor_ = cursor;
   emitted_ = emitted_count;
 
-  expect("live");
-  const auto live =
-      st::read_value<std::size_t>(in, "dag live count", context);
+  r.expect("live");
+  const std::size_t live = r.count("dag live count");
   for (std::size_t k = 0; k < live; ++k) {
-    const auto job_id =
-        st::read_value<std::uint64_t>(in, "dag live job id", context);
+    const auto job_id = r.read<std::uint64_t>("dag live job id");
     if (job_id >= emitted_count) {
-      st::fail(context, "dag live job id not below the emitted count");
+      r.fail("dag live job id not below the emitted count");
     }
-    const std::size_t node = read_node("dag live node");
-    const auto release =
-        st::read_value<SimTime>(in, "dag live release", context);
+    const std::size_t node = read_node("dag live node", kLive);
+    const auto release = r.read<SimTime>("dag live release");
     if (!live_.emplace(job_id, LiveJob{node, release}).second) {
-      st::fail(context, "dag live job id listed twice");
+      r.fail("dag live job id listed twice");
     }
     remaining_[node] = 0;
   }
 
-  expect("partial");
-  const auto partial =
-      st::read_value<std::size_t>(in, "dag partial count", context);
+  r.expect("partial");
+  const std::size_t partial = r.count("dag partial count");
   for (std::size_t k = 0; k < partial; ++k) {
-    const std::size_t node = read_node("dag partial node");
-    const auto left =
-        st::read_value<std::uint32_t>(in, "dag predecessors left", context);
+    const std::size_t node = read_node("dag partial node", kPartial);
+    const auto left = r.read<std::uint32_t>("dag predecessors left");
     if (left == 0 || left >= indegree_[node]) {
-      st::fail(context,
-               "dag partial node must have some but not all predecessors "
-               "retired");
+      r.fail("dag partial node must have some but not all predecessors "
+             "retired");
     }
     remaining_[node] = left;
     partial_.insert(node);
   }
 
-  expect("eligible");
-  const auto eligible =
-      st::read_value<std::size_t>(in, "dag eligible count", context);
+  r.expect("eligible");
+  const std::size_t eligible = r.count("dag eligible count");
   for (std::size_t k = 0; k < eligible; ++k) {
-    const auto release = st::read_value<SimTime>(in, "dag release", context);
-    const std::size_t node = read_node("dag eligible node");
+    const auto release = r.read<SimTime>("dag release");
+    const std::size_t node = read_node("dag eligible node", kEligible);
     if (indegree_[node] == 0) {
-      st::fail(context, "dag root in the completion-released heap");
+      r.fail("dag root in the completion-released heap");
     }
     remaining_[node] = 0;
     eligible_.push({release, node});
   }
 
-  expect("dag-stats");
-  stats_.releases = st::read_value<std::uint64_t>(in, "dag releases", context);
-  stats_.ready_peak =
-      st::read_value<std::uint64_t>(in, "dag ready peak", context);
-  stats_.release_latency_total =
-      st::read_value<Cycles>(in, "dag release latency", context);
-  stats_.cp_slack_total =
-      st::read_value<std::uint64_t>(in, "dag cp slack", context);
+  // Every node must agree with its predecessors, walked in topological
+  // order: an emitted root is retired unless live; a live or released
+  // node has every predecessor retired, a partial one exactly `indegree
+  // - left`, and an unlisted one none (unreleased) or all (retired).
+  std::vector<std::uint32_t> retired_preds(count, 0);
+  std::vector<std::uint32_t> unvisited = indegree_;
+  std::vector<std::size_t> order = roots_;
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const std::size_t v = order[head];
+    bool retired = false;
+    if (indegree_[v] == 0) {
+      const bool emitted = root_cursor_ > 0 && v <= roots_[root_cursor_ - 1];
+      if (listed[v] == kLive && !emitted) r.fail("dag live root not emitted");
+      retired = emitted && listed[v] != kLive;
+    } else {
+      const std::uint32_t done = retired_preds[v];
+      const bool all = done == indegree_[v];
+      retired = listed[v] == kUnlisted && all;
+      if (listed[v] == kPartial ? done + remaining_[v] != indegree_[v]
+          : listed[v] == kUnlisted ? !all && done != 0
+                                   : !all) {
+        r.fail("dag node " + std::to_string(v) +
+               " does not match its retired predecessors");
+      }
+    }
+    for (std::size_t k = successor_begin_[v]; k < successor_begin_[v + 1];
+         ++k) {
+      const std::size_t s = successors_[k];
+      if (retired) ++retired_preds[s];
+      if (--unvisited[s] == 0) order.push_back(s);
+    }
+  }
+
+  r.expect("dag-stats");
+  stats_.releases = r.read<std::uint64_t>("dag releases");
+  stats_.ready_peak = r.read<std::uint64_t>("dag ready peak");
+  stats_.release_latency_total = r.read<Cycles>("dag release latency");
+  stats_.cp_slack_total = r.read<std::uint64_t>("dag cp slack");
   restored_ = true;
+}
+
+void DagArrivalSource::check_resumed(
+    const std::vector<HeldJob>& held,
+    std::uint64_t next_job_id, const std::optional<JobArrival>& lookahead,
+    SimTime paused_at, const std::string& context) const {
+  const std::size_t ahead = lookahead.has_value() ? 1 : 0;
+  bool matches = emitted_ == next_job_id + ahead &&
+                 live_.size() == held.size() + ahead;
+  for (const HeldJob& job : held) {
+    matches = matches && live_.count(job.job_id) != 0;
+  }
+  if (matches && ahead != 0) {
+    // The lookahead was emitted last; a root one sits behind the cursor.
+    const auto last = live_.find(emitted_ - 1);
+    matches = last != live_.end() && last->second.release == lookahead->arrival;
+    if (matches && indegree_[last->second.node] == 0) {
+      matches = root_cursor_ > 0 && roots_[root_cursor_ - 1] == last->second.node;
+    }
+  }
+  if (!matches) {
+    st::fail(context, "dag live jobs do not match the simulator's jobs");
+  }
+  const SimTime due = ahead != 0 ? lookahead->arrival : paused_at;
+  if ((root_cursor_ < roots_.size() &&
+       base_[roots_[root_cursor_]].arrival < due) ||
+      (!eligible_.empty() && eligible_.top().first < due)) {
+    st::fail(context, "dag arrival due before the simulator's lookahead");
+  }
 }
 
 }  // namespace hetsched

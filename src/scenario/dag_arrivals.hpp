@@ -133,6 +133,15 @@ class DagArrivalSource final : public ArrivalSource,
   // the next next().
   void save_state(std::ostream& out) const;
   void restore_state(std::istream& in, const std::string& context);
+  // A restored source against the simulator it feeds, paused at
+  // `paused_at`: the live jobs are the simulator's `held` jobs plus its
+  // `lookahead` (the last emitted job, same release), admission ids
+  // continue at `next_job_id`, and nothing left to emit is due before
+  // the lookahead (or the pause). Throws std::runtime_error otherwise.
+  void check_resumed(const std::vector<HeldJob>& held,
+                     std::uint64_t next_job_id,
+                     const std::optional<JobArrival>& lookahead,
+                     SimTime paused_at, const std::string& context) const;
 
  private:
   using HeapEntry = std::pair<SimTime, std::size_t>;  // (release, node)

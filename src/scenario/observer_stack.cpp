@@ -30,10 +30,7 @@ ObserverStack::ObserverStack(ObserverStack&& other)
     : ObserverStack(std::move(other.spans), std::move(other.windows),
                     other.caller_) {}
 
-void ObserverStack::finalize() {
-  spans.finalize();
-  windows.finalize();
-}
+void ObserverStack::finalize() { windows.finalize(); }
 
 std::string ObserverStack::jsonl(
     const std::optional<PortfolioStats>& portfolio) const {

@@ -1,11 +1,10 @@
 // The observer stack of an observed run: per-job spans and windowed
 // telemetry, wired once, behind an optional caller observer.
 //
-// The windowed collector pulls window k's latency digest (its `lat_*`
-// columns) from the span collector when it closes window k, so the span
-// collector must see every event first and be finalized first. The stack
-// fixes that order for every observed path — the scenario driver and
-// sweep cells — and keeps the handshake pointing at its own span
+// The windowed collector takes window k's latency digest (its `lat_*`
+// columns) from the span collector when it closes window k. The stack
+// wires that handshake once for every observed path — the scenario
+// driver and sweep cells — and keeps it pointing at its own span
 // collector when it is moved.
 #pragma once
 
@@ -43,7 +42,7 @@ class ObserverStack {
   // Caller, spans, windows: what the simulator or ScenarioRun observes.
   ScheduleObserver* observer() { return &fanout_; }
 
-  // Closes the last windows, span collector first. Idempotent.
+  // Closes the last window. Idempotent.
   void finalize();
 
   // The windows JSONL: one line per retained window, then one line per

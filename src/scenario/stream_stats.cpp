@@ -136,39 +136,28 @@ void StreamStats::save_state(std::ostream& out) const {
 
 void StreamStats::restore_state(std::istream& in,
                                 const std::string& context) {
-  namespace st = snapshot_text;
-  std::string token;
-  if (!(in >> token) || token != "stream-stats") {
-    st::fail(context, "expected 'stream-stats'");
+  snapshot_text::Reader r(in, context);
+  r.expect("stream-stats");
+  if (r.read<std::size_t>("core count") != per_core_.size()) {
+    r.fail("stream-stats core count does not match");
   }
-  if (st::read_value<std::size_t>(in, "core count", context) !=
-      per_core_.size()) {
-    st::fail(context, "stream-stats core count does not match");
-  }
-  if (!(in >> token) || token != "totals") {
-    st::fail(context, "expected 'totals'");
-  }
+  r.expect("totals");
   for (std::uint64_t* field :
        {&slices_, &completed_slices_, &busy_cycles_, &idle_cycles_,
         &longest_slice_, &dispatches_, &preemptions_, &idle_intervals_,
         &reconfig_attempts_, &reconfig_failures_, &faults_,
         &invariant_violations_, &dag_releases_}) {
-    *field = st::read_value<std::uint64_t>(in, "stream total", context);
+    *field = r.read<std::uint64_t>("stream total");
   }
   for (CoreAggregate& core : per_core_) {
-    core.slices = st::read_value<std::uint64_t>(in, "core slices", context);
-    core.completed_slices =
-        st::read_value<std::uint64_t>(in, "core completed", context);
-    core.busy_cycles = st::read_value<Cycles>(in, "core busy", context);
-    core.idle_cycles = st::read_value<Cycles>(in, "core idle", context);
-    core.last_slice_end =
-        st::read_value<SimTime>(in, "core last slice end", context);
+    core.slices = r.read<std::uint64_t>("core slices");
+    core.completed_slices = r.read<std::uint64_t>("core completed");
+    core.busy_cycles = r.read<Cycles>("core busy");
+    core.idle_cycles = r.read<Cycles>("core idle");
+    core.last_slice_end = r.read<SimTime>("core last slice end");
   }
-  if (!(in >> token) || token != "digest") {
-    st::fail(context, "expected 'digest'");
-  }
-  digest_ =
-      Fnv1a(st::read_value<std::uint64_t>(in, "stream digest", context));
+  r.expect("digest");
+  digest_ = Fnv1a(r.read<std::uint64_t>("stream digest"));
 }
 
 }  // namespace hetsched

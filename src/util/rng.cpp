@@ -68,18 +68,11 @@ void Rng::save_state(std::ostream& out) const {
 }
 
 void Rng::restore_state(std::istream& in, const std::string& context) {
-  std::string token;
-  if (!(in >> token) || token != "rng") {
-    snapshot_text::fail(context, "expected 'rng'");
-  }
-  for (std::uint64_t& s : state_) {
-    s = snapshot_text::read_value<std::uint64_t>(in, "rng state word",
-                                                 context);
-  }
-  has_spare_normal_ =
-      snapshot_text::read_value<int>(in, "rng spare flag", context) != 0;
-  spare_normal_ =
-      snapshot_text::read_value<double>(in, "rng spare normal", context);
+  snapshot_text::Reader r(in, context);
+  r.expect("rng");
+  for (std::uint64_t& s : state_) s = r.read<std::uint64_t>("rng state word");
+  has_spare_normal_ = r.flag("rng spare flag");
+  spare_normal_ = r.read<double>("rng spare normal");
 }
 
 }  // namespace hetsched

@@ -1,5 +1,6 @@
 #include "util/snapshot_text.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
@@ -18,19 +19,68 @@ void write_double(std::ostream& out, double v) {
   out << std::hexfloat << v << std::defaultfloat;
 }
 
-template <>
-double read_value<double>(std::istream& in, const char* what,
-                          const std::string& context) {
-  std::string token;
-  if (!(in >> token)) {
-    fail(context, std::string("cannot read ") + what);
+void Reader::fail(const std::string& what) const {
+  snapshot_text::fail(context_, what);
+}
+
+std::string Reader::token(const char* what) {
+  std::string text;
+  if (!(in_ >> text)) fail(std::string("cannot read ") + what);
+  return text;
+}
+
+void Reader::expect(std::string_view keyword) {
+  std::string text;
+  if (!(in_ >> text) || text != keyword) {
+    fail("expected '" + std::string(keyword) + "'");
   }
+}
+
+double Reader::parse_double(const std::string& text, const char* what) const {
   char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
+  const double value = std::strtod(text.c_str(), &end);
   if (end == nullptr || *end != '\0') {
-    fail(context, std::string("malformed double for ") + what);
+    fail(std::string("malformed double for ") + what);
   }
   return value;
+}
+
+bool Reader::flag(const char* what) {
+  const auto value = read<int>(what);
+  if (value != 0 && value != 1) fail(std::string(what) + " must be 0 or 1");
+  return value == 1;
+}
+
+std::size_t Reader::count(const char* what, std::size_t min_chars) {
+  const auto items = read<std::size_t>(what);
+  require_fit(items, min_chars, what);
+  return items;
+}
+
+void Reader::require_fit(std::size_t items, std::size_t min_chars,
+                         const char* what) {
+  if (items == 0) return;
+  // The characters left after the read position (none once the stream
+  // hit its end or cannot report a position).
+  std::size_t left = 0;
+  const std::istream::pos_type here =
+      in_.good() ? in_.tellg() : std::istream::pos_type(-1);
+  if (here != std::istream::pos_type(-1)) {
+    in_.seekg(0, std::ios::end);
+    const std::istream::pos_type end = in_.tellg();
+    in_.seekg(here);
+    if (end != std::istream::pos_type(-1) && end >= here) {
+      left = static_cast<std::size_t>(end - here);
+    }
+  }
+  if (items > left / std::max<std::size_t>(min_chars, 1)) {
+    fail(std::string(what) + " exceeds the rest of the input");
+  }
+}
+
+bool Reader::at_end() {
+  in_ >> std::ws;
+  return in_.eof();
 }
 
 void write_with_checksum(std::ostream& out, const std::string& body) {

@@ -148,28 +148,17 @@ void GeneratedArrivalStream::save_state(std::ostream& out) const {
 
 void GeneratedArrivalStream::restore_state(std::istream& in,
                                            const std::string& context) {
-  std::string token;
-  if (!(in >> token) || token != "arrival-stream") {
-    snapshot_text::fail(context, "expected 'arrival-stream'");
-  }
+  snapshot_text::Reader r(in, context);
+  r.expect("arrival-stream");
   rng_.restore_state(in, context);
-  if (!(in >> token) || token != "clock") {
-    snapshot_text::fail(context, "expected 'clock'");
-  }
-  t_ = snapshot_text::read_value<double>(in, "arrival clock", context);
-  in_burst_ =
-      snapshot_text::read_value<int>(in, "burst phase", context) != 0;
-  emitted_ =
-      snapshot_text::read_value<std::uint64_t>(in, "emitted count", context);
-  if (!(in >> token) || token != "realtime") {
-    snapshot_text::fail(context, "expected 'realtime'");
-  }
-  const bool was_realtime =
-      snapshot_text::read_value<int>(in, "realtime flag", context) != 0;
-  if (was_realtime != realtime_) {
-    snapshot_text::fail(context,
-                        "real-time configuration does not match the "
-                        "checkpointed stream");
+  r.expect("clock");
+  t_ = r.read<double>("arrival clock");
+  if (!(t_ >= 0.0 && t_ <= 0x1p61)) r.fail("arrival clock out of range");
+  in_burst_ = r.flag("burst phase");
+  emitted_ = r.read<std::uint64_t>("emitted count");
+  r.expect("realtime");
+  if (r.flag("realtime flag") != realtime_) {
+    r.fail("real-time configuration does not match the checkpointed stream");
   }
   if (realtime_) realtime_rng_.restore_state(in, context);
 }

@@ -3,6 +3,7 @@
 // a FIFO basis").
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -125,6 +126,8 @@ class GeneratedArrivalStream final : public ArrivalSource {
   std::optional<JobArrival> next() override;
 
   std::uint64_t emitted() const { return emitted_; }
+  // The arrival time of the last draw; later draws are never earlier.
+  SimTime clock() const { return static_cast<SimTime>(std::llround(t_)); }
 
   // Checkpoint support: serializes the generator position (both RNG
   // states, the running arrival clock and the burst phase). The options,

@@ -25,18 +25,9 @@ const std::string kContext = "profile cache";
 
 using snapshot_text::write_double;
 
-[[noreturn]] void fail(const std::string& what) {
-  snapshot_text::fail(kContext, what);
-}
-
-template <typename T>
-T read_value(std::istream& in, const char* what) {
-  return snapshot_text::read_value<T>(in, what, kContext);
-}
-
-double read_finite(std::istream& in, const char* what) {
-  const double v = read_value<double>(in, what);
-  if (!std::isfinite(v)) fail(std::string("non-finite ") + what);
+double read_finite(snapshot_text::Reader& r, const char* what) {
+  const auto v = r.read<double>(what);
+  if (!std::isfinite(v)) r.fail(std::string("non-finite ") + what);
   return v;
 }
 
@@ -141,59 +132,51 @@ void save_suite_snapshot(std::ostream& raw_out,
 CharacterizedSuite load_suite_snapshot(std::istream& raw_in,
                                        std::uint64_t expected_key) {
   std::istringstream in(snapshot_text::read_verified(raw_in, kContext));
-
+  snapshot_text::Reader r(in, kContext);
   std::string magic, version;
   if (!(in >> magic >> version) || magic != kMagic ||
       version != std::string("v") + std::to_string(kVersion)) {
-    fail("bad header");
+    r.fail("bad header");
   }
 
-  std::string token;
-  in >> token;
-  if (token != "key") fail("expected 'key'");
-  std::uint64_t key = 0;
-  if (!(in >> std::hex >> key >> std::dec)) fail("cannot read key");
-  if (key != expected_key) {
-    fail("stale snapshot (parameters or schema changed)");
+  r.expect("key");
+  if (r.read<std::uint64_t>("key", 16) != expected_key) {
+    r.fail("stale snapshot (parameters or schema changed)");
   }
 
-  in >> token;
-  if (token != "profiles") fail("expected 'profiles'");
-  const auto n_profiles = read_value<std::size_t>(in, "profile count");
+  r.expect("profiles");
+  const std::size_t n_profiles = r.count("profile count");
   if (n_profiles == 0 || n_profiles > 1000000) {
-    fail("implausible profile count");
+    r.fail("implausible profile count");
   }
 
   const std::size_t n_configs_expected = DesignSpace::all().size();
   std::vector<BenchmarkProfile> profiles;
   profiles.reserve(n_profiles);
   for (std::size_t p = 0; p < n_profiles; ++p) {
-    in >> token;
-    if (token != "profile") fail("expected 'profile'");
+    r.expect("profile");
     BenchmarkProfile profile;
     BenchmarkInstance& inst = profile.instance;
-    if (!(in >> inst.name)) fail("cannot read instance name");
-    inst.kernel_index = read_value<std::size_t>(in, "kernel index");
-    inst.data_seed = read_value<std::uint64_t>(in, "data seed");
-    const int domain = read_value<int>(in, "domain");
+    inst.name = r.token("instance name");
+    inst.kernel_index = r.read<std::size_t>("kernel index");
+    inst.data_seed = r.read<std::uint64_t>("data seed");
+    const int domain = r.read<int>("domain");
     if (domain < 0 || domain > static_cast<int>(Domain::kTelecom)) {
-      fail("domain out of range");
+      r.fail("domain out of range");
     }
     inst.domain = static_cast<Domain>(domain);
 
-    in >> token;
-    if (token != "counters") fail("expected 'counters'");
+    r.expect("counters");
     RawCounters& rc = profile.counters;
-    rc.loads = read_value<std::uint64_t>(in, "loads");
-    rc.stores = read_value<std::uint64_t>(in, "stores");
-    rc.branches = read_value<std::uint64_t>(in, "branches");
-    rc.taken_branches = read_value<std::uint64_t>(in, "taken branches");
-    rc.int_ops = read_value<std::uint64_t>(in, "int ops");
-    rc.fp_ops = read_value<std::uint64_t>(in, "fp ops");
-    profile.footprint_bytes = read_value<std::uint32_t>(in, "footprint");
+    rc.loads = r.read<std::uint64_t>("loads");
+    rc.stores = r.read<std::uint64_t>("stores");
+    rc.branches = r.read<std::uint64_t>("branches");
+    rc.taken_branches = r.read<std::uint64_t>("taken branches");
+    rc.int_ops = r.read<std::uint64_t>("int ops");
+    rc.fp_ops = r.read<std::uint64_t>("fp ops");
+    profile.footprint_bytes = r.read<std::uint32_t>("footprint");
 
-    in >> token;
-    if (token != "stats") fail("expected 'stats'");
+    r.expect("stats");
     ExecutionStatistics& s = profile.base_statistics;
     for (double* field :
          {&s.total_instructions, &s.cycles, &s.loads, &s.stores,
@@ -202,49 +185,45 @@ CharacterizedSuite load_suite_snapshot(std::istream& raw_in,
           &s.compulsory_misses, &s.writebacks, &s.working_set_bytes,
           &s.load_fraction, &s.mem_intensity, &s.compute_intensity,
           &s.branch_fraction}) {
-      *field = read_finite(in, "execution statistic");
+      *field = read_finite(r, "execution statistic");
     }
 
-    in >> token;
-    if (token != "configs") fail("expected 'configs'");
-    const auto n_configs = read_value<std::size_t>(in, "config count");
+    r.expect("configs");
+    const std::size_t n_configs = r.count("config count");
     if (n_configs != n_configs_expected) {
-      fail("config count does not match the design space");
+      r.fail("config count does not match the design space");
     }
     profile.per_config.reserve(n_configs);
     for (std::size_t c = 0; c < n_configs; ++c) {
       ConfigProfile cp;
-      std::string config_name;
-      if (!(in >> config_name)) fail("cannot read config name");
-      const auto config = CacheConfig::parse(config_name);
+      const auto config = CacheConfig::parse(r.token("config name"));
       if (!config.has_value() || *config != DesignSpace::all()[c]) {
-        fail("config does not match the design space order");
+        r.fail("config does not match the design space order");
       }
       cp.config = *config;
       CacheStats& cs = cp.cache;
-      cs.accesses = read_value<std::uint64_t>(in, "accesses");
-      cs.hits = read_value<std::uint64_t>(in, "hits");
-      cs.misses = read_value<std::uint64_t>(in, "misses");
-      cs.read_misses = read_value<std::uint64_t>(in, "read misses");
-      cs.write_misses = read_value<std::uint64_t>(in, "write misses");
-      cs.compulsory_misses =
-          read_value<std::uint64_t>(in, "compulsory misses");
-      cs.evictions = read_value<std::uint64_t>(in, "evictions");
-      cs.writebacks = read_value<std::uint64_t>(in, "writebacks");
-      cs.writethroughs = read_value<std::uint64_t>(in, "writethroughs");
-      cs.prefetch_fills = read_value<std::uint64_t>(in, "prefetch fills");
+      cs.accesses = r.read<std::uint64_t>("accesses");
+      cs.hits = r.read<std::uint64_t>("hits");
+      cs.misses = r.read<std::uint64_t>("misses");
+      cs.read_misses = r.read<std::uint64_t>("read misses");
+      cs.write_misses = r.read<std::uint64_t>("write misses");
+      cs.compulsory_misses = r.read<std::uint64_t>("compulsory misses");
+      cs.evictions = r.read<std::uint64_t>("evictions");
+      cs.writebacks = r.read<std::uint64_t>("writebacks");
+      cs.writethroughs = r.read<std::uint64_t>("writethroughs");
+      cs.prefetch_fills = r.read<std::uint64_t>("prefetch fills");
       EnergyBreakdown& e = cp.energy;
-      e.miss_cycles = read_value<std::uint64_t>(in, "miss cycles");
-      e.total_cycles = read_value<std::uint64_t>(in, "total cycles");
-      e.static_energy = NanoJoules(read_finite(in, "static energy"));
-      e.dynamic_energy = NanoJoules(read_finite(in, "dynamic energy"));
-      e.cpu_energy = NanoJoules(read_finite(in, "cpu energy"));
+      e.miss_cycles = r.read<std::uint64_t>("miss cycles");
+      e.total_cycles = r.read<std::uint64_t>("total cycles");
+      e.static_energy = NanoJoules(read_finite(r, "static energy"));
+      e.dynamic_energy = NanoJoules(read_finite(r, "dynamic energy"));
+      e.cpu_energy = NanoJoules(read_finite(r, "cpu energy"));
       profile.per_config.push_back(cp);
     }
     profiles.push_back(std::move(profile));
   }
-  if (in >> token) fail("trailing garbage after last profile");
-  return CharacterizedSuite::from_profiles(std::move(profiles));
+  if (!r.at_end()) r.fail("trailing garbage after last profile");
+  return CharacterizedSuite::from_profiles(std::move(profiles));  return CharacterizedSuite::from_profiles(std::move(profiles));
 }
 
 CharacterizedSuite load_or_build_suite(const std::string& path,

@@ -485,6 +485,31 @@ TEST(SupervisedSweep, ManifestRejection) {
                std::runtime_error);
 }
 
+// A re-signed manifest whose cell claims 2^32 - 1 per-core rows is
+// rejected before the rows are allocated.
+TEST(SupervisedSweep, ManifestPerCoreCountBeyondTheBodyIsRejected) {
+  const SweepGrid grid = sweep_grid();
+  SweepSupervisorOptions options;
+  options.window_cycles = 1'000'000;
+  const SupervisedSweepResult clean = run_sweep_supervised(
+      grid, world().context, 1, ThreadPool::global(), options);
+  std::istringstream signed_text(serialize_sweep_manifest(grid, clean.cells));
+  std::string body = snapshot_text::read_checksummed(signed_text, "test");
+  const std::size_t at = body.find("\nper-core ");
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at, body.find('\n', at + 1) - at, "\nper-core 4294967295");
+  std::ostringstream edited;
+  snapshot_text::write_with_checksum(edited, body);
+  try {
+    parse_sweep_manifest(edited.str(), grid, "test");
+    ADD_FAILURE() << "a per-core count beyond the body was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the rest of the input"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // Same rule for sweep manifests: an intact body parses only with its
 // checksum line.
 TEST(SupervisedSweep, ManifestWithoutChecksumIsRejected) {
@@ -501,15 +526,16 @@ TEST(SupervisedSweep, ManifestWithoutChecksumIsRejected) {
 // their window JSONL carries lat_* = 0, so merging them with new cells
 // would mix zeroed and real latency columns. Version-2 manifests carry no
 // span state, so a resumed sweep could not rebuild its latency section.
-// Both are rejected even when correctly signed.
+// Version-3 span state carries a window clock the current span collector
+// no longer has. All are rejected even when correctly signed.
 TEST(SupervisedSweep, ManifestVersion1IsRejected) {
   const SweepGrid grid = sweep_grid();
   std::istringstream signed_text(serialize_sweep_manifest(grid, {}));
   const std::string body =
       snapshot_text::read_checksummed(signed_text, "test");
-  const std::string current = "hetsched-sweep-manifest 3\n";
+  const std::string current = "hetsched-sweep-manifest 4\n";
   ASSERT_EQ(body.rfind(current, 0), 0u);
-  for (const char* old_version : {"1", "2"}) {
+  for (const char* old_version : {"1", "2", "3"}) {
     std::string old_body = body;
     old_body.replace(0, current.size(),
                      "hetsched-sweep-manifest " + std::string(old_version) +

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -364,6 +365,21 @@ TEST(DagStatsAccounting, FixedDiamondReportsExpectedNumbers) {
             std::string::npos);
 }
 
+// Validation costs O(edges), not O(jobs): a 2^40-job scenario parses
+// with and without dep edges, allocating nothing per declared job.
+TEST(DagValidation, TrillionJobScenarioParses) {
+  for (const bool with_edges : {true, false}) {
+    Scenario scenario = world().base;
+    scenario.arrivals.count = std::size_t{1} << 40;
+    if (!with_edges) scenario.dag = DagSpec{};
+    std::stringstream text;
+    scenario.save(text);
+    const Scenario parsed = Scenario::parse(text);
+    EXPECT_EQ(parsed.arrivals.count, std::size_t{1} << 40);
+    EXPECT_EQ(parsed.dag.edges.size(), scenario.dag.edges.size());
+  }
+}
+
 // --- Checkpoint kill-and-resume ------------------------------------------
 
 // What one checkpoint's DAG block holds, for the coverage checks below.
@@ -681,6 +697,44 @@ class DagCheckpointRejection : public ::testing::Test {
     return *body;
   }
 
+  // The first checkpoint of the fixture whose simulator runs a job, so
+  // its span block holds a dispatched in-flight span.
+  static const std::vector<std::string>& busy_lines() {
+    static const std::vector<std::string>* body = [] {
+      CheckpointRunOptions options;
+      options.window_cycles = 1'000'000;
+      options.checkpoint_every = 1;
+      std::vector<std::string> captured;
+      options.capture_checkpoints = &captured;
+      run_scenario_checkpointed(world().base, world().context, options);
+      auto* out = new std::vector<std::string>;
+      for (const std::string& text : captured) {
+        std::istringstream in(text);
+        out->clear();
+        for (std::string line; std::getline(in, line);) out->push_back(line);
+        out->pop_back();  // the checksum line
+        if (busy_core(*out) < numbers((*out)[find(*out, "simulator ")]).at(0)) {
+          break;
+        }
+      }
+      return out;
+    }();
+    return *body;
+  }
+
+  // The first busy core's index (the core count when none is busy).
+  static std::size_t busy_core(const std::vector<std::string>& body) {
+    const std::size_t cores = numbers(body[find(body, "simulator ")]).at(0);
+    for (std::size_t i = 0; i < cores; ++i) {
+      std::istringstream core(body[find(body, "core " + std::to_string(i) + " ")]);
+      std::string word, index, config;
+      int busy = 0;
+      core >> word >> index >> config >> busy;
+      if (busy == 1) return i;
+    }
+    return cores;
+  }
+
   static std::size_t find(const std::vector<std::string>& body,
                           const std::string& prefix) {
     for (std::size_t i = 0; i < body.size(); ++i) {
@@ -725,6 +779,41 @@ class DagCheckpointRejection : public ::testing::Test {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
           << e.what();
     }
+  }
+
+  static std::string join(const std::vector<std::uint64_t>& values) {
+    std::string line;
+    for (const std::uint64_t v : values) {
+      if (!line.empty()) line += ' ';
+      line += std::to_string(v);
+    }
+    return line;
+  }
+
+  // An admitted job id the checkpoint holds nowhere (retired already).
+  static std::uint64_t unheld_job_id(const std::vector<std::string>& body) {
+    std::set<std::uint64_t> held;
+    const std::size_t first = find(body, "inflight ") + 1;
+    const std::size_t count = numbers(body[first - 1]).at(0);
+    for (std::size_t k = 0; k < count; ++k) {
+      held.insert(numbers(body[first + k]).at(0));
+    }
+    std::uint64_t id = 0;
+    while (held.count(id) != 0) ++id;
+    EXPECT_LT(id, numbers(body[find(body, "admitted ")]).at(1));
+    return id;
+  }
+
+  // The line of the first dispatched in-flight span: "job benchmark
+  // arrival first-dispatch dispatched service slices".
+  static std::size_t dispatched_span(const std::vector<std::string>& body) {
+    const std::size_t first = find(body, "inflight ") + 1;
+    const std::size_t count = numbers(body[first - 1]).at(0);
+    for (std::size_t k = 0; k < count; ++k) {
+      if (numbers(body[first + k]).at(4) == 1) return first + k;
+    }
+    ADD_FAILURE() << "no dispatched in-flight span";
+    return 0;
   }
 
   // The node of the first live job, and a fan-in node no number in the
@@ -836,9 +925,97 @@ TEST_F(DagCheckpointRejection, RootCursorBeyondRootCount) {
 
 TEST_F(DagCheckpointRejection, VersionFourCheckpoint) {
   std::vector<std::string> body = lines();
-  ASSERT_EQ(body[0], "hetsched-checkpoint 5");
-  body[0] = "hetsched-checkpoint 4";
-  expect_rejected(body, "unsupported checkpoint version");
+  ASSERT_EQ(body[0], "hetsched-checkpoint 6");
+  for (const char* old_version : {"4", "5"}) {
+    body[0] = std::string("hetsched-checkpoint ") + old_version;
+    expect_rejected(body, "unsupported checkpoint version");
+  }
+}
+
+// A partial node whose count of predecessors left disagrees with the
+// predecessors actually retired would be released early and later
+// count below zero.
+TEST_F(DagCheckpointRejection, PartialNodeMiscountsItsPredecessors) {
+  std::vector<std::string> body = lines();
+  const std::size_t node = unlisted_fan_in_node();
+  const std::size_t at = find(body, "partial ");
+  const std::uint64_t count = numbers(body[at]).at(0);
+  body[at] = "partial " + std::to_string(count + 1);
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+              std::to_string(node) + ' ' +
+                  std::to_string(indegrees(world().base)[node] - 1));
+  expect_rejected(body, "does not match its retired predecessors");
+}
+
+// Unsigned fields parse from the whole token: "-1" is no job count.
+TEST_F(DagCheckpointRejection, NegativeUnsignedField) {
+  std::vector<std::string> body = lines();
+  const std::size_t at = find(body, "admitted ");
+  body[at] = "admitted -1 " + std::to_string(numbers(body[at]).at(1));
+  expect_rejected(body, "cannot read admitted count");
+}
+
+// A run that resumed with an admission count other than its retired plus
+// held jobs would end with the two counts apart.
+TEST_F(DagCheckpointRejection, AdmittedCountBeyondRetiredAndHeldJobs) {
+  std::vector<std::string> body = lines();
+  const std::size_t at = find(body, "admitted ");
+  const std::vector<std::uint64_t> admitted = numbers(body[at]);
+  body[at] = "admitted " + std::to_string(admitted.at(0) + 1) + ' ' +
+             std::to_string(admitted.at(1) + 1);
+  expect_rejected(body, "admitted count does not match");
+}
+
+// The held jobs of the simulator, the DAG source and the span collector
+// must agree: a busy core's running-job slot (the one record of the job
+// it runs) naming a job nothing else holds is rejected.
+TEST_F(DagCheckpointRejection, RunningSlotNamesAnUnheldJob) {
+  std::vector<std::string> body = busy_lines();
+  const std::size_t busy = busy_core(body);
+  ASSERT_LT(busy, numbers(body[find(body, "simulator ")]).at(0));
+  const std::size_t slot = find(body, "running-jobs ") + 1 + busy;
+  const std::size_t id_end = body[slot].find(' ');
+  body[slot] = std::to_string(unheld_job_id(body)) + body[slot].substr(id_end);
+  expect_rejected(body, "in-flight spans do not match the simulator's jobs");
+}
+
+TEST_F(DagCheckpointRejection, InFlightSpanOfAnUnheldJob) {
+  std::vector<std::string> body = busy_lines();
+  const std::size_t at = dispatched_span(body);
+  body[at] = std::to_string(unheld_job_id(body)) +
+             body[at].substr(body[at].find(' '));
+  expect_rejected(body, "in-flight spans do not match the simulator's jobs");
+}
+
+TEST_F(DagCheckpointRejection, InFlightSpanDispatchedBeforeItsArrival) {
+  std::vector<std::string> body = busy_lines();
+  const std::size_t at = dispatched_span(body);
+  std::vector<std::uint64_t> span = numbers(body[at]);
+  ASSERT_EQ(span.size(), 7u);
+  ASSERT_GE(span[2], 1u);
+  span[3] = span[2] - 1;  // first dispatch one cycle before the arrival
+  body[at] = join(span);
+  expect_rejected(body, "dispatched before its arrival");
+}
+
+TEST_F(DagCheckpointRejection, InFlightSpanServiceBeyondTheBoundary) {
+  std::vector<std::string> body = busy_lines();
+  const std::size_t at = dispatched_span(body);
+  std::vector<std::uint64_t> span = numbers(body[at]);
+  ASSERT_EQ(span.size(), 7u);
+  span[5] = 1'000'000'000;  // more service than cycles since dispatch
+  body[at] = join(span);
+  expect_rejected(body, "does not fit before the boundary");
+}
+
+TEST_F(DagCheckpointRejection, PendingArrivalBeforeTheBoundary) {
+  std::vector<std::string> body = lines();
+  const std::size_t at = find(body, "pending ");
+  std::vector<std::uint64_t> pending = numbers(body[at]);
+  ASSERT_EQ(pending.at(0), 1u);
+  pending[2] = 0;
+  body[at] = "pending " + join(pending);
+  expect_rejected(body, "pending arrival before the boundary");
 }
 
 // Checkpoints never had a checksum-less format: an edited body without

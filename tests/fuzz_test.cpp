@@ -1,27 +1,42 @@
-// Differential fuzzing (ctest label: fuzz).
+// Differential and mutation fuzzing (ctest label: fuzz).
 //
 // Randomised (trace, configuration) pairs drive the single-pass
 // multi-configuration cache engine against the reference Cache replay,
-// and randomised schedules check ScheduleLog's busy-cycle reconstruction
-// against a naive recount and the simulator's own accounting. Every
+// randomised schedules check ScheduleLog's busy-cycle reconstruction
+// against a naive recount and the simulator's own accounting, and
+// mutated state files and scenario texts check that every parser
+// answers malformed input with std::runtime_error. Every
 // iteration derives from a printed seed: a failure message carries the
 // seed, and HETSCHED_FUZZ_SEED=<seed> re-runs the whole suite from that
 // base for deterministic reproduction (CI pins it for the sanitizer
 // job).
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cache/multi_sim.hpp"
 #include "core/schedule_log.hpp"
+#include "core/serialization.hpp"
 #include "experiment/experiment.hpp"
+#include "experiment/sweep.hpp"
+#include "obs/bench_diff.hpp"
+#include "scenario/checkpoint.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/rng.hpp"
+#include "util/snapshot_text.hpp"
+#include "util/thread_pool.hpp"
+#include "workload/profile_cache.hpp"
 
 namespace hetsched {
 namespace {
@@ -378,6 +393,248 @@ TEST(FuzzDag, ValidateAndRanksMatchNaiveReference) {
       ASSERT_LT(issue->edge_index, spec.edges.size()) << where;
     }
   }
+}
+
+// --- Seeded mutation fuzzing of the text parsers --------------------------
+//
+// Every format starts from its own writer's output. A mutation replaces
+// one whitespace token with an edge value, or deletes, duplicates or
+// truncates at one token; checksummed formats are re-signed so the
+// parser body is reached. The contract: each case returns or throws
+// std::runtime_error — never another exception, a crash or an abort.
+
+// The case under test, printed when a contract check aborts the process.
+char g_fuzz_case[512] = "";
+
+extern "C" void print_fuzz_case(int) {
+  std::fputs(g_fuzz_case, stderr);
+  std::signal(SIGABRT, SIG_DFL);
+  std::raise(SIGABRT);
+}
+
+const char* const kEdgeTokens[] = {
+    "0",   "1",    "-1",   "4294967296", "9223372036854775807",
+    "18446744073709551615", "18446744073709551616", "1000000000000",
+    "nan", "inf",  "1e308", "x",          ""};
+
+struct Mutation {
+  std::string text;
+  std::string what;
+};
+
+Mutation mutate(const std::string& text, Rng& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;
+  for (std::size_t i = 0; i < text.size();) {
+    std::size_t end = i;
+    while (end < text.size() && !std::isspace(static_cast<unsigned char>(
+                                    text[end]))) {
+      ++end;
+    }
+    if (end > i) tokens.emplace_back(i, end);
+    i = end + 1;
+  }
+  const auto [begin, end] = tokens[rng.below(tokens.size())];
+  const std::string token = text.substr(begin, end - begin);
+  const std::string head = text.substr(0, begin);
+  const std::string tail = text.substr(end);
+  const std::string where =
+      "token '" + token + "' at byte " + std::to_string(begin);
+  const std::size_t op = rng.below(std::size(kEdgeTokens) + 3);
+  if (op < std::size(kEdgeTokens)) {
+    return {head + kEdgeTokens[op] + tail,
+            "replaced " + where + " with '" + kEdgeTokens[op] + "'"};
+  }
+  if (op == std::size(kEdgeTokens)) return {head + tail, "deleted " + where};
+  if (op == std::size(kEdgeTokens) + 1) {
+    return {head + token + ' ' + token + tail, "duplicated " + where};
+  }
+  return {head, "truncated at " + where};
+}
+
+// Runs `cases` mutations of `seed_text` through `parse`. A `signed_text`
+// seed is mutated in its body and re-signed.
+template <typename Parse>
+void fuzz_format(const std::string& format, std::uint64_t salt,
+                 const std::string& seed_text, bool signed_text, int cases,
+                 Parse parse) {
+  std::signal(SIGABRT, print_fuzz_case);
+  const std::uint64_t base = fuzz_base_seed();
+  std::string body = seed_text;
+  if (signed_text) {
+    std::istringstream in(seed_text);
+    body = snapshot_text::read_checksummed(in, format);
+  }
+  Rng rng(base + salt);
+  for (int i = 0; i < cases; ++i) {
+    Mutation m = mutate(body, rng);
+    if (signed_text) {
+      std::ostringstream out;
+      snapshot_text::write_with_checksum(out, m.text);
+      m.text = out.str();
+    }
+    const std::string where = format + " case " + std::to_string(i) +
+                              " (HETSCHED_FUZZ_SEED=" + std::to_string(base) +
+                              "): " + m.what;
+    std::snprintf(g_fuzz_case, sizeof g_fuzz_case, "fuzz case: %s\n",
+                  where.c_str());
+    try {
+      parse(m.text);
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << where << " threw " << e.what();
+    }
+  }
+  std::signal(SIGABRT, SIG_DFL);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// A smoke scenario, its context and the checkpoint settings of its
+// mid-run checkpoint.
+struct Smoke {
+  Scenario scenario;
+  ScenarioContext context;
+  SimTime window_cycles = 0;
+};
+
+const std::vector<Smoke>& smokes() {
+  static const std::vector<Smoke>* all = [] {
+    auto* out = new std::vector<Smoke>;
+    for (const auto& [name, window] :
+         {std::pair<const char*, SimTime>{"streaming_smoke", 1'000'000},
+          {"portfolio_smoke", 1'000'000},
+          {"dag_smoke", 50'000}}) {
+      std::istringstream in(read_file(std::string(HETSCHED_SOURCE_DIR) +
+                                      "/examples/scenarios/" + name +
+                                      ".scn"));
+      Scenario scenario = Scenario::parse(in);
+      out->push_back(Smoke{scenario, ScenarioContext(scenario), window});
+    }
+    return out;
+  }();
+  return *all;
+}
+
+CheckpointRunOptions checkpoint_options(const Smoke& smoke) {
+  CheckpointRunOptions options;
+  options.window_cycles = smoke.window_cycles;
+  options.checkpoint_every = 1;
+  return options;
+}
+
+TEST(FuzzParsers, ScenarioFilesAndFaultPlans) {
+  std::uint64_t salt = 100;
+  for (const Smoke& smoke : smokes()) {
+    std::ostringstream text;
+    smoke.scenario.save(text);
+    fuzz_format(smoke.scenario.name + ".scn", ++salt, text.str(), false, 300,
+                [](const std::string& mutated) {
+                  std::istringstream in(mutated);
+                  (void)Scenario::parse(in);
+                });
+  }
+  const std::string plan =
+      "seed 7\nfail 1 200000\nrecover 1 900000\nreconfig-failure-rate 0.25\n"
+      "stuck-rate 0.125\ncounter-corruption-rate 0.5\ncounter-mode nan\n"
+      "counter-noise 0.5\n";
+  std::istringstream plan_in(plan);
+  std::ostringstream plan_text;
+  FaultPlan::parse(plan_in).save(plan_text);
+  fuzz_format("fault plan", ++salt, plan_text.str(), false, 300,
+              [](const std::string& mutated) {
+                std::istringstream in(mutated);
+                (void)FaultPlan::parse(in);
+              });
+}
+
+TEST(FuzzParsers, CheckpointsResumeOneStrideOrThrow) {
+  std::uint64_t salt = 200;
+  for (const Smoke& smoke : smokes()) {
+    CheckpointRunOptions options = checkpoint_options(smoke);
+    std::vector<std::string> checkpoints;
+    options.capture_checkpoints = &checkpoints;
+    run_scenario_checkpointed(smoke.scenario, smoke.context, options);
+    ASSERT_GE(checkpoints.size(), 2u) << smoke.scenario.name;
+    fuzz_format(
+        smoke.scenario.name + " checkpoint", ++salt,
+        checkpoints[checkpoints.size() / 2], true, 300,
+        [&smoke](const std::string& mutated) {
+          CheckpointRunOptions resume = checkpoint_options(smoke);
+          resume.resume_text = mutated;
+          resume.halt_after_checkpoints = 1;
+          std::vector<std::string> next;
+          resume.capture_checkpoints = &next;
+          run_scenario_checkpointed(smoke.scenario, smoke.context, resume);
+        });
+  }
+}
+
+TEST(FuzzParsers, SweepManifestsResumeOrThrow) {
+  const Smoke& smoke = smokes().front();
+  SweepGrid grid;
+  grid.base = smoke.scenario;
+  grid.base.arrivals.count = 60;
+  grid.core_counts = {4, 6};
+  grid.mean_gaps = {40000.0};
+  grid.policies = {"optimal"};
+  const ScenarioContext context(grid.context_scenario());
+  SweepSupervisorOptions options;
+  options.window_cycles = 1'000'000;
+  const SupervisedSweepResult clean = run_sweep_supervised(
+      grid, context, 1, ThreadPool::global(), options);
+  ASSERT_EQ(clean.cells.size(), 2u);
+  fuzz_format("sweep manifest", 300,
+              serialize_sweep_manifest(grid, clean.cells), true, 300,
+              [&](const std::string& mutated) {
+                SweepSupervisorOptions resume = options;
+                resume.resume_manifest_text = mutated;
+                const SupervisedSweepResult result = run_sweep_supervised(
+                    grid, context, 1, ThreadPool::global(), resume);
+                RunReport report;
+                attach_sweep_latency(report, result.cells,
+                                     options.window_cycles);
+              });
+}
+
+TEST(FuzzParsers, PredictorSnapshotsProfileCachesAndBenchJson) {
+  const Smoke& dag = smokes().back();
+  const auto* predictor =
+      dynamic_cast<const BestSizePredictor*>(dag.context.predictor());
+  ASSERT_NE(predictor, nullptr);
+  std::ostringstream snapshot;
+  PredictorSnapshot::from(*predictor).save(snapshot);
+  const auto load_snapshot = [](const std::string& mutated) {
+    std::istringstream in(mutated);
+    (void)PredictorSnapshot::load(in);
+  };
+  fuzz_format("predictor snapshot", 400, snapshot.str(), true, 300,
+              load_snapshot);
+  std::istringstream signed_snapshot(snapshot.str());
+  fuzz_format("legacy predictor snapshot", 401,
+              snapshot_text::read_checksummed(signed_snapshot, "snapshot"),
+              false, 300, load_snapshot);
+
+  const std::uint64_t key =
+      suite_cache_key(dag.scenario.suite, dag.context.energy());
+  std::ostringstream cache;
+  save_suite_snapshot(cache, dag.context.suite(), key);
+  fuzz_format("profile cache", 402, cache.str(), true, 300,
+              [key](const std::string& mutated) {
+                std::istringstream in(mutated);
+                (void)load_suite_snapshot(in, key);
+              });
+
+  const std::string bench = read_file(std::string(HETSCHED_SOURCE_DIR) +
+                                      "/bench/baselines/BENCH_scenario.json");
+  fuzz_format("bench JSON", 403, bench, false, 300,
+              [&bench](const std::string& mutated) {
+                (void)bench_diff(bench, mutated, 2.5).summary(2.5);
+              });
 }
 
 }  // namespace

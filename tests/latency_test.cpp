@@ -221,19 +221,22 @@ TEST(JobSpanCollector, WindowDigestTracksRetirementsPerWindow) {
   spans.on_dispatch(dispatch(1, 200));
   spans.on_slice(slice(1, 300, 900));  // retires in window 0, sojourn 800
   spans.on_arrival(arrival(2, 950));
-  spans.on_dispatch(dispatch(2, 1100));  // advances past the boundary
+  spans.on_dispatch(dispatch(2, 1100));
   spans.on_slice(slice(2, 1200, 1500));  // retires in window 1, sojourn 550
   spans.finalize();
 
-  const WindowLatency w0 = spans.window_latency(0);
+  const WindowLatency w0 = spans.take_window(0);
   EXPECT_EQ(w0.index, 0u);
   EXPECT_EQ(w0.jobs, 1u);
   EXPECT_EQ(w0.max, 800u);
-  const WindowLatency w1 = spans.window_latency(1);
+  const WindowLatency w1 = spans.take_window(1);
   EXPECT_EQ(w1.jobs, 1u);
   EXPECT_EQ(w1.max, 550u);
-  // Window 2 never existed.
-  EXPECT_DEATH((void)spans.window_latency(2), "precondition");
+  // No job retired in window 2, and a taken window is gone: both digest
+  // to zeros.
+  EXPECT_EQ(spans.take_window(2).jobs, 0u);
+  EXPECT_EQ(spans.take_window(1).jobs, 0u);
+  EXPECT_EQ(spans.take_window(1).max, 0u);
 }
 
 TEST(JobSpanCollector, StateRoundTripPreservesInFlightSpans) {
@@ -350,6 +353,28 @@ TEST(LatencyDeterminism, ByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(r1.windows_jsonl, r4.windows_jsonl);
   EXPECT_EQ(r1.latency, r3.latency);
   EXPECT_EQ(r1.latency, r4.latency);
+}
+
+// The span collector keeps no window clock, so the windowed collector
+// may see every event first and be finalized first: the windows JSONL
+// is still the observer stack's.
+TEST(LatencyDeterminism, WindowedCollectorFirstYieldsTheStackJsonl) {
+  World& w = world();
+  CheckpointRunOptions options;
+  options.window_cycles = 1'000'000;
+  const CheckpointRunOutcome stacked =
+      run_scenario_checkpointed(w.base, w.context, options);
+
+  JobSpanCollector spans(w.base.policy, 1'000'000);
+  WindowedCollector collector(w.base.cores, WindowedOptions{1'000'000, 0},
+                              &w.context.suite());
+  collector.set_span_source(&spans);
+  FanoutObserver fanout({&collector, &spans});
+  run_scenario(w.base, w.context, &fanout);
+  collector.finalize();
+  spans.finalize();
+  EXPECT_EQ(windows_text(collector), stacked.jsonl());
+  EXPECT_EQ(latency_json(spans), latency_json(stacked.spans));
 }
 
 TEST(LatencyDeterminism, StreamAndBatchSpansAreByteIdentical) {

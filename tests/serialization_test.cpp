@@ -219,6 +219,31 @@ TEST(SerializationTest, RejectsNonFiniteParameters) {
   EXPECT_THROW(PredictorSnapshot::load(scaler_stddev), std::runtime_error);
 }
 
+// A checksum-less snapshot declaring two 100,000-wide hidden layers: the
+// first layer's parameters are all there, but the 100,000 x 100,000
+// weight matrix cannot fit in the rest of the file, so the load fails
+// before allocating it.
+TEST(SerializationTest, RejectsLayersWiderThanTheFile) {
+  std::string text =
+      "hetsched-predictor v1\n"
+      "features 1 0\n"
+      "scaler 1 0x0p+0 0x1p+0\n"
+      "members 1\n"
+      "mlp 4 1 100000 100000 1 1 0\n";
+  text.reserve(text.size() + 4 * 100000 + 64);
+  for (int i = 0; i < 2 * 100000; ++i) text += "0 ";
+  text += "0\n";
+  std::stringstream in(text);
+  try {
+    PredictorSnapshot::load(in);
+    ADD_FAILURE() << "a snapshot wider than its file was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the rest of the input"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SerializationTest, LoadedSnapshotDrivesTheScheduler) {
   const Trained& t = trained();
   std::stringstream stream;

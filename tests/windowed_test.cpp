@@ -300,6 +300,43 @@ TEST(Anomalies, EnergyDriftLookbackIgnoresStaleHistoryAcrossIdleGaps) {
   EXPECT_EQ(detect_anomalies(sparse(100), config).size(), 1u);
 }
 
+TEST(Anomalies, TailLatencySpikeAgainstTrailingMeanWithinLookback) {
+  // Four windows at p99 1000 cycles, windows without retirements up to
+  // `spike_index`, then a p99 of 5000: 5x the trailing mean.
+  auto windows_with_spike_at = [](std::uint64_t spike_index) {
+    std::vector<WindowRecord> windows;
+    for (std::uint64_t i = 0; i <= spike_index; ++i) {
+      WindowRecord w = make_window(i, 2);
+      if (i < 4 || i == spike_index) {
+        w.lat_jobs = 4;
+        w.lat_p99 = i == spike_index ? 5000.0 : 1000.0;
+      }
+      windows.push_back(w);
+    }
+    return windows;
+  };
+  AnomalyConfig config;
+  config.starvation_windows = 0;
+  config.idle_spike_factor = 0.0;
+  config.energy_drift_factor = 0.0;
+  config.tail_latency_factor = 3.0;
+  config.trailing_windows = 4;
+  config.drift_lookback_windows = 16;
+
+  const std::vector<Anomaly> spike =
+      detect_anomalies(windows_with_spike_at(10), config);
+  ASSERT_EQ(spike.size(), 1u);
+  EXPECT_EQ(spike[0].rule, Anomaly::Rule::kTailLatencySpike);
+  EXPECT_EQ(spike[0].window, 10u);
+  EXPECT_DOUBLE_EQ(spike[0].value, 5000.0);
+  EXPECT_DOUBLE_EQ(spike[0].reference, 3000.0);
+  EXPECT_EQ(spike[0].message,
+            "p99 sojourn 5000 cycles exceeds 3x the trailing mean 1000 "
+            "cycles");
+  // Across a gap longer than the lookback the history is stale: silent.
+  EXPECT_TRUE(detect_anomalies(windows_with_spike_at(30), config).empty());
+}
+
 TEST(Anomalies, ReportCapAndOrdering) {
   // Starvation streaks of length 2 separated by healthy windows: every
   // streak fires once per core, 16 anomalies total against a cap of 5.
