@@ -17,6 +17,19 @@ namespace {
 
 namespace st = snapshot_text;
 
+// How the simulated system reacts to injected faults. A stuck execution
+// holds its core this many cycles before the watchdog clears it and
+// re-queues the job.
+constexpr Cycles kWatchdogTimeout = 200000;
+// Watchdog re-dispatches per job before hangs are no longer injected
+// (bounds how long one pathological job can thrash).
+constexpr std::uint32_t kWatchdogMaxRetries = 3;
+// Reconfiguration retry budget after a failed attempt; exhausting it
+// degrades the execution to the core's current (stale) configuration.
+constexpr std::uint32_t kReconfigMaxRetries = 3;
+// The first retry waits this many cycles; each further retry doubles it.
+constexpr Cycles kReconfigBackoffBase = 1000;
+
 void write_job(std::ostream& out, const Job& job) {
   out << job.job_id << ' ' << job.benchmark_id << ' ' << job.arrival << ' '
       << job.priority << ' ' << (job.deadline.has_value() ? 1 : 0);
@@ -159,8 +172,7 @@ MulticoreSimulator::MulticoreSimulator(const SystemConfig& system,
   result_.per_core.resize(cores_.size());
 }
 
-void MulticoreSimulator::set_fault_injector(FaultInjector* injector,
-                                            ResilienceConfig resilience) {
+void MulticoreSimulator::set_fault_injector(FaultInjector* injector) {
   HETSCHED_REQUIRE(!ran_);
   if (injector != nullptr) {
     for (const CoreFaultEvent& event : injector->plan().core_events) {
@@ -168,7 +180,6 @@ void MulticoreSimulator::set_fault_injector(FaultInjector* injector,
     }
   }
   injector_ = injector;
-  resilience_ = resilience;
 }
 
 SystemView MulticoreSimulator::make_view(SimTime now) {
@@ -227,9 +238,8 @@ Cycles MulticoreSimulator::reconfigure_with_retries(
   // previous configuration; retry with exponential backoff, then degrade
   // to running as-is.
   Cycles backoff = 0;
-  Cycles wait = resilience_.reconfig_backoff_base;
-  for (std::uint32_t attempt = 0;
-       attempt <= resilience_.reconfig_max_retries; ++attempt) {
+  Cycles wait = kReconfigBackoffBase;
+  for (std::uint32_t attempt = 0; attempt <= kReconfigMaxRetries; ++attempt) {
     charge_flush();
     if (!injector_->reconfig_fails(core_index, job_id,
                                    static_cast<int>(attempt))) {
@@ -245,7 +255,7 @@ Cycles MulticoreSimulator::reconfigure_with_retries(
     ++result_.faults.reconfig_failures;
     record_fault(FaultRecord::Kind::kReconfigFailure, now, core_index,
                  job_id);
-    const bool retries = attempt < resilience_.reconfig_max_retries;
+    const bool retries = attempt < kReconfigMaxRetries;
     if (observer_ != nullptr) {
       observer_->on_reconfig(ReconfigEvent{now, core_index, job_id, attempt,
                                            false, retries ? wait : 0});
@@ -310,15 +320,14 @@ void MulticoreSimulator::start_execution(const Job& job,
     const auto it = watchdog_counts_.find(job.job_id);
     const std::uint32_t fires =
         it == watchdog_counts_.end() ? 0 : it->second;
-    if (fires < resilience_.watchdog_max_retries) {
+    if (fires < kWatchdogMaxRetries) {
       hangs = injector_->job_hangs(job.job_id);
     }
   }
 
   core.busy = true;
   index_.mark_busy(decision.core);
-  core.busy_until = hangs ? now + resilience_.watchdog_timeout
-                          : now + backoff + duration;
+  core.busy_until = hangs ? now + kWatchdogTimeout : now + backoff + duration;
   core.running_job_id = job.job_id;
   core.running_benchmark = job.benchmark_id;
   core.running_kind = decision.exec;
@@ -330,7 +339,7 @@ void MulticoreSimulator::start_execution(const Job& job,
   if (observer_ != nullptr) {
     observer_->on_dispatch(DispatchEvent{
         now, decision.core, job.job_id, job.benchmark_id, decision.exec,
-        backoff, hangs ? resilience_.watchdog_timeout : duration, hangs});
+        backoff, hangs ? kWatchdogTimeout : duration, hangs});
   }
 
   completions_.push(Completion{core.busy_until, decision.core, job.job_id});

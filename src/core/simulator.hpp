@@ -131,21 +131,6 @@ void save_simulation_result(std::ostream& out, const SimulationResult& r);
 void load_simulation_result(std::istream& in, SimulationResult& r,
                             const std::string& context);
 
-// How the simulated system reacts to injected faults.
-struct ResilienceConfig {
-  // Cycles a stuck execution occupies its core before the watchdog
-  // clears it and re-queues the job.
-  Cycles watchdog_timeout = 200000;
-  // Watchdog re-dispatches per job before hangs are no longer injected
-  // (bounds how long one pathological job can thrash).
-  std::uint32_t watchdog_max_retries = 3;
-  // Reconfiguration retry budget after a failed attempt; exhausting it
-  // degrades the execution to the core's current (stale) configuration.
-  std::uint32_t reconfig_max_retries = 3;
-  // First retry waits this many cycles; each further retry doubles it.
-  Cycles reconfig_backoff_base = 1000;
-};
-
 class MulticoreSimulator {
  public:
   MulticoreSimulator(const SystemConfig& system,
@@ -208,8 +193,7 @@ class MulticoreSimulator {
 
   // Optional fault injector; must outlive run(). Set before run(). With
   // a zero-fault plan the run is bit-identical to an injector-free run.
-  void set_fault_injector(FaultInjector* injector,
-                          ResilienceConfig resilience = {});
+  void set_fault_injector(FaultInjector* injector);
 
   // Differential-testing switch: forces policies onto the reference
   // linear scans instead of the dispatch index. Decisions are identical
@@ -296,7 +280,6 @@ class MulticoreSimulator {
   SimulationResult::PriorityStats* cached_level_ = nullptr;
   ScheduleObserver* observer_ = nullptr;
   FaultInjector* injector_ = nullptr;
-  ResilienceConfig resilience_;
   std::vector<char> hung_;  // per core: current execution is stuck
   std::map<std::uint64_t, std::uint32_t> watchdog_counts_;  // per job
 

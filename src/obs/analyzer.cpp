@@ -263,14 +263,7 @@ std::string analyze_diff(std::string_view baseline_json,
     if (a == b) continue;
     ++deltas;
     const MetricDirection dir = classify_metric(path);
-    bool worse = false;
-    if (a > 0.0) {
-      if (dir == MetricDirection::kLowerIsBetter) {
-        worse = b > a * (1.0 + tolerance);
-      } else if (dir == MetricDirection::kHigherIsBetter) {
-        worse = b < a / (1.0 + tolerance);
-      }
-    }
+    const bool worse = metric_regressed(dir, a, b, tolerance);
     if (worse) ++failed;
     out += "delta " + path + ": " + CsvWriter::number(a) + " -> " +
            CsvWriter::number(b);

@@ -206,6 +206,21 @@ MetricDirection classify_metric(std::string_view path) {
   return MetricDirection::kIgnored;
 }
 
+bool metric_regressed(MetricDirection direction, double baseline,
+                      double current, double tolerance) {
+  if (direction == MetricDirection::kIgnored || !(baseline > 0.0) ||
+      !std::isfinite(baseline)) {
+    return false;
+  }
+  // A NaN/Inf candidate value is always a regression: NaN compares
+  // false against everything, so without this guard a broken bench
+  // would sail through the gate.
+  return !std::isfinite(current) ||
+         (direction == MetricDirection::kLowerIsBetter
+              ? current > baseline * (1.0 + tolerance)
+              : current < baseline / (1.0 + tolerance));
+}
+
 bool BenchDiffResult::regressed() const {
   if (!missing_in_current.empty()) return true;
   for (const BenchComparison& c : compared) {
@@ -267,13 +282,7 @@ BenchDiffResult bench_diff(std::string_view baseline_json,
     c.baseline = base;
     c.current = it->second;
     c.direction = direction;
-    // A NaN/Inf candidate value is always a regression: NaN compares
-    // false against everything, so without this guard a broken bench
-    // would sail through the gate.
-    c.regressed = !std::isfinite(c.current) ||
-                  (direction == MetricDirection::kLowerIsBetter
-                       ? c.current > base * (1.0 + tolerance)
-                       : c.current < base / (1.0 + tolerance));
+    c.regressed = metric_regressed(direction, base, c.current, tolerance);
     result.compared.push_back(std::move(c));
   }
 

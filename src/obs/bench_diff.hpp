@@ -17,7 +17,8 @@
 // (a silently vanished metric must not pass the gate); new keys in the
 // current file never fail the gate but are surfaced as `new-metric`
 // lines, so a refreshed baseline cannot silently absorb added keys.
-// Non-positive baselines are skipped — no meaningful ratio exists.
+// Non-positive and non-finite baselines are skipped — no meaningful
+// ratio exists.
 #pragma once
 
 #include <string>
@@ -30,6 +31,12 @@ enum class MetricDirection { kLowerIsBetter, kHigherIsBetter, kIgnored };
 
 // Classification by path name alone (pure function; see header comment).
 MetricDirection classify_metric(std::string_view path);
+
+// The regression rule above for one metric in both files: ignored
+// metrics and non-positive or non-finite baselines never regress, and a
+// NaN or infinite current value always does.
+bool metric_regressed(MetricDirection direction, double baseline,
+                      double current, double tolerance);
 
 // Every numeric leaf of `json` as (dotted path, value), in document
 // order. Minimal JSON subset: objects, arrays, numbers, strings,

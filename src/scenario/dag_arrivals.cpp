@@ -10,222 +10,195 @@
 
 namespace hetsched {
 
-namespace {
-
 namespace st = snapshot_text;
-
-// The graph over only the nodes the edges touch: their sorted ids, each
-// edge's endpoints renumbered into them, and CSR successor lists (each
-// in edge order). Costs O(E log E), whatever the declared job count.
-struct EdgeGraph {
-  std::vector<std::size_t> nodes;
-  std::vector<std::size_t> ends;  // edge i: ends[2i] -> ends[2i + 1]
-  std::vector<std::size_t> begin;
-  std::vector<std::size_t> successors;
-  std::vector<std::size_t> indegree;
-};
-
-EdgeGraph edge_graph(const std::vector<DagEdge>& edges) {
-  // (node, endpoint slot) sorted by node: one pass names the distinct
-  // nodes and renumbers every endpoint.
-  std::vector<std::pair<std::size_t, std::size_t>> by_node;
-  by_node.reserve(2 * edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    by_node.emplace_back(edges[i].from, 2 * i);
-    by_node.emplace_back(edges[i].to, 2 * i + 1);
-  }
-  std::sort(by_node.begin(), by_node.end());
-  EdgeGraph g;
-  g.ends.resize(by_node.size());
-  for (const auto& [node, slot] : by_node) {
-    if (g.nodes.empty() || g.nodes.back() != node) g.nodes.push_back(node);
-    g.ends[slot] = g.nodes.size() - 1;
-  }
-  g.begin.assign(g.nodes.size() + 1, 0);
-  g.indegree.assign(g.nodes.size(), 0);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    ++g.begin[g.ends[2 * i] + 1];
-    ++g.indegree[g.ends[2 * i + 1]];
-  }
-  for (std::size_t v = 0; v < g.nodes.size(); ++v) {
-    g.begin[v + 1] += g.begin[v];
-  }
-  g.successors.resize(edges.size());
-  std::vector<std::size_t> fill(g.begin.begin(), g.begin.end() - 1);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    g.successors[fill[g.ends[2 * i]]++] = g.ends[2 * i + 1];
-  }
-  return g;
-}
-
-// Kahn's algorithm; returns the pop order in graph indices (size <
-// node count exactly when the graph has a cycle).
-std::vector<std::size_t> topological_order(const EdgeGraph& g) {
-  std::vector<std::size_t> indegree = g.indegree;
-  std::vector<std::size_t> order;
-  order.reserve(g.nodes.size());
-  for (std::size_t v = 0; v < g.nodes.size(); ++v) {
-    if (indegree[v] == 0) order.push_back(v);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    const std::size_t v = order[head];
-    for (std::size_t k = g.begin[v]; k < g.begin[v + 1]; ++k) {
-      if (--indegree[g.successors[k]] == 0) order.push_back(g.successors[k]);
-    }
-  }
-  return order;
-}
-
-}  // namespace
 
 std::optional<DagSpec::Issue> DagSpec::validate(
     std::size_t node_count) const {
+  return DagGraph(edges, node_count).issue;
+}
+
+DagGraph::DagGraph(const std::vector<DagEdge>& edges,
+                   std::size_t node_count) {
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const DagEdge& e = edges[i];
     if (e.from >= node_count || e.to >= node_count) {
-      return Issue{i, "dep job id out of range (jobs 0.." +
-                          std::to_string(node_count == 0 ? 0
-                                                         : node_count - 1) +
-                          ")"};
+      issue = DagSpec::Issue{
+          i, "dep job id out of range (jobs 0.." +
+                 std::to_string(node_count == 0 ? 0 : node_count - 1) + ")"};
+      return;
     }
     if (e.from == e.to) {
-      return Issue{i, "dep repeats job " + std::to_string(e.from) +
-                          " (self dependency)"};
+      issue = DagSpec::Issue{i, "dep repeats job " + std::to_string(e.from) +
+                                    " (self dependency)"};
+      return;
     }
   }
-  // Duplicate edges: sort (from, to, first index) and compare adjacent.
-  std::vector<std::size_t> by_pair(edges.size());
-  for (std::size_t i = 0; i < by_pair.size(); ++i) by_pair[i] = i;
-  std::sort(by_pair.begin(), by_pair.end(),
-            [this](std::size_t a, std::size_t b) {
-              const DagEdge& ea = edges[a];
-              const DagEdge& eb = edges[b];
-              if (ea.from != eb.from) return ea.from < eb.from;
-              if (ea.to != eb.to) return ea.to < eb.to;
-              return a < b;
-            });
-  for (std::size_t k = 1; k < by_pair.size(); ++k) {
-    const DagEdge& a = edges[by_pair[k - 1]];
-    const DagEdge& b = edges[by_pair[k]];
-    if (a.from == b.from && a.to == b.to) {
-      return Issue{std::max(by_pair[k - 1], by_pair[k]),
-                   "duplicate dep " + std::to_string(a.from) + " -> " +
-                       std::to_string(a.to)};
+  {
+    // Duplicate edges: sort (from, to, first index) and compare adjacent.
+    std::vector<std::size_t> by_pair(edges.size());
+    for (std::size_t i = 0; i < by_pair.size(); ++i) by_pair[i] = i;
+    std::sort(by_pair.begin(), by_pair.end(),
+              [&edges](std::size_t a, std::size_t b) {
+                const DagEdge& ea = edges[a];
+                const DagEdge& eb = edges[b];
+                if (ea.from != eb.from) return ea.from < eb.from;
+                if (ea.to != eb.to) return ea.to < eb.to;
+                return a < b;
+              });
+    for (std::size_t k = 1; k < by_pair.size(); ++k) {
+      const DagEdge& a = edges[by_pair[k - 1]];
+      const DagEdge& b = edges[by_pair[k]];
+      if (a.from == b.from && a.to == b.to) {
+        issue = DagSpec::Issue{std::max(by_pair[k - 1], by_pair[k]),
+                               "duplicate dep " + std::to_string(a.from) +
+                                   " -> " + std::to_string(a.to)};
+        return;
+      }
     }
   }
-  const EdgeGraph graph = edge_graph(edges);
-  const std::vector<std::size_t> order = topological_order(graph);
-  if (order.size() < graph.nodes.size()) {
-    std::vector<char> popped(graph.nodes.size(), 0);
-    for (const std::size_t v : order) popped[v] = 1;
+
+  std::vector<std::size_t> ends(2 * edges.size());
+  {
+    // (node, endpoint slot) sorted by node: one pass names the distinct
+    // nodes and renumbers every endpoint (edge i: ends[2i] -> ends[2i+1]).
+    std::vector<std::pair<std::size_t, std::size_t>> by_node;
+    by_node.reserve(2 * edges.size());
     for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (!popped[graph.ends[2 * i]] && !popped[graph.ends[2 * i + 1]]) {
-        return Issue{i, "dep edges form a cycle through job " +
-                            std::to_string(edges[i].from)};
+      by_node.emplace_back(edges[i].from, 2 * i);
+      by_node.emplace_back(edges[i].to, 2 * i + 1);
+    }
+    std::sort(by_node.begin(), by_node.end());
+    for (const auto& [node, slot] : by_node) {
+      if (nodes.empty() || nodes.back() != node) nodes.push_back(node);
+      ends[slot] = nodes.size() - 1;
+    }
+  }
+  begin.assign(nodes.size() + 1, 0);
+  indegree.assign(nodes.size(), 0);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    ++begin[ends[2 * i] + 1];
+    ++indegree[ends[2 * i + 1]];
+  }
+  for (std::size_t v = 0; v < nodes.size(); ++v) begin[v + 1] += begin[v];
+  successors.resize(edges.size());
+  std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    successors[fill[ends[2 * i]]++] = ends[2 * i + 1];
+  }
+
+  // Kahn's algorithm: the order falls short of the node count exactly
+  // when the graph has a cycle.
+  std::vector<std::uint32_t> unvisited = indegree;
+  order.reserve(nodes.size());
+  for (std::size_t v = 0; v < nodes.size(); ++v) {
+    if (unvisited[v] == 0) order.push_back(v);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const std::size_t v = order[head];
+    for (std::size_t k = begin[v]; k < begin[v + 1]; ++k) {
+      if (--unvisited[successors[k]] == 0) order.push_back(successors[k]);
+    }
+  }
+  if (order.size() < nodes.size()) {
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (unvisited[ends[2 * i]] != 0 && unvisited[ends[2 * i + 1]] != 0) {
+        issue = DagSpec::Issue{i, "dep edges form a cycle through job " +
+                                      std::to_string(edges[i].from)};
+        return;
       }
     }
     HETSCHED_ASSERT(false && "cyclic graph without a residual edge");
   }
-  return std::nullopt;
-}
-
-std::vector<std::uint32_t> DagSpec::ranks(std::size_t node_count) const {
-  const EdgeGraph graph = edge_graph(edges);
-  const std::vector<std::size_t> order = topological_order(graph);
-  HETSCHED_REQUIRE(order.size() == graph.nodes.size() &&
-                   "ranks on a cyclic graph");
-  std::vector<std::uint32_t> graph_rank(graph.nodes.size(), 0);
+  rank.assign(nodes.size(), 0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const std::size_t v = *it;
-    for (std::size_t k = graph.begin[v]; k < graph.begin[v + 1]; ++k) {
-      graph_rank[v] =
-          std::max(graph_rank[v], graph_rank[graph.successors[k]] + 1);
+    for (std::size_t k = begin[*it]; k < begin[*it + 1]; ++k) {
+      rank[*it] = std::max(rank[*it], rank[successors[k]] + 1);
     }
   }
-  std::vector<std::uint32_t> rank(node_count, 0);
-  for (std::size_t v = 0; v < graph.nodes.size(); ++v) {
-    rank[graph.nodes[v]] = graph_rank[v];
-  }
-  return rank;
+}
+
+std::size_t DagGraph::index(std::size_t node) const {
+  const auto it = std::lower_bound(nodes.begin(), nodes.end(), node);
+  return it != nodes.end() && *it == node
+             ? static_cast<std::size_t>(it - nodes.begin())
+             : kUntouched;
 }
 
 DagArrivalSource::DagArrivalSource(
     const DagSpec& spec, std::vector<std::size_t> benchmark_ids,
     const ArrivalOptions& options, std::uint64_t seed,
-    const std::optional<RealtimeSetup>& realtime) {
-  const auto issue = spec.validate(options.count);
-  HETSCHED_REQUIRE(!issue.has_value() && "DagSpec must validate");
-
+    const std::optional<RealtimeSetup>& realtime)
+    : graph_(spec.edges, options.count),
+      root_stream_(std::move(benchmark_ids), options, seed) {
+  HETSCHED_REQUIRE(!graph_.issue.has_value() && "DagSpec must validate");
   // Same draws as the plain streaming source: a DAG scenario's nominal
   // arrivals are bit-identical to the independent-job scenario's.
-  GeneratedArrivalStream generator(std::move(benchmark_ids), options, seed);
   if (realtime.has_value()) {
-    generator.set_realtime(realtime->reference_cycles_by_benchmark,
-                           realtime->options, realtime->seed);
+    root_stream_.set_realtime(realtime->reference_cycles_by_benchmark,
+                              realtime->options, realtime->seed);
   }
-  const std::size_t count = options.count;
-  base_.reserve(count);
-  for (std::size_t v = 0; v < count; ++v) {
-    const std::optional<JobArrival> arrival = generator.next();
-    HETSCHED_ASSERT(arrival.has_value());
-    // The root cursor serves roots in index order, which is (release,
-    // node) order only because generated arrivals never decrease.
-    HETSCHED_ASSERT(v == 0 || arrival->arrival >= base_.back().arrival);
-    base_.push_back(*arrival);
-  }
-
-  const std::vector<std::uint32_t> rank = spec.ranks(count);
-  stats_.nodes = count;
+  stats_.nodes = options.count;
   stats_.edges = spec.edges.size();
-  for (std::size_t v = 0; v < count; ++v) {
-    base_[v].cp_rank = rank[v];
-    stats_.max_rank = std::max(stats_.max_rank, rank[v]);
+  // One pass of a fresh copy of the stream, up to the last dependent,
+  // stashes the dependents' arrivals.
+  GeneratedArrivalStream draws = root_stream_;
+  nominal_.resize(graph_.nodes.size());
+  std::uint64_t dependents = 0;
+  for (std::size_t v = 0; v < graph_.nodes.size(); ++v) {
+    stats_.max_rank = std::max(stats_.max_rank, graph_.rank[v]);
+    if (graph_.indegree[v] == 0) continue;
+    ++dependents;
+    while (draws.emitted() <= graph_.nodes[v]) nominal_[v] = *draws.next();
+    nominal_[v].cp_rank = graph_.rank[v];
   }
-  // Successor lists in CSR form, each in edge order.
-  indegree_.assign(count, 0);
-  successor_begin_.assign(count + 1, 0);
-  for (const DagEdge& e : spec.edges) {
-    ++indegree_[e.to];
-    ++successor_begin_[e.from + 1];
+  remaining_ = graph_.indegree;
+  root_count_ = options.count - dependents;
+  stats_.ready_peak = root_count_;
+}
+
+std::optional<DagArrivalSource::Emission> DagArrivalSource::draw_root(
+    GeneratedArrivalStream& stream, std::size_t& touched) const {
+  while (const std::optional<JobArrival> arrival = stream.next()) {
+    Emission root{*arrival, static_cast<std::size_t>(stream.emitted() - 1),
+                  DagGraph::kUntouched};
+    if (touched < graph_.nodes.size() && graph_.nodes[touched] == root.node) {
+      root.graph = touched++;
+      if (graph_.indegree[root.graph] != 0) continue;  // stashed
+      root.arrival.cp_rank = graph_.rank[root.graph];
+    }
+    return root;
   }
-  for (std::size_t v = 0; v < count; ++v) {
-    successor_begin_[v + 1] += successor_begin_[v];
-  }
-  successors_.resize(spec.edges.size());
-  std::vector<std::size_t> fill(successor_begin_.begin(),
-                                successor_begin_.end() - 1);
-  for (const DagEdge& e : spec.edges) successors_[fill[e.from]++] = e.to;
-  remaining_ = indegree_;
-  // Roots are released at their generated arrival time, up front.
-  for (std::size_t v = 0; v < count; ++v) {
-    if (indegree_[v] == 0) roots_.push_back(v);
-  }
-  stats_.ready_peak = roots_.size();
+  return std::nullopt;
 }
 
 std::optional<JobArrival> DagArrivalSource::next() {
   stale_ = false;
-  // Merge the root cursor with the released heap on (release, node).
-  HeapEntry entry{};
-  if (root_cursor_ < roots_.size()) {
-    const std::size_t root = roots_[root_cursor_];
-    entry = {base_[root].arrival, root};
+  if (!root_waiting_) {
+    root_ = draw_root(root_stream_, root_touched_);
+    root_waiting_ = root_.has_value();
   }
+  // Merge the roots with the released heap on (release, node). Roots
+  // come in (release, node) order only because generated arrivals never
+  // decrease.
+  Emission job;
   if (!eligible_.empty() &&
-      (root_cursor_ == roots_.size() || eligible_.top() < entry)) {
-    entry = eligible_.top();
+      (!root_waiting_ ||
+       HeapEntry{eligible_.top().first, graph_.nodes[eligible_.top().second]} <
+           HeapEntry{root_->arrival.arrival, root_->node})) {
+    const auto [release, graph] = eligible_.top();
     eligible_.pop();
-  } else if (root_cursor_ < roots_.size()) {
+    job = {nominal_[graph], graph_.nodes[graph], graph};
+    job.arrival.arrival = release;
+  } else if (root_waiting_) {
+    job = *root_;
+    root_waiting_ = false;
     ++root_cursor_;
   } else {
     return std::nullopt;
   }
-  const auto [release, node] = entry;
-  live_.emplace_hint(live_.end(), emitted_++, LiveJob{node, release});
-  if (!restored_) emission_log_.push_back(entry);
-  JobArrival arrival = base_[node];
-  arrival.arrival = release;
-  return arrival;
+  live_.emplace_hint(live_.end(), emitted_++,
+                     LiveJob{job.node, job.graph, job.arrival.arrival});
+  return job.arrival;
 }
 
 void DagArrivalSource::unget(const JobArrival& arrival) {
@@ -236,14 +209,15 @@ void DagArrivalSource::unget(const JobArrival& arrival) {
   const LiveJob job = live_.rbegin()->second;
   live_.erase(std::prev(live_.end()));
   --emitted_;
-  if (!restored_) emission_log_.pop_back();
   HETSCHED_ASSERT(job.release == arrival.arrival);
-  if (indegree_[job.node] == 0) {
-    HETSCHED_ASSERT(root_cursor_ > 0 &&
-                    roots_[root_cursor_ - 1] == job.node);
+  if (is_root(job.graph)) {
+    // Nothing is drawn between emitting a job and taking it back, so a
+    // root lookahead is still the last root drawn.
+    HETSCHED_ASSERT(!root_waiting_ && root_->node == job.node);
+    root_waiting_ = true;
     --root_cursor_;
   } else {
-    eligible_.push({job.release, job.node});
+    eligible_.push({job.release, job.graph});
   }
 }
 
@@ -251,34 +225,33 @@ void DagArrivalSource::on_slice(const ScheduledSlice& slice) {
   // Preempted fragments don't retire the job; only completion counts.
   if (!slice.completed) return;
   // Job ids are assigned at admission in emission order, so the live
-  // map takes them straight back to node indices. An unget'd lookahead
+  // map takes them straight to their graph nodes. An unget'd lookahead
   // was never admitted, so every admitted id was emitted.
   HETSCHED_REQUIRE(slice.job_id < emitted_ &&
                    "completion for a job this source never emitted");
   const auto job = live_.find(slice.job_id);
   HETSCHED_REQUIRE(job != live_.end() && "job completed twice");
-  const std::size_t node = job->second.node;
+  const std::size_t v = job->second.graph;
   live_.erase(job);
-  for (std::size_t k = successor_begin_[node]; k < successor_begin_[node + 1];
-       ++k) {
-    const std::size_t successor = successors_[k];
+  if (v == DagGraph::kUntouched) return;
+  for (std::size_t k = graph_.begin[v]; k < graph_.begin[v + 1]; ++k) {
+    const std::size_t successor = graph_.successors[k];
     std::uint32_t& left = remaining_[successor];
     HETSCHED_ASSERT(left > 0);
     --left;
     if (left == 0) {
       partial_.erase(successor);
-      release_node(successor, slice.end);
-    } else if (left + 1 == indegree_[successor]) {
+      release(successor, slice.end);
+    } else if (left + 1 == graph_.indegree[successor]) {
       partial_.insert(successor);
     }
   }
 }
 
-void DagArrivalSource::release_node(std::size_t node,
-                                    SimTime completion_time) {
-  const JobArrival& base = base_[node];
+void DagArrivalSource::release(std::size_t graph, SimTime completion_time) {
+  const JobArrival& base = nominal_[graph];
   const SimTime release = std::max(base.arrival, completion_time);
-  eligible_.push({release, node});
+  eligible_.push({release, graph});
   stale_ = true;
 
   const Cycles latency = static_cast<Cycles>(release - base.arrival);
@@ -286,13 +259,12 @@ void DagArrivalSource::release_node(std::size_t node,
   ++stats_.releases;
   stats_.release_latency_total += latency;
   stats_.cp_slack_total += slack;
-  stats_.ready_peak =
-      std::max<std::uint64_t>(stats_.ready_peak, ready_depth());
+  stats_.ready_peak = std::max(stats_.ready_peak, ready_depth());
 
   if (release_observer_ != nullptr) {
     DagReleaseEvent event;
     event.time = completion_time;
-    event.node = node;
+    event.node = graph_.nodes[graph];
     event.ready_depth = ready_depth();
     event.latency = latency;
     event.slack = slack;
@@ -300,28 +272,14 @@ void DagArrivalSource::release_node(std::size_t node,
   }
 }
 
-std::vector<std::size_t> DagArrivalSource::emission_order() const {
-  HETSCHED_REQUIRE(!restored_ && "emission order of a restored DAG source");
-  std::vector<std::size_t> order;
-  order.reserve(emission_log_.size());
-  for (const HeapEntry& entry : emission_log_) order.push_back(entry.second);
-  return order;
-}
-
-std::vector<JobArrival> DagArrivalSource::realized() const {
-  HETSCHED_REQUIRE(!restored_ && "realized arrivals of a restored DAG source");
-  std::vector<JobArrival> arrivals;
-  arrivals.reserve(emission_log_.size());
-  for (const auto& [release, node] : emission_log_) {
-    JobArrival arrival = base_[node];
-    arrival.arrival = release;
-    arrivals.push_back(arrival);
-  }
-  return arrivals;
+std::size_t DagArrivalSource::live_node(std::uint64_t job_id) const {
+  const auto job = live_.find(job_id);
+  HETSCHED_REQUIRE(job != live_.end() && "no live job with that id");
+  return job->second.node;
 }
 
 void DagArrivalSource::save_state(std::ostream& out) const {
-  out << "dag-arrivals " << base_.size() << ' ' << stats_.edges << "\n";
+  out << "dag-arrivals " << stats_.nodes << ' ' << stats_.edges << "\n";
   out << "stale " << (stale_ ? 1 : 0) << "\n";
   out << "roots " << root_cursor_ << ' ' << emitted_ << "\n";
   out << "live " << live_.size() << "\n";
@@ -329,17 +287,17 @@ void DagArrivalSource::save_state(std::ostream& out) const {
     out << job_id << ' ' << job.node << ' ' << job.release << "\n";
   }
   out << "partial " << partial_.size() << "\n";
-  for (const std::size_t node : partial_) {
-    out << node << ' ' << remaining_[node] << "\n";
+  for (const std::size_t v : partial_) {
+    out << graph_.nodes[v] << ' ' << remaining_[v] << "\n";
   }
   // Drain a copy of the heap: entries come out sorted by (time, node), a
   // canonical order independent of heap layout.
   auto heap = eligible_;
   out << "eligible " << heap.size() << "\n";
   while (!heap.empty()) {
-    const auto [release, node] = heap.top();
+    const auto [release, v] = heap.top();
     heap.pop();
-    out << release << ' ' << node << "\n";
+    out << release << ' ' << graph_.nodes[v] << "\n";
   }
   out << "dag-stats " << stats_.releases << ' ' << stats_.ready_peak << ' '
       << stats_.release_latency_total << ' ' << stats_.cp_slack_total
@@ -350,23 +308,22 @@ void DagArrivalSource::restore_state(std::istream& in,
                                      const std::string& context) {
   HETSCHED_REQUIRE(emitted_ == 0 && "restore into a fresh DAG source");
   st::Reader r(in, context);
-  const std::size_t count = base_.size();
+  const std::uint64_t count = stats_.nodes;
   // Each node may appear once across the live, partial and heap lists;
   // `listed` records which one.
-  enum : char { kUnlisted, kLive, kPartial, kEligible };
-  std::vector<char> listed(count, kUnlisted);
+  enum : char { kLive, kPartial, kEligible };
+  std::map<std::size_t, char> listed;
   auto read_node = [&](const char* what, char list) {
     const auto node = r.read<std::size_t>(what);
     if (node >= count) r.fail(std::string(what) + " out of range");
-    if (listed[node] != kUnlisted) {
+    if (!listed.emplace(node, list).second) {
       r.fail(std::string(what) + " listed twice");
     }
-    listed[node] = list;
     return node;
   };
 
   r.expect("dag-arrivals");
-  if (r.read<std::size_t>("dag node count") != count) {
+  if (r.read<std::uint64_t>("dag node count") != count) {
     r.fail("dag node count does not match the scenario");
   }
   if (r.read<std::uint64_t>("dag edge count") != stats_.edges) {
@@ -376,14 +333,20 @@ void DagArrivalSource::restore_state(std::istream& in,
   stale_ = r.flag("dag stale flag");
 
   r.expect("roots");
-  const auto cursor = r.read<std::size_t>("dag root cursor");
+  const auto cursor = r.read<std::uint64_t>("dag root cursor");
   const auto emitted_count = r.read<std::uint64_t>("dag emitted count");
-  if (cursor > roots_.size()) r.fail("dag root cursor beyond the root count");
+  if (cursor > root_count_) r.fail("dag root cursor beyond the root count");
   if (emitted_count > count || emitted_count < cursor) {
     r.fail("dag emitted count inconsistent with the graph");
   }
-  root_cursor_ = cursor;
+  // The stream gives the same roots again: re-draw the emitted ones.
+  for (; root_cursor_ < cursor; ++root_cursor_) {
+    root_ = draw_root(root_stream_, root_touched_);
+  }
   emitted_ = emitted_count;
+  const auto emitted_root = [&](std::size_t node) {
+    return root_cursor_ > 0 && node <= root_->node;
+  };
 
   r.expect("live");
   const std::size_t live = r.count("dag live count");
@@ -393,68 +356,65 @@ void DagArrivalSource::restore_state(std::istream& in,
       r.fail("dag live job id not below the emitted count");
     }
     const std::size_t node = read_node("dag live node", kLive);
+    const std::size_t v = graph_.index(node);
     const auto release = r.read<SimTime>("dag live release");
-    if (!live_.emplace(job_id, LiveJob{node, release}).second) {
+    if (is_root(v) && !emitted_root(node)) r.fail("dag live root not emitted");
+    if (!live_.emplace(job_id, LiveJob{node, v, release}).second) {
       r.fail("dag live job id listed twice");
     }
-    remaining_[node] = 0;
+    if (v != DagGraph::kUntouched) remaining_[v] = 0;
   }
 
   r.expect("partial");
   const std::size_t partial = r.count("dag partial count");
   for (std::size_t k = 0; k < partial; ++k) {
-    const std::size_t node = read_node("dag partial node", kPartial);
+    const std::size_t v = graph_.index(read_node("dag partial node", kPartial));
     const auto left = r.read<std::uint32_t>("dag predecessors left");
-    if (left == 0 || left >= indegree_[node]) {
+    if (left == 0 || is_root(v) || left >= graph_.indegree[v]) {
       r.fail("dag partial node must have some but not all predecessors "
              "retired");
     }
-    remaining_[node] = left;
-    partial_.insert(node);
+    remaining_[v] = left;
+    partial_.insert(v);
   }
 
   r.expect("eligible");
   const std::size_t eligible = r.count("dag eligible count");
   for (std::size_t k = 0; k < eligible; ++k) {
     const auto release = r.read<SimTime>("dag release");
-    const std::size_t node = read_node("dag eligible node", kEligible);
-    if (indegree_[node] == 0) {
-      r.fail("dag root in the completion-released heap");
-    }
-    remaining_[node] = 0;
-    eligible_.push({release, node});
+    const std::size_t v =
+        graph_.index(read_node("dag eligible node", kEligible));
+    if (is_root(v)) r.fail("dag root in the completion-released heap");
+    remaining_[v] = 0;
+    eligible_.push({release, v});
   }
 
-  // Every node must agree with its predecessors, walked in topological
-  // order: an emitted root is retired unless live; a live or released
-  // node has every predecessor retired, a partial one exactly `indegree
-  // - left`, and an unlisted one none (unreleased) or all (retired).
-  std::vector<std::uint32_t> retired_preds(count, 0);
-  std::vector<std::uint32_t> unvisited = indegree_;
-  std::vector<std::size_t> order = roots_;
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    const std::size_t v = order[head];
+  // Every graph node must agree with its predecessors, walked in
+  // topological order: an emitted root is retired unless live; a live or
+  // released node has every predecessor retired, a partial one exactly
+  // `indegree - left`, and an unlisted one none (unreleased) or all
+  // (retired).
+  std::vector<std::uint32_t> retired_preds(graph_.nodes.size(), 0);
+  for (const std::size_t v : graph_.order) {
+    const auto entry = listed.find(graph_.nodes[v]);
+    const bool unlisted = entry == listed.end();
     bool retired = false;
-    if (indegree_[v] == 0) {
-      const bool emitted = root_cursor_ > 0 && v <= roots_[root_cursor_ - 1];
-      if (listed[v] == kLive && !emitted) r.fail("dag live root not emitted");
-      retired = emitted && listed[v] != kLive;
+    if (graph_.indegree[v] == 0) {
+      retired = emitted_root(graph_.nodes[v]) && unlisted;
     } else {
       const std::uint32_t done = retired_preds[v];
-      const bool all = done == indegree_[v];
-      retired = listed[v] == kUnlisted && all;
-      if (listed[v] == kPartial ? done + remaining_[v] != indegree_[v]
-          : listed[v] == kUnlisted ? !all && done != 0
-                                   : !all) {
-        r.fail("dag node " + std::to_string(v) +
+      const bool all = done == graph_.indegree[v];
+      retired = unlisted && all;
+      if (unlisted ? !all && done != 0
+          : entry->second == kPartial
+              ? done + remaining_[v] != graph_.indegree[v]
+              : !all) {
+        r.fail("dag node " + std::to_string(graph_.nodes[v]) +
                " does not match its retired predecessors");
       }
     }
-    for (std::size_t k = successor_begin_[v]; k < successor_begin_[v + 1];
-         ++k) {
-      const std::size_t s = successors_[k];
-      if (retired) ++retired_preds[s];
-      if (--unvisited[s] == 0) order.push_back(s);
+    for (std::size_t k = graph_.begin[v]; k < graph_.begin[v + 1]; ++k) {
+      if (retired) ++retired_preds[graph_.successors[k]];
     }
   }
 
@@ -463,7 +423,6 @@ void DagArrivalSource::restore_state(std::istream& in,
   stats_.ready_peak = r.read<std::uint64_t>("dag ready peak");
   stats_.release_latency_total = r.read<Cycles>("dag release latency");
   stats_.cp_slack_total = r.read<std::uint64_t>("dag cp slack");
-  restored_ = true;
 }
 
 void DagArrivalSource::check_resumed(
@@ -477,19 +436,23 @@ void DagArrivalSource::check_resumed(
     matches = matches && live_.count(job.job_id) != 0;
   }
   if (matches && ahead != 0) {
-    // The lookahead was emitted last; a root one sits behind the cursor.
+    // The lookahead was emitted last; a root one is the last root drawn.
     const auto last = live_.find(emitted_ - 1);
     matches = last != live_.end() && last->second.release == lookahead->arrival;
-    if (matches && indegree_[last->second.node] == 0) {
-      matches = root_cursor_ > 0 && roots_[root_cursor_ - 1] == last->second.node;
+    if (matches && is_root(last->second.graph)) {
+      matches = root_cursor_ > 0 && root_->node == last->second.node;
     }
   }
   if (!matches) {
     st::fail(context, "dag live jobs do not match the simulator's jobs");
   }
+  // The next root, drawn from a copy so the source keeps its place.
+  GeneratedArrivalStream stream = root_stream_;
+  std::size_t touched = root_touched_;
+  const std::optional<Emission> root =
+      root_waiting_ ? root_ : draw_root(stream, touched);
   const SimTime due = ahead != 0 ? lookahead->arrival : paused_at;
-  if ((root_cursor_ < roots_.size() &&
-       base_[roots_[root_cursor_]].arrival < due) ||
+  if ((root.has_value() && root->arrival.arrival < due) ||
       (!eligible_.empty() && eligible_.top().first < due)) {
     st::fail(context, "dag arrival due before the simulator's lookahead");
   }

@@ -47,12 +47,32 @@ struct DagSpec {
     std::string what;
   };
   std::optional<Issue> validate(std::size_t node_count) const;
+};
 
-  // Unit-weight longest-path-to-sink rank per node: 0 for sinks and
-  // independent jobs, 1 + max over successors otherwise. The critical
-  // path length (in edges) is the maximum entry. Requires validate() to
-  // have passed.
-  std::vector<std::uint32_t> ranks(std::size_t node_count) const;
+// The graph over only the jobs that edges touch, built in O(E log E)
+// whatever the declared job count. Graph index v names the v-th
+// smallest touched job id, so graph order is job-id order.
+struct DagGraph {
+  static constexpr std::size_t kUntouched = SIZE_MAX;
+
+  // Checks `edges` over `node_count` jobs as DagSpec::validate
+  // documents; the fields below are filled only when `issue` is empty.
+  DagGraph(const std::vector<DagEdge>& edges, std::size_t node_count);
+
+  // The graph index of job `node`, or kUntouched.
+  std::size_t index(std::size_t node) const;
+
+  std::optional<DagSpec::Issue> issue;
+  std::vector<std::size_t> nodes;  // graph index -> job id
+  // CSR successor lists, each in edge order: v's successors are
+  // successors[begin[v] .. begin[v + 1]).
+  std::vector<std::size_t> begin;
+  std::vector<std::size_t> successors;
+  std::vector<std::uint32_t> indegree;
+  // Unit-weight longest path to a sink (0 for sinks, as for every
+  // untouched job); the critical path length is the maximum.
+  std::vector<std::uint32_t> rank;
+  std::vector<std::size_t> order;  // a topological order
 };
 
 // Cumulative DAG release accounting, surfaced in RunReport's "dag"
@@ -68,20 +88,20 @@ struct DagStats {
   std::uint64_t cp_slack_total = 0;  // sum of max_rank - rank at release
 };
 
-// Release-on-completion arrival source: materialises the generated
-// arrival stream (bit-identical draws to GeneratedArrivalStream for the
-// same options/seed/realtime setup), then feeds the simulator only the
+// Release-on-completion arrival source: draws the generated arrival
+// stream (bit-identical to GeneratedArrivalStream for the same
+// options/seed/realtime setup) and feeds the simulator only the
 // eligible frontier. Implements ScheduleObserver so completion slices
 // from the very simulator it feeds release successors; the simulator's
 // lookahead re-polls via the lookahead_stale()/unget() protocol.
-// The graph (nominal arrivals, ranks, successors, in-degrees) is
-// O(nodes) memory rebuilt from the scenario at construction; the state
-// a run mutates — and a checkpoint carries — is bounded by live jobs.
+// It holds the edge graph, the dependents' nominal arrivals and the
+// jobs in flight, never anything per declared job: roots are drawn from
+// the stream as the run reaches them.
 class DagArrivalSource final : public ArrivalSource,
                                public ScheduleObserver {
  public:
   // Mirrors GeneratedArrivalStream::set_realtime, taken up front because
-  // the constructor performs every arrival draw.
+  // the constructor draws the dependents' arrivals.
   struct RealtimeSetup {
     std::vector<Cycles> reference_cycles_by_benchmark;
     RealtimeOptions options;
@@ -101,8 +121,8 @@ class DagArrivalSource final : public ArrivalSource,
   }
 
   // ArrivalSource: emits eligible nodes in (release time, node index)
-  // order. Admission order therefore equals emission order, which is how
-  // simulator job ids map back to node indices.
+  // order. Admission order therefore equals emission order: the k-th
+  // emitted arrival becomes simulator job id k.
   std::optional<JobArrival> next() override;
   bool lookahead_stale() const override { return stale_; }
   void unget(const JobArrival& arrival) override;
@@ -114,21 +134,16 @@ class DagArrivalSource final : public ArrivalSource,
 
   const DagStats& stats() const { return stats_; }
 
-  // Test helpers for uninterrupted runs: a restored source has no
-  // history before its checkpoint, so both fail a precondition there.
-  // emission_order()[k] is the node of the k-th emitted arrival (==
-  // simulator job id k); realized() is the arrival sequence so far,
-  // suitable for batch replay through MulticoreSimulator::run: sorted by
-  // construction, cp_rank attached. Complete once the stream is drained.
-  std::vector<std::size_t> emission_order() const;
-  std::vector<JobArrival> realized() const;
+  // The node of job `job_id` while it is live (emitted, not retired).
+  std::size_t live_node(std::uint64_t job_id) const;
 
   // Checkpoint support: the live state only — root cursor, emitted
   // count, emitted-but-unretired jobs, partly satisfied nodes, the
   // completion-released heap in canonical sorted order, the stale flag
-  // and cumulative stats. Everything else is rebuilt by the constructor
-  // from the scenario, so the block's size is bounded by the jobs in
-  // flight, not by node count or progress. Same contract as
+  // and cumulative stats. The graph and the dependents' arrivals are
+  // rebuilt by the constructor from the scenario, and restore re-draws
+  // the roots up to the cursor, so the block's size is bounded by the
+  // jobs in flight, not by node count or progress. Same contract as
   // GeneratedArrivalStream: construct identically, then restore before
   // the next next().
   void save_state(std::ostream& out) const;
@@ -144,34 +159,52 @@ class DagArrivalSource final : public ArrivalSource,
                      SimTime paused_at, const std::string& context) const;
 
  private:
-  using HeapEntry = std::pair<SimTime, std::size_t>;  // (release, node)
+  using HeapEntry = std::pair<SimTime, std::size_t>;  // (release, graph)
 
-  // An emitted job that has not retired: its node and release time.
+  // A job the source emits: its node, graph index (kUntouched for an
+  // independent job) and arrival.
+  struct Emission {
+    JobArrival arrival;
+    std::size_t node = 0;
+    std::size_t graph = DagGraph::kUntouched;
+  };
+  // An emitted job that has not retired.
   struct LiveJob {
     std::size_t node = 0;
+    std::size_t graph = DagGraph::kUntouched;
     SimTime release = 0;
   };
 
-  void release_node(std::size_t node, SimTime completion_time);
+  bool is_root(std::size_t graph) const {
+    return graph == DagGraph::kUntouched || graph_.indegree[graph] == 0;
+  }
+  // The next root `stream` yields, skipping the dependents' draws;
+  // `touched` is the graph index of the next touched job it reaches.
+  std::optional<Emission> draw_root(GeneratedArrivalStream& stream,
+                                std::size_t& touched) const;
+  void release(std::size_t graph, SimTime completion_time);
   // Unemitted roots plus completion-released nodes not yet emitted.
-  std::size_t ready_depth() const {
-    return roots_.size() - root_cursor_ + eligible_.size();
+  std::uint64_t ready_depth() const {
+    return root_count_ - root_cursor_ + eligible_.size();
   }
 
-  // Graph, rebuilt from the scenario: nominal arrivals (cp_rank filled
-  // in), successors in CSR form, in-degrees and the roots in index (==
-  // arrival) order.
-  std::vector<JobArrival> base_;
-  std::vector<std::size_t> successor_begin_;
-  std::vector<std::size_t> successors_;
-  std::vector<std::uint32_t> indegree_;
-  std::vector<std::size_t> roots_;
+  // Rebuilt from the scenario: the graph, the dependents' nominal
+  // arrivals (by graph index, cp_rank filled in) and the root count.
+  DagGraph graph_;
+  std::vector<JobArrival> nominal_;
+  std::uint64_t root_count_ = 0;
 
-  // Run state. Roots are served from a cursor; the heap holds only
-  // nodes that completions released. `remaining_` counts unretired
-  // predecessors per node; `partial_` is the set of unreleased nodes
-  // with some but not all of them retired.
-  std::size_t root_cursor_ = 0;
+  // Run state. Roots come from `root_stream_` in index (== arrival)
+  // order: `root_` is the last one drawn, not yet emitted while
+  // `root_waiting_`, and `root_cursor_` counts the emitted ones. The
+  // heap holds only nodes that completions released. `remaining_`
+  // counts unretired predecessors per graph node; `partial_` is the set
+  // of unreleased ones with some but not all of them retired.
+  GeneratedArrivalStream root_stream_;
+  std::size_t root_touched_ = 0;
+  std::optional<Emission> root_;
+  bool root_waiting_ = false;
+  std::uint64_t root_cursor_ = 0;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       std::greater<HeapEntry>>
       eligible_;
@@ -182,11 +215,6 @@ class DagArrivalSource final : public ArrivalSource,
   std::uint64_t emitted_ = 0;
   bool stale_ = false;
   DagStats stats_;
-
-  // (release, node) per emitted job, for emission_order()/realized();
-  // not checkpointed, so a restored source stops keeping it.
-  std::vector<HeapEntry> emission_log_;
-  bool restored_ = false;
   ScheduleObserver* release_observer_ = nullptr;
 };
 

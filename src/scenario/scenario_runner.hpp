@@ -128,7 +128,7 @@ class ScenarioRun {
     return injector_.has_value() ? &*injector_ : nullptr;
   }
   // Null when the scenario declared no job DAG (checkpointing serialises
-  // its frontier; tests replay its realized arrival order).
+  // its frontier).
   DagArrivalSource* dag() { return dag_.has_value() ? &*dag_ : nullptr; }
   const DagArrivalSource* dag() const {
     return dag_.has_value() ? &*dag_ : nullptr;

@@ -45,8 +45,8 @@ class StreamStats final : public ScheduleObserver {
   void on_idle(const IdleEvent& event) override;
   void on_preempt(const PreemptEvent& event) override;
   // Counted but deliberately NOT folded into the digest: a DAG run's
-  // digest must stay comparable with a batch replay of its realized
-  // arrivals, and the replay has no DAG source to emit release events.
+  // digest must stay comparable with a batch replay of the arrivals its
+  // source emitted, and the replay has no DAG source to emit release events.
   // The underlying slices/dispatches those releases derive from are all
   // digested, so the fingerprint loses nothing.
   void on_dag_release(const DagReleaseEvent& event) override;

@@ -25,8 +25,8 @@ struct JobArrival {
   std::optional<SimTime> deadline;
   // DAG extension: unit-weight longest-path-to-sink rank of this job in
   // its precedence graph (0 for independent jobs and sinks). Carried on
-  // the arrival so batch replays of a realized DAG stream see the same
-  // per-job rank the streaming run did.
+  // the arrival so batch replays of what a DAG source emitted see the
+  // same per-job rank the streaming run did.
   std::uint32_t cp_rank = 0;
 };
 

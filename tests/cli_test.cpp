@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 namespace {
 
@@ -126,6 +127,45 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<const char*>& param_info) {
       return std::string(param_info.param);
     });
+
+// dag_smoke's third checkpoint at 50,000-cycle windows (the halted run's
+// file) is pinned byte for byte: the DAG block's format and the live
+// state it carries must not drift.
+TEST(CliCheckpoint, DagSmokeCheckpointMatchesTheGolden) {
+  const std::string dir = output_dir("dag_ckpt");
+  const CliRun halted =
+      run_cli("scenario --file '" + kScenarios +
+                  "dag_smoke.scn' --window-cycles 50000 --checkpoint-out '" +
+                  dir + "/run.ckpt' --halt-after-checkpoints 3",
+              dir);
+  ASSERT_EQ(halted.status, 3) << slurp(dir + "/stderr.txt");
+  const std::string golden =
+      slurp(std::string(HETSCHED_SOURCE_DIR) + "/tests/golden/dag_smoke.ckpt");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(slurp(dir + "/run.ckpt"), golden);
+}
+
+// `bench-diff` and `analyze --diff` apply one regression rule, also to
+// the infinities a literal like 1e999 parses to: an infinite baseline
+// gives no ratio to fail, and an infinite current value always fails.
+TEST(CliDiff, BenchDiffAndAnalyzeDiffAgreeOnInfinities) {
+  const std::string dir = output_dir("diff");
+  const auto write = [&](const std::string& name, const std::string& json) {
+    std::ofstream(dir + "/" + name) << json;
+    return "'" + dir + "/" + name + "'";
+  };
+  const std::string finite = write("finite.json", R"({"jobs_per_sec": 5})");
+  const std::string infinite =
+      write("infinite.json", R"({"jobs_per_sec": 1e999})");
+  for (const auto& [baseline, current, status] :
+       {std::tuple{infinite, finite, 0}, std::tuple{finite, infinite, 1}}) {
+    const std::string operands = baseline + " " + current;
+    EXPECT_EQ(run_cli("bench-diff " + operands, dir).status, status)
+        << operands;
+    EXPECT_EQ(run_cli("analyze --diff " + operands, dir).status, status)
+        << operands;
+  }
+}
 
 TEST(CliCheckpointFlags, RejectedWhenTheyProduceNothing) {
   const std::string dir = output_dir("rejected");

@@ -38,6 +38,8 @@
 #include "util/thread_pool.hpp"
 #include "workload/profile_cache.hpp"
 
+#include "dag_recording.hpp"
+
 namespace hetsched {
 namespace {
 
@@ -331,8 +333,8 @@ std::vector<std::uint32_t> naive_dag_ranks(
 // Random graphs across three regimes — layered-acyclic, layered plus an
 // injected back edge, and unconstrained (range/self/duplicate errors
 // included) — must get the same accept/reject verdict from
-// DagSpec::validate and the naive validator, and identical ranks when
-// accepted.
+// DagSpec::validate and the naive validator, and when accepted a
+// DagArrivalSource must attach the naive ranks to the jobs it emits.
 TEST(FuzzDag, ValidateAndRanksMatchNaiveReference) {
   const std::uint64_t base = fuzz_base_seed();
   const int kGraphs = 400;
@@ -387,7 +389,11 @@ TEST(FuzzDag, ValidateAndRanksMatchNaiveReference) {
         << (issue.has_value() ? "; validate said: " + issue->what
                               : "; validate accepted");
     if (naive_ok) {
-      ASSERT_EQ(spec.ranks(nodes), naive_dag_ranks(spec.edges, nodes))
+      ArrivalOptions options;
+      options.count = nodes;
+      DagArrivalSource source(spec, {0}, options, seed, std::nullopt);
+      ASSERT_EQ(emitted_ranks(source, nodes),
+                naive_dag_ranks(spec.edges, nodes))
           << where;
     } else {
       ASSERT_LT(issue->edge_index, spec.edges.size()) << where;
