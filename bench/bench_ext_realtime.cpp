@@ -10,65 +10,55 @@
 //   realtime-EDF         — EDF queue + idle-capacity-first placement
 //   realtime-EDF+preempt — additionally evicts later-deadline jobs
 #include <iostream>
+#include <limits>
 
 #include "core/realtime_policy.hpp"
-#include "experiment/experiment.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "util/table_printer.hpp"
 
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  options.scenario.arrivals.count = 3000;
-  Experiment experiment(options);
-  const CharacterizedSuite& suite = experiment.suite();
-
-  // Reference execution time per benchmark: base configuration.
-  std::vector<Cycles> reference(suite.size(), 0);
-  for (std::size_t id = 0; id < suite.size(); ++id) {
-    reference[id] = suite.benchmark(id)
-                        .profile_for(DesignSpace::base_config())
-                        .energy.total_cycles;
-  }
+  // The default scenario policy (proposed) makes the context train the
+  // ANN every variant predicts with.
+  Scenario scenario;
+  scenario.arrivals.count = 3000;
+  const ScenarioContext context(scenario);
 
   std::cout << "=== Extension: deadlines, EDF and preemption ===\n\n";
 
   TablePrinter table({"slack", "discipline", "miss rate", "mean response",
                       "preemptions", "total energy mJ"});
 
+  struct Variant {
+    std::string label;
+    QueueDiscipline discipline;
+    // A registry policy, or empty for the non-preempting realtime-EDF
+    // policy, which the registry does not offer.
+    std::string policy;
+  };
+  const Variant variants[] = {
+      {"proposed/FIFO", QueueDiscipline::kFifo, "proposed"},
+      {"proposed/EDF", QueueDiscipline::kEdf, "proposed"},
+      {"realtime-EDF", QueueDiscipline::kEdf, ""},
+      {"realtime-EDF+preempt", QueueDiscipline::kEdf, "realtime"},
+  };
   for (double slack : {2.0, 4.0, 8.0}) {
-    std::vector<JobArrival> arrivals = experiment.arrivals();
-    arrivals.resize(options.scenario.arrivals.count);
-    Rng rt_rng(123);
-    RealtimeOptions rt;
-    rt.slack_factor = slack;
-    rt.priority_levels = 3;
-    assign_realtime_attributes(arrivals, reference, rt, rt_rng);
-
-    struct Variant {
-      std::string label;
-      QueueDiscipline discipline;
-      bool realtime_policy;
-      bool preempt;
-    };
-    const Variant variants[] = {
-        {"proposed/FIFO", QueueDiscipline::kFifo, false, false},
-        {"proposed/EDF", QueueDiscipline::kEdf, false, false},
-        {"realtime-EDF", QueueDiscipline::kEdf, true, false},
-        {"realtime-EDF+preempt", QueueDiscipline::kEdf, true, true},
-    };
     for (const Variant& v : variants) {
+      Scenario cell = scenario;
+      cell.policy = v.policy.empty() ? "realtime" : v.policy;
+      cell.discipline = v.discipline;
+      cell.realtime = RealtimeOptions{slack, 3};
+      cell.use_standard_machine(4);
       SimulationResult result;
-      if (v.realtime_policy) {
-        RealtimeEdfPolicy policy(experiment.predictor(), v.preempt);
-        MulticoreSimulator sim(SystemConfig::paper_quadcore(), suite,
-                               experiment.energy(), policy, v.discipline);
-        result = sim.run(arrivals);
+      if (v.policy.empty()) {
+        RealtimeEdfPolicy policy(*context.predictor(), false);
+        ScenarioRun run(cell, context, policy);
+        run.start();
+        run.advance_until(std::numeric_limits<SimTime>::max());
+        result = run.finish();
       } else {
-        ProposedPolicy policy(experiment.predictor());
-        MulticoreSimulator sim(SystemConfig::paper_quadcore(), suite,
-                               experiment.energy(), policy, v.discipline);
-        result = sim.run(arrivals);
+        result = run_scenario(cell, context).result;
       }
       table.add_row(
           {TablePrinter::num(slack, 1) + "x", v.label,

@@ -9,22 +9,25 @@
 // and the prediction sanity guard absorbs corrupted counters — while its
 // energy advantage over the base system erodes only gradually.
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "core/policies.hpp"
-#include "core/simulator.hpp"
 #include "experiment/experiment.hpp"
-#include "fault/fault_injector.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "util/csv.hpp"
 #include "util/table_printer.hpp"
 
 int main() {
   using namespace hetsched;
 
-  ExperimentOptions options;
-  options.scenario.arrivals.count = 2000;
-  Experiment experiment(options);
-  const OracleSizePredictor oracle(experiment.suite());
+  Scenario scenario;
+  scenario.arrivals.count = 2000;
+  // The predictive systems run on the characterised oracle, so the
+  // context trains no ANN: its scenario names a policy that needs none.
+  scenario.policy = "base";
+  const ScenarioContext context(scenario);
+  const OracleSizePredictor oracle(context.suite());
 
   const std::vector<double> rates = {0.0,  0.001, 0.005, 0.01,
                                      0.02, 0.05,  0.1};
@@ -33,33 +36,29 @@ int main() {
 
   auto run_system = [&](const std::string& name,
                         double rate) -> SimulationResult {
-    const FaultPlan plan = FaultPlan::uniform(rate, 1017);
-    auto simulate = [&](SchedulerPolicy& policy,
-                        const SystemConfig& system) {
-      MulticoreSimulator sim(system, experiment.suite(),
-                             experiment.energy(), policy);
-      FaultInjector injector(plan);
-      sim.set_fault_injector(&injector);
-      return sim.run(experiment.arrivals());
+    Scenario cell = scenario;
+    cell.policy = name;
+    cell.use_standard_machine(4);
+    cell.faults = FaultPlan::uniform(rate, 1017);
+    auto run_owned = [&](SchedulerPolicy& policy) {
+      ScenarioRun run(cell, context, policy);
+      run.start();
+      run.advance_until(std::numeric_limits<SimTime>::max());
+      return run.finish();
     };
-    if (name == "base") {
-      BasePolicy policy;
-      return simulate(policy, SystemConfig::fixed_base(4));
-    }
-    if (name == "optimal") {
-      OptimalPolicy policy;
-      return simulate(policy, SystemConfig::paper_quadcore());
-    }
     if (name == "energy-centric") {
       EnergyCentricPolicy policy(oracle);
-      return simulate(policy, SystemConfig::paper_quadcore());
+      return run_owned(policy);
     }
-    ProposedPolicy policy(oracle);
-    return simulate(policy, SystemConfig::paper_quadcore());
+    if (name == "proposed") {
+      ProposedPolicy policy(oracle);
+      return run_owned(policy);
+    }
+    return run_scenario(cell, context).result;
   };
 
   std::cout << "=== Fault resilience: uniform fault rate sweep ===\n"
-            << "(" << experiment.arrivals().size()
+            << "(" << scenario.arrivals.count
             << " arrivals; rate applies to reconfig failures, stuck jobs "
                "and counter corruption)\n\n";
 
@@ -78,7 +77,7 @@ int main() {
       const SimulationResult r = run_system(name, rate);
       const double fraction =
           static_cast<double>(r.completed_jobs) /
-          static_cast<double>(experiment.arrivals().size());
+          static_cast<double>(scenario.arrivals.count);
       if (name == "proposed" && rate == 0.01) {
         proposed_completion_at_1pct = fraction;
       }

@@ -28,7 +28,7 @@ int main() {
   const SystemRun& proposed = runs.proposed;
 
   std::cout << "=== Figure 6: energy normalised to the base system ===\n"
-            << "(" << experiment.arrivals().size()
+            << "(" << options.scenario.arrivals.count
             << " arrivals, mean inter-arrival "
             << options.scenario.arrivals.mean_interarrival_cycles
             << " cycles)\n\n";

@@ -101,7 +101,8 @@ void BM_FullSchedulingRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(experiment.arrivals().size()));
+      static_cast<std::int64_t>(
+          experiment.options().scenario.arrivals.count));
 }
 BENCHMARK(BM_FullSchedulingRun)->Unit(benchmark::kMillisecond);
 

@@ -35,12 +35,12 @@ int main() {
   }
   std::cout << "\n\n";
 
-  Rng rng(7);
   ArrivalOptions arrival_options;
   arrival_options.count = 3000;
   arrival_options.mean_interarrival_cycles = 70000.0;
-  const auto arrivals =
-      generate_arrivals(automotive_ids, arrival_options, rng);
+  // Both machines below run this stream, each from its own copy.
+  GeneratedArrivalStream stream(automotive_ids, arrival_options, 7);
+  GeneratedArrivalStream base_stream = stream;
 
   // A custom ECU: one small 2KB core, two 8KB cores (one of them the
   // profiling core). No 4KB class at all.
@@ -75,13 +75,13 @@ int main() {
 
   ProposedPolicy policy(predictor);
   MulticoreSimulator simulator(ecu, suite, experiment.energy(), policy);
-  const SimulationResult result = simulator.run(arrivals);
+  const SimulationResult result = simulator.run_stream(stream);
 
   // Reference: the same stream on a homogeneous 3-core base machine.
   BasePolicy base_policy;
   MulticoreSimulator base_sim(SystemConfig::fixed_base(3), suite,
                               experiment.energy(), base_policy);
-  const SimulationResult base = base_sim.run(arrivals);
+  const SimulationResult base = base_sim.run_stream(base_stream);
 
   TablePrinter cores({"core", "L1 size", "executions", "utilization"});
   for (std::size_t i = 0; i < result.per_core.size(); ++i) {

@@ -28,7 +28,7 @@ int main() {
             << TablePrinter::num(report.test_accuracy * 100.0, 1) << "%\n\n";
 
   std::cout << "Running the four systems over "
-            << experiment.arrivals().size() << " arrivals...\n";
+            << options.scenario.arrivals.count << " arrivals...\n";
   const Experiment::StandardRuns runs = experiment.run_standard_systems();
   const SystemRun& base = runs.base;
   const SystemRun& optimal = runs.optimal;

@@ -451,62 +451,54 @@ void MulticoreSimulator::finish_execution(std::size_t core_index,
   }
 }
 
+Job MulticoreSimulator::evict(std::size_t core_index, SimTime now) {
+  CoreRuntime& core = cores_[core_index];
+  HETSCHED_ASSERT(core.busy);
+  Job victim = running_jobs_[core_index];
+  if (hung_[core_index]) {
+    // A wedged execution made no progress; the stuck window burned idle
+    // power.
+    if (now > started_at_[core_index]) {
+      result_.idle_energy +=
+          energy_.idle_per_cycle(core.current_config) *
+          static_cast<double>(now - started_at_[core_index]);
+    }
+    hung_[core_index] = 0;
+  } else {
+    const double portion = settle_execution(core_index, now);
+    // The floor keeps a token remainder when the cut falls on the
+    // completion boundary, so the victim still flows through a final
+    // (1-cycle) execution and completion accounting stays uniform.
+    victim.remaining_fraction =
+        std::max(1e-9, victim.remaining_fraction - portion);
+    if (observer_ != nullptr && now > started_at_[core_index]) {
+      observer_->on_slice(ScheduledSlice{
+          victim.job_id, victim.benchmark_id, core_index,
+          started_at_[core_index], now, core.current_config,
+          core.running_kind, false});
+    }
+  }
+  // The stale completion entry for this execution is skipped via job_id
+  // validation when it surfaces.
+  core.busy = false;
+  return victim;
+}
+
 void MulticoreSimulator::preempt_execution(std::size_t core_index,
                                            SimTime now) {
   CoreRuntime& core = cores_[core_index];
   HETSCHED_REQUIRE(core.busy);
   HETSCHED_REQUIRE(core.running_kind != ExecutionKind::kProfiling &&
                    "profiling runs cannot be preempted");
-
-  if (hung_[core_index]) {
-    // Preempting a wedged execution: no progress to settle; the stuck
-    // window burned idle power. The victim re-queues unprogressed.
-    if (now > started_at_[core_index]) {
-      result_.idle_energy +=
-          energy_.idle_per_cycle(core.current_config) *
-          static_cast<double>(now - started_at_[core_index]);
-    }
-    ready_.push_front(running_jobs_[core_index]);
-    ++result_.preemptions;
-    if (observer_ != nullptr) {
-      observer_->on_preempt(PreemptEvent{
-          now, core_index, running_jobs_[core_index].job_id, true});
-    }
-    hung_[core_index] = 0;
-    core.busy = false;
-    index_.mark_idle(core_index);
-    core.idle_since = now;
-    return;
-  }
-
-  const double portion = settle_execution(core_index, now);
-  Job victim = running_jobs_[core_index];
-  victim.remaining_fraction =
-      std::max(0.0, victim.remaining_fraction - portion);
-  if (victim.remaining_fraction < 1e-9) {
-    // Degenerate preempt-at-completion-boundary: keep a token remainder
-    // so the victim still flows through a final (1-cycle) execution and
-    // completion accounting stays uniform.
-    victim.remaining_fraction = 1e-9;
-  }
-  if (observer_ != nullptr && now > started_at_[core_index]) {
-    observer_->on_slice(ScheduledSlice{
-        victim.job_id, victim.benchmark_id, core_index,
-        started_at_[core_index], now, core.current_config,
-        core.running_kind, false});
-  }
+  const bool hung = hung_[core_index] != 0;
+  const Job victim = evict(core_index, now);
   ready_.push_front(victim);
   ++result_.preemptions;
   if (observer_ != nullptr) {
-    observer_->on_preempt(PreemptEvent{now, core_index, victim.job_id,
-                                       false});
+    observer_->on_preempt(PreemptEvent{now, core_index, victim.job_id, hung});
   }
-
-  core.busy = false;
   index_.mark_idle(core_index);
   core.idle_since = now;
-  // The stale completion entry for this execution is skipped via job_id
-  // validation when it surfaces.
 }
 
 void MulticoreSimulator::apply_core_event(const CoreFaultEvent& event,
@@ -518,35 +510,12 @@ void MulticoreSimulator::apply_core_event(const CoreFaultEvent& event,
     ++result_.faults.core_failures;
     std::uint64_t victim_id = 0;
     if (core.busy) {
-      // The core dies mid-execution: settle the running job pro-rata
-      // (the preemption model) and re-queue it to resume elsewhere.
-      Job victim = running_jobs_[event.core];
+      // The core dies mid-execution: the running job re-queues to resume
+      // elsewhere.
+      const Job victim = evict(event.core, now);
       victim_id = victim.job_id;
-      if (hung_[event.core]) {
-        // A wedged execution made no progress; the stuck window burned
-        // idle power.
-        if (now > started_at_[event.core]) {
-          result_.idle_energy +=
-              energy_.idle_per_cycle(core.current_config) *
-              static_cast<double>(now - started_at_[event.core]);
-        }
-        hung_[event.core] = 0;
-      } else {
-        const double portion = settle_execution(event.core, now);
-        victim.remaining_fraction =
-            std::max(1e-9, victim.remaining_fraction - portion);
-        if (observer_ != nullptr && now > started_at_[event.core]) {
-          observer_->on_slice(ScheduledSlice{
-              victim.job_id, victim.benchmark_id, event.core,
-              started_at_[event.core], now, core.current_config,
-              core.running_kind, false});
-        }
-      }
       ready_.push_front(victim);
       ++result_.faults.jobs_requeued;
-      core.busy = false;
-      // The stale completion entry is discarded via the liveness check
-      // when it surfaces.
     } else {
       // Close the idle interval: a powered-off core stops leaking.
       accrue_idle(event.core, now);
@@ -571,26 +540,14 @@ void MulticoreSimulator::expire_watchdog(std::size_t core_index,
                                          SimTime now) {
   CoreRuntime& core = cores_[core_index];
   HETSCHED_ASSERT(core.busy && hung_[core_index]);
-  const Job& victim = running_jobs_[core_index];
-
+  const Job victim = evict(core_index, now);
   ++result_.faults.injected;
   ++result_.faults.watchdog_fires;
   ++result_.faults.jobs_requeued;
   ++watchdog_counts_[victim.job_id];
-
-  // The wedged core burned idle power for the whole stuck window; the
-  // job made no progress and re-queues at the front for re-dispatch.
-  if (now > started_at_[core_index]) {
-    result_.idle_energy +=
-        energy_.idle_per_cycle(core.current_config) *
-        static_cast<double>(now - started_at_[core_index]);
-  }
   ready_.push_front(victim);
   record_fault(FaultRecord::Kind::kWatchdogFire, now, core_index,
                victim.job_id);
-
-  hung_[core_index] = 0;
-  core.busy = false;
   index_.mark_idle(core_index);
   core.idle_since = now;
 }

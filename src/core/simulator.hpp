@@ -227,6 +227,12 @@ class MulticoreSimulator {
   // ran until `now`; returns that portion of a full benchmark execution.
   double settle_execution(std::size_t core, SimTime now);
   void finish_execution(std::size_t core, SimTime now);
+  // Takes the running job off `core` at `now`: settles its progress
+  // pro-rata and emits the cut slice (a hung execution made none; its
+  // stuck window is charged as idle energy), clears the hung flag and
+  // marks the core not busy. Returns the job with its remaining
+  // fraction; the caller re-queues it and moves the dispatch index.
+  Job evict(std::size_t core, SimTime now);
   void preempt_execution(std::size_t core, SimTime now);
   void try_schedule(SimTime now);
   void apply_discipline();
@@ -241,8 +247,8 @@ class MulticoreSimulator {
                                   const CacheConfig& wanted,
                                   std::uint64_t job_id, SimTime now);
   void apply_core_event(const CoreFaultEvent& event, SimTime now);
-  // Clears a hung execution: charges idle energy for the stuck window,
-  // re-queues the job unprogressed, and counts the watchdog fire.
+  // Clears a hung execution: re-queues the job unprogressed and counts
+  // the watchdog fire.
   void expire_watchdog(std::size_t core_index, SimTime now);
   void record_fault(FaultRecord::Kind kind, SimTime now, std::size_t core,
                     std::uint64_t job_id);

@@ -64,11 +64,7 @@ NormalizedEnergy normalize(const SimulationResult& system,
 Experiment::Experiment(const ExperimentOptions& options)
     : options_(options),
       context_(standard_scenario(options.scenario, "proposed"),
-               options.profile_cache_path, nullptr, options.energy_params) {
-  Rng arrival_rng(options_.scenario.seed ^ 0xa5a5a5a5ULL);
-  arrivals_ = generate_arrivals(scheduling_ids(), options_.scenario.arrivals,
-                                arrival_rng);
-}
+               options.profile_cache_path, nullptr, options.energy_params) {}
 
 SystemRun Experiment::run(const std::string& policy,
                           ScheduleObserver* observer) const {

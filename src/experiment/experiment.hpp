@@ -1,7 +1,7 @@
 // End-to-end experiment harness (Section V): one characterised suite, one
 // trained ANN predictor and one arrival stream, over which the four
-// evaluated systems (and any other policy) run. Every bench binary and
-// example builds on this class; it is a thin layer over the scenario
+// evaluated systems (and any other policy) run. The paper benches and
+// examples build on this class; it is a thin layer over the scenario
 // pipeline (ScenarioContext + ScenarioRun) that the CLI runs.
 #pragma once
 
@@ -83,9 +83,6 @@ class Experiment {
   const BestSizePredictor& predictor() const {
     return static_cast<const BestSizePredictor&>(*context_.predictor());
   }
-  // The shared stream's jobs, materialised; every run generates the same
-  // jobs on demand.
-  const std::vector<JobArrival>& arrivals() const { return arrivals_; }
   const std::vector<std::size_t>& scheduling_ids() const {
     return context_.scheduling_ids();
   }
@@ -120,7 +117,6 @@ class Experiment {
  private:
   ExperimentOptions options_;
   ScenarioContext context_;
-  std::vector<JobArrival> arrivals_;
 };
 
 }  // namespace hetsched

@@ -4,6 +4,7 @@
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <stdexcept>
 
 #include "util/contracts.hpp"
 #include "util/snapshot_text.hpp"
@@ -130,7 +131,11 @@ DagArrivalSource::DagArrivalSource(
     const std::optional<RealtimeSetup>& realtime)
     : graph_(spec.edges, options.count),
       root_stream_(std::move(benchmark_ids), options, seed) {
-  HETSCHED_REQUIRE(!graph_.issue.has_value() && "DagSpec must validate");
+  if (graph_.issue.has_value()) {
+    throw std::invalid_argument("dep edge " +
+                                std::to_string(graph_.issue->edge_index) +
+                                ": " + graph_.issue->what);
+  }
   // Same draws as the plain streaming source: a DAG scenario's nominal
   // arrivals are bit-identical to the independent-job scenario's.
   if (realtime.has_value()) {

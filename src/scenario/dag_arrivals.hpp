@@ -108,7 +108,8 @@ class DagArrivalSource final : public ArrivalSource,
     std::uint64_t seed = 0;
   };
 
-  // `spec` must validate against options.count nodes (checked).
+  // Throws std::invalid_argument naming the first offending edge when
+  // `spec` is not a DAG over options.count jobs (DagSpec::validate).
   DagArrivalSource(const DagSpec& spec,
                    std::vector<std::size_t> benchmark_ids,
                    const ArrivalOptions& options, std::uint64_t seed,

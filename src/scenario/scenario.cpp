@@ -24,56 +24,6 @@ bool known_policy(const std::string& policy) {
   return PolicyRegistry::instance().known(policy);
 }
 
-// Every check of Scenario::validate but the DAG's, which parse makes
-// itself to name the offending line.
-void validate_fields(const Scenario& s) {
-  if (s.name.empty()) invalid("name must not be empty");
-  if (!known_policy(s.policy)) invalid("unknown policy '" + s.policy + "'");
-  if (s.cores < 1) invalid("cores must be >= 1");
-  if (s.system == Scenario::SystemKind::kPaperQuad && s.cores != 4) {
-    invalid("the paper system has exactly 4 cores");
-  }
-  if (s.system == Scenario::SystemKind::kScaledHeterogeneous && s.cores < 2) {
-    invalid("the scaled heterogeneous system needs >= 2 cores");
-  }
-  if (s.arrivals.count == 0) invalid("jobs must be >= 1");
-  if (!(s.arrivals.mean_interarrival_cycles > 0.0) ||
-      !std::isfinite(s.arrivals.mean_interarrival_cycles)) {
-    invalid("mean-gap must be finite and > 0");
-  }
-  if (!(s.arrivals.burstiness >= 1.0) ||
-      !std::isfinite(s.arrivals.burstiness)) {
-    invalid("burstiness must be finite and >= 1");
-  }
-  if (!(s.arrivals.phase_switch >= 0.0 && s.arrivals.phase_switch <= 1.0)) {
-    invalid("phase-switch must lie in [0, 1]");
-  }
-  if (!(s.suite.kernel_scale > 0.0 && s.suite.kernel_scale <= 4.0)) {
-    invalid("kernel-scale must lie in (0, 4]");
-  }
-  if (s.suite.variants_per_kernel < 1) {
-    invalid("variants-per-kernel must be >= 1");
-  }
-  if (s.predictor_ensemble < 1) invalid("ensemble must be >= 1");
-  if (s.realtime.has_value()) {
-    if (!(s.realtime->slack_factor > 0.0) ||
-        !std::isfinite(s.realtime->slack_factor)) {
-      invalid("slack must be finite and > 0");
-    }
-    if (s.realtime->priority_levels < 1) {
-      invalid("priority-levels must be >= 1");
-    }
-  }
-  s.faults.validate();
-  for (const CoreFaultEvent& event : s.faults.core_events) {
-    if (event.core >= s.cores) {
-      invalid("fault event core " + std::to_string(event.core) +
-              " out of range for a " + std::to_string(s.cores) +
-              "-core system");
-    }
-  }
-}
-
 }  // namespace
 
 std::string_view to_string(Scenario::SystemKind kind) {
@@ -131,10 +81,50 @@ PredictorConfig Scenario::predictor_config() const {
 }
 
 void Scenario::validate() const {
-  validate_fields(*this);
-  if (const auto issue = dag.validate(arrivals.count)) {
-    invalid("dep edge " + std::to_string(issue->edge_index) + ": " +
-            issue->what);
+  if (name.empty()) invalid("name must not be empty");
+  if (!known_policy(policy)) invalid("unknown policy '" + policy + "'");
+  if (cores < 1) invalid("cores must be >= 1");
+  if (system == SystemKind::kPaperQuad && cores != 4) {
+    invalid("the paper system has exactly 4 cores");
+  }
+  if (system == SystemKind::kScaledHeterogeneous && cores < 2) {
+    invalid("the scaled heterogeneous system needs >= 2 cores");
+  }
+  if (arrivals.count == 0) invalid("jobs must be >= 1");
+  if (!(arrivals.mean_interarrival_cycles > 0.0) ||
+      !std::isfinite(arrivals.mean_interarrival_cycles)) {
+    invalid("mean-gap must be finite and > 0");
+  }
+  if (!(arrivals.burstiness >= 1.0) ||
+      !std::isfinite(arrivals.burstiness)) {
+    invalid("burstiness must be finite and >= 1");
+  }
+  if (!(arrivals.phase_switch >= 0.0 && arrivals.phase_switch <= 1.0)) {
+    invalid("phase-switch must lie in [0, 1]");
+  }
+  if (!(suite.kernel_scale > 0.0 && suite.kernel_scale <= 4.0)) {
+    invalid("kernel-scale must lie in (0, 4]");
+  }
+  if (suite.variants_per_kernel < 1) {
+    invalid("variants-per-kernel must be >= 1");
+  }
+  if (predictor_ensemble < 1) invalid("ensemble must be >= 1");
+  if (realtime.has_value()) {
+    if (!(realtime->slack_factor > 0.0) ||
+        !std::isfinite(realtime->slack_factor)) {
+      invalid("slack must be finite and > 0");
+    }
+    if (realtime->priority_levels < 1) {
+      invalid("priority-levels must be >= 1");
+    }
+  }
+  faults.validate();
+  for (const CoreFaultEvent& event : faults.core_events) {
+    if (event.core >= cores) {
+      invalid("fault event core " + std::to_string(event.core) +
+              " out of range for a " + std::to_string(cores) +
+              "-core system");
+    }
   }
 }
 
@@ -297,12 +287,12 @@ Scenario Scenario::parse(std::istream& in) {
     }
   }
   // DAG structural errors first, attributed to the offending dep line,
-  // then validate()'s other checks.
+  // then validate()'s checks of the other fields.
   if (const auto issue = scenario.dag.validate(scenario.arrivals.count)) {
     parse_fail(dep_lines[issue->edge_index], issue->what);
   }
   try {
-    validate_fields(scenario);
+    scenario.validate();
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("scenario: ") + e.what());
   }

@@ -82,6 +82,8 @@ struct Scenario {
 
   // Structural checks (known policy/system, core count bounds, arrival
   // parameters, fault plan); throws std::invalid_argument on violation.
+  // The DAG is checked where its graph is built: parse() names the
+  // offending line, and a run's DagArrivalSource names the edge.
   void validate() const;
 
   // Text format, one directive per line ('#' comments allowed):

@@ -69,8 +69,6 @@ ScenarioRun::ScenarioRun(const Scenario& scenario,
                  scenario.discipline),
       stats_(system_.core_count()),
       fanout_({&stats_, extra}),
-      // The arrival seed derivation matches Experiment::arrivals(), so
-      // the batch stream and this one are the same jobs.
       stream_(context.scheduling_ids(), scenario.arrivals,
               scenario.seed ^ 0xa5a5a5a5ULL) {
   std::optional<DagArrivalSource::RealtimeSetup> dag_realtime;

@@ -1,6 +1,5 @@
 #include "workload/arrivals.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -19,8 +18,7 @@ void check_options(const ArrivalOptions& options) {
                    options.phase_switch <= 1.0);
 }
 
-// One arrival draw, shared by the batch generator and the streaming
-// source so both consume the identical rng sequence: phase switch,
+// One arrival draw, consuming the rng in a fixed order: phase switch,
 // gap, then benchmark id.
 JobArrival draw_arrival(const std::vector<std::size_t>& benchmark_ids,
                         const ArrivalOptions& options, Rng& rng, double& t,
@@ -54,48 +52,6 @@ JobArrival draw_arrival(const std::vector<std::size_t>& benchmark_ids,
 }
 
 }  // namespace
-
-std::vector<JobArrival> generate_arrivals(
-    const std::vector<std::size_t>& benchmark_ids,
-    const ArrivalOptions& options, Rng& rng) {
-  HETSCHED_REQUIRE(!benchmark_ids.empty());
-  check_options(options);
-
-  std::vector<JobArrival> arrivals;
-  arrivals.reserve(options.count);
-  double t = 0.0;
-  bool in_burst = true;
-  for (std::size_t i = 0; i < options.count; ++i) {
-    arrivals.push_back(
-        draw_arrival(benchmark_ids, options, rng, t, in_burst));
-  }
-  // Already non-decreasing by construction, but stable-sort defensively in
-  // case of rounding collisions (order within a tie must be stable).
-  std::stable_sort(arrivals.begin(), arrivals.end(),
-                   [](const JobArrival& a, const JobArrival& b) {
-                     return a.arrival < b.arrival;
-                   });
-  return arrivals;
-}
-
-void assign_realtime_attributes(
-    std::vector<JobArrival>& arrivals,
-    const std::vector<Cycles>& reference_cycles_by_benchmark,
-    const RealtimeOptions& options, Rng& rng) {
-  HETSCHED_REQUIRE(options.slack_factor > 0.0);
-  HETSCHED_REQUIRE(options.priority_levels >= 1);
-  for (JobArrival& arrival : arrivals) {
-    HETSCHED_REQUIRE(arrival.benchmark_id <
-                     reference_cycles_by_benchmark.size());
-    const double reference = static_cast<double>(
-        reference_cycles_by_benchmark[arrival.benchmark_id]);
-    arrival.deadline =
-        arrival.arrival +
-        static_cast<SimTime>(std::llround(options.slack_factor * reference));
-    arrival.priority = static_cast<int>(
-        rng.below(static_cast<std::uint64_t>(options.priority_levels)));
-  }
-}
 
 GeneratedArrivalStream::GeneratedArrivalStream(
     std::vector<std::size_t> benchmark_ids, const ArrivalOptions& options,

@@ -48,14 +48,8 @@ struct ArrivalOptions {
   double phase_switch = 0.02;
 };
 
-// Draws `count` arrivals whose benchmark ids are sampled uniformly from
-// `benchmark_ids`; returns them sorted by arrival time.
-std::vector<JobArrival> generate_arrivals(
-    const std::vector<std::size_t>& benchmark_ids,
-    const ArrivalOptions& options, Rng& rng);
-
-// Real-time extension: deadline and priority assignment for an existing
-// stream. Each job's deadline becomes
+// Real-time extension: deadline and priority assignment
+// (GeneratedArrivalStream::set_realtime). Each job's deadline becomes
 //   arrival + slack_factor * reference_cycles(benchmark)
 // where reference_cycles is supplied per benchmark id (typically the
 // base-configuration execution time). Priorities are drawn uniformly
@@ -64,11 +58,6 @@ struct RealtimeOptions {
   double slack_factor = 4.0;   // tighter < looser
   int priority_levels = 1;     // 1 = everyone priority 0
 };
-
-void assign_realtime_attributes(
-    std::vector<JobArrival>& arrivals,
-    const std::vector<Cycles>& reference_cycles_by_benchmark,
-    const RealtimeOptions& options, Rng& rng);
 
 // Pull-based arrival production for streaming simulation: the simulator
 // asks for one arrival at a time, so million-job streams never need to
@@ -108,11 +97,11 @@ class VectorArrivalSource final : public ArrivalSource {
   std::size_t index_ = 0;
 };
 
-// Generates the same stream as generate_arrivals (bit-identical for the
-// same options and seed — arrival times are non-decreasing by
-// construction, so no sort is needed) one arrival at a time in O(1)
-// memory. Optionally assigns real-time attributes exactly as
-// assign_realtime_attributes would, drawing from an independent stream.
+// The arrival generator: draws `options.count` arrivals whose benchmark
+// ids are sampled uniformly from `benchmark_ids`, one at a time in O(1)
+// memory. Arrival times are non-decreasing by construction. Optionally
+// assigns real-time attributes, drawing priorities from an independent
+// stream so the arrival draws stay the same with or without them.
 class GeneratedArrivalStream final : public ArrivalSource {
  public:
   GeneratedArrivalStream(std::vector<std::size_t> benchmark_ids,

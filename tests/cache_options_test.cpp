@@ -1,11 +1,8 @@
-// Tests for the cache architecture options: write-through/no-allocate,
-// the next-line prefetcher, and trace file I/O.
+// Tests for the cache architecture options: write-through/no-allocate
+// and the next-line prefetcher.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "cache/cache.hpp"
-#include "trace/trace_io.hpp"
 
 namespace hetsched {
 namespace {
@@ -121,71 +118,6 @@ TEST(PrefetchTest, RandomAccessPrefetchPollutes) {
   }
   EXPECT_GT(static_cast<double>(with.stats().misses),
             0.8 * static_cast<double>(without.stats().misses));
-}
-
-// ---------------- trace I/O ----------------
-
-TEST(TraceIoTest, RoundTripsArbitraryTraces) {
-  Rng rng(4);
-  MemTrace trace;
-  for (int i = 0; i < 5000; ++i) {
-    // Power-of-two sizes 1..8, addresses clear of the 32-bit end so
-    // address + size stays representable (the reader rejects both).
-    trace.push_back(
-        MemRef{static_cast<std::uint32_t>(rng.next()) & 0x7fffffffu,
-               static_cast<std::uint8_t>(1u << rng.below(4)),
-               rng.bernoulli(0.4)});
-  }
-  std::stringstream stream;
-  write_trace(stream, trace);
-  const MemTrace loaded = read_trace(stream);
-  EXPECT_EQ(loaded, trace);
-}
-
-TEST(TraceIoTest, ParsesCommentsAndBlanksAndCase) {
-  std::stringstream in(
-      "# header comment\n"
-      "\n"
-      "R 1a40 4\n"
-      "  w 1A44 2\n"
-      "# trailing comment\n");
-  const MemTrace trace = read_trace(in);
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace[0].address, 0x1a40u);
-  EXPECT_EQ(trace[0].size, 4);
-  EXPECT_FALSE(trace[0].is_write);
-  EXPECT_EQ(trace[1].address, 0x1a44u);
-  EXPECT_TRUE(trace[1].is_write);
-}
-
-TEST(TraceIoTest, RejectsMalformedLines) {
-  for (const char* bad :
-       {"X 10 4\n", "R zz 4\n", "R 10\n", "R 10 0\n", "R 10 4 extra\n",
-        // non-power-of-two sizes
-        "R 10 3\n", "W 10 6\n", "R 10 100\n",
-        // address + size overflows the 32-bit space
-        "R fffffffe 4\n", "W ffffffff 2\n"}) {
-    std::stringstream in(bad);
-    EXPECT_THROW(read_trace(in), std::runtime_error) << bad;
-  }
-}
-
-TEST(TraceIoTest, LoadedTraceDrivesTheSimulator) {
-  // A trace written to disk must simulate identically to the original.
-  Rng rng(5);
-  MemTrace trace;
-  for (int i = 0; i < 3000; ++i) {
-    trace.push_back(MemRef{
-        static_cast<std::uint32_t>(rng.below(16384)) & ~3u, 4,
-        rng.bernoulli(0.3)});
-  }
-  std::stringstream stream;
-  write_trace(stream, trace);
-  const MemTrace loaded = read_trace(stream);
-  const CacheSimResult a = simulate_trace(trace, kSmall);
-  const CacheSimResult b = simulate_trace(loaded, kSmall);
-  EXPECT_EQ(a.stats.hits, b.stats.hits);
-  EXPECT_EQ(a.stats.writebacks, b.stats.writebacks);
 }
 
 }  // namespace

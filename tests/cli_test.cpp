@@ -205,6 +205,22 @@ TEST(CliCheckpointFlags, RejectedWhenTheyProduceNothing) {
         << flag;
   }
   EXPECT_FALSE(std::filesystem::exists(cache));
+  // A checkpointed scenario and a supervised sweep attach no tracer, so
+  // --trace-out there is refused, also before characterisation.
+  const std::string trace = dir + "/never.trace.json";
+  for (const std::string& args :
+       {"scenario " + scn + " --checkpoint-out '" + ckpt + "'",
+        "sweep " + scn + " --cell-retries 2"}) {
+    EXPECT_EQ(run_cli(args + " --trace-out '" + trace +
+                          "' --profile-cache '" + cache + "'",
+                      dir)
+                  .status,
+              2)
+        << args;
+  }
+  EXPECT_FALSE(std::filesystem::exists(cache));
+  EXPECT_FALSE(std::filesystem::exists(trace));
+  EXPECT_FALSE(std::filesystem::exists(ckpt));
   // compare writes no report and no windows.
   EXPECT_EQ(run_cli("compare --arrivals 10 --report-out '" + report +
                         "' --windows-out '" + windows + "'",

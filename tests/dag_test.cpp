@@ -22,6 +22,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -397,6 +398,22 @@ TEST(DagValidation, TrillionJobScenarioParses) {
     const Scenario parsed = Scenario::parse(text);
     EXPECT_EQ(parsed.arrivals.count, std::size_t{1} << 40);
     EXPECT_EQ(parsed.dag.edges.size(), scenario.dag.edges.size());
+  }
+}
+
+// Scenario::validate leaves the DAG to where its graph is built: a
+// programmatic scenario with a cycle fails when its run constructs the
+// release source, which names the offending edge.
+TEST(DagValidation, RunRejectsACyclicScenarioNamingTheEdge) {
+  World& w = world();
+  Scenario s = w.base;
+  s.dag.edges = {{0, 1}, {1, 2}, {2, 0}};
+  EXPECT_NO_THROW(s.validate());
+  try {
+    ScenarioRun run(s, w.context);
+    ADD_FAILURE() << "a cyclic DAG built a run";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "dep edge 0: dep edges form a cycle through job 0");
   }
 }
 

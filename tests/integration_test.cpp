@@ -27,14 +27,27 @@ TEST(ExperimentTest, PipelineProducesTrainedPredictor) {
   EXPECT_GT(report.train_accuracy, 0.7);
 }
 
+// The arrivals a run admits.
+class ArrivalRecorder final : public ScheduleObserver {
+ public:
+  void on_slice(const ScheduledSlice& slice) override { (void)slice; }
+  void on_arrival(const ArrivalEvent& event) override {
+    arrivals.push_back(event);
+  }
+
+  std::vector<ArrivalEvent> arrivals;
+};
+
 TEST(ExperimentTest, ArrivalStreamUsesSchedulingIdsOnly) {
   const Experiment& e = quick_experiment();
+  ArrivalRecorder recorder;
+  e.run("base", &recorder);
   std::set<std::size_t> ids(e.scheduling_ids().begin(),
                             e.scheduling_ids().end());
-  for (const JobArrival& a : e.arrivals()) {
+  for (const ArrivalEvent& a : recorder.arrivals) {
     EXPECT_TRUE(ids.count(a.benchmark_id));
   }
-  EXPECT_EQ(e.arrivals().size(), e.options().scenario.arrivals.count);
+  EXPECT_EQ(recorder.arrivals.size(), e.options().scenario.arrivals.count);
 }
 
 TEST(ExperimentTest, AllFourSystemsCompleteTheStream) {
@@ -42,7 +55,8 @@ TEST(ExperimentTest, AllFourSystemsCompleteTheStream) {
   for (const SystemRun& run :
        {e.run("base"), e.run("optimal"), e.run("energy-centric"),
         e.run("proposed")}) {
-    EXPECT_EQ(run.result.completed_jobs, e.arrivals().size()) << run.name;
+    EXPECT_EQ(run.result.completed_jobs, e.options().scenario.arrivals.count)
+        << run.name;
     EXPECT_GT(run.result.total_energy().value(), 0.0) << run.name;
     EXPECT_GT(run.result.makespan, 0u) << run.name;
   }
@@ -99,7 +113,13 @@ TEST(ExperimentTest, DifferentSeedsChangeTheStream) {
   const Experiment a(options);
   options.scenario.seed = 777;
   const Experiment b(options);
-  EXPECT_NE(a.arrivals().front().arrival, b.arrivals().front().arrival);
+  ArrivalRecorder ra;
+  ArrivalRecorder rb;
+  a.run("base", &ra);
+  b.run("base", &rb);
+  ASSERT_FALSE(ra.arrivals.empty());
+  ASSERT_FALSE(rb.arrivals.empty());
+  EXPECT_NE(ra.arrivals.front().time, rb.arrivals.front().time);
 }
 
 TEST(ExperimentTest, OraclePredictorMatchesCharacterisation) {
@@ -118,7 +138,7 @@ TEST(ExperimentTest, RunWithCustomPredictorUsesGivenName) {
   ProposedPolicy proposed(oracle);
   const SystemRun run = e.run(proposed, "proposed+oracle");
   EXPECT_EQ(run.name, "proposed+oracle");
-  EXPECT_EQ(run.result.completed_jobs, e.arrivals().size());
+  EXPECT_EQ(run.result.completed_jobs, e.options().scenario.arrivals.count);
   EnergyCentricPolicy energy_centric(oracle);
   const SystemRun ec = e.run(energy_centric, "ec+oracle");
   EXPECT_EQ(ec.name, "ec+oracle");

@@ -22,6 +22,7 @@
 
 #include "core/policies.hpp"
 #include "core/simulator.hpp"
+#include "drained_stream.hpp"
 #include "obs/analyzer.hpp"
 #include "obs/event_trace.hpp"
 #include "obs/latency.hpp"
@@ -391,10 +392,8 @@ TEST(LatencyDeterminism, StreamAndBatchSpansAreByteIdentical) {
   batch_collector.set_span_source(&batch_spans);
   FanoutObserver batch_fanout({&batch_spans, &batch_collector});
   simulator.set_observer(&batch_fanout);
-  Rng rng(s.seed ^ 0xa5a5a5a5ULL);
-  const std::vector<JobArrival> arrivals =
-      generate_arrivals(w.context.scheduling_ids(), s.arrivals, rng);
-  const SimulationResult batch = simulator.run(arrivals);
+  const SimulationResult batch = simulator.run(generated_arrivals(
+      w.context.scheduling_ids(), s.arrivals, s.seed ^ 0xa5a5a5a5ULL));
   batch_spans.finalize();
   batch_collector.finalize();
 

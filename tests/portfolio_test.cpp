@@ -24,6 +24,7 @@
 #include "core/policy_registry.hpp"
 #include "core/portfolio_policy.hpp"
 #include "core/simulator.hpp"
+#include "drained_stream.hpp"
 #include "obs/run_report.hpp"
 #include "obs/windowed.hpp"
 #include "scenario/checkpoint.hpp"
@@ -240,10 +241,8 @@ TEST(PortfolioDeterminism, StreamAndBatchAgreeIncludingSwitchEvents) {
                                     WindowedOptions{1'000'000, 0},
                                     &w.context.suite());
   simulator.set_observer(&batch_collector);
-  Rng rng(s.seed ^ 0xa5a5a5a5ULL);
-  const std::vector<JobArrival> arrivals =
-      generate_arrivals(w.context.scheduling_ids(), s.arrivals, rng);
-  const SimulationResult batch = simulator.run(arrivals);
+  const SimulationResult batch = simulator.run(generated_arrivals(
+      w.context.scheduling_ids(), s.arrivals, s.seed ^ 0xa5a5a5a5ULL));
   batch_collector.finalize();
   const auto* batch_portfolio =
       dynamic_cast<const PortfolioPolicy*>(policy.get());

@@ -9,6 +9,7 @@
 #include "core/policies.hpp"
 #include "core/realtime_policy.hpp"
 #include "core/simulator.hpp"
+#include "drained_stream.hpp"
 #include "experiment/experiment.hpp"
 
 namespace hetsched {
@@ -26,12 +27,9 @@ struct RtFixture {
     options.kernel_scale = 0.25;
     options.variants_per_kernel = 1;
     suite = CharacterizedSuite::build(energy, options);
-    Rng rng(5);
     ArrivalOptions arrival_options;
     arrival_options.count = jobs;
     arrival_options.mean_interarrival_cycles = gap;
-    arrivals =
-        generate_arrivals(suite.scheduling_ids(), arrival_options, rng);
     reference.resize(suite.size());
     for (std::size_t id = 0; id < suite.size(); ++id) {
       reference[id] = suite.benchmark(id)
@@ -41,8 +39,9 @@ struct RtFixture {
     RealtimeOptions rt;
     rt.slack_factor = slack;
     rt.priority_levels = 3;
-    Rng rt_rng(6);
-    assign_realtime_attributes(arrivals, reference, rt, rt_rng);
+    GeneratedArrivalStream stream(suite.scheduling_ids(), arrival_options, 5);
+    stream.set_realtime(reference, rt, 6);
+    arrivals = drain(stream);
   }
 };
 

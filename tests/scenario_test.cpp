@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -14,6 +15,7 @@
 
 #include "core/policies.hpp"
 #include "core/schedule_log.hpp"
+#include "drained_stream.hpp"
 #include "experiment/experiment.hpp"
 #include "experiment/sweep.hpp"
 #include "obs/observability.hpp"
@@ -224,25 +226,18 @@ TEST(Scenario, DepEdgesSurviveSaveParseRoundTrip) {
   EXPECT_EQ(first.str(), second.str());
 }
 
-void expect_stream_matches_batch(const ArrivalOptions& options,
-                                 std::uint64_t seed) {
+void expect_well_formed_stream(const ArrivalOptions& options,
+                               std::uint64_t seed) {
   const std::vector<std::size_t> ids = {0, 1, 2, 5, 9};
-  Rng rng(seed);
-  const std::vector<JobArrival> batch = generate_arrivals(ids, options, rng);
-
   GeneratedArrivalStream stream(ids, options, seed);
-  std::vector<JobArrival> streamed;
-  while (true) {
-    const std::optional<JobArrival> next = stream.next();
-    if (!next.has_value()) break;
-    streamed.push_back(*next);
-  }
+  const std::vector<JobArrival> streamed = drain(stream);
   EXPECT_FALSE(stream.next().has_value());  // exhaustion is sticky
 
-  ASSERT_EQ(streamed.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(streamed[i].benchmark_id, batch[i].benchmark_id) << i;
-    EXPECT_EQ(streamed[i].arrival, batch[i].arrival) << i;
+  ASSERT_EQ(streamed.size(), options.count);
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_NE(std::find(ids.begin(), ids.end(), streamed[i].benchmark_id),
+              ids.end())
+        << i;
     if (i > 0) {
       EXPECT_GE(streamed[i].arrival, streamed[i - 1].arrival) << i;
     }
@@ -259,10 +254,10 @@ TEST(ArrivalStream, MatchesBatchGenerationBitForBit) {
         InterarrivalDistribution::kFixed}) {
     options.distribution = dist;
     options.burstiness = 1.0;
-    expect_stream_matches_batch(options, 42);
+    expect_well_formed_stream(options, 42);
     options.burstiness = 3.0;
     options.phase_switch = 0.1;
-    expect_stream_matches_batch(options, 1234567);
+    expect_well_formed_stream(options, 1234567);
   }
 }
 
@@ -279,22 +274,25 @@ TEST(ArrivalStream, RealtimeAttributesMatchBatchAssignment) {
   rt.slack_factor = 2.5;
   rt.priority_levels = 3;
 
-  Rng arrival_rng(7);
-  std::vector<JobArrival> batch = generate_arrivals(ids, options, arrival_rng);
-  Rng rt_rng(99);
-  assign_realtime_attributes(batch, reference, rt, rt_rng);
-
+  // Priorities come from their own stream: the arrival draws are the
+  // best-effort stream's.
+  const std::vector<JobArrival> plain = generated_arrivals(ids, options, 7);
   GeneratedArrivalStream stream(ids, options, 7);
   stream.set_realtime(reference, rt, 99);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
+  for (std::size_t i = 0; i < plain.size(); ++i) {
     const std::optional<JobArrival> next = stream.next();
     ASSERT_TRUE(next.has_value()) << i;
-    EXPECT_EQ(next->arrival, batch[i].arrival) << i;
-    EXPECT_EQ(next->priority, batch[i].priority) << i;
-    ASSERT_EQ(next->deadline.has_value(), batch[i].deadline.has_value()) << i;
-    if (next->deadline.has_value()) {
-      EXPECT_EQ(*next->deadline, *batch[i].deadline) << i;
-    }
+    EXPECT_EQ(next->arrival, plain[i].arrival) << i;
+    EXPECT_EQ(next->benchmark_id, plain[i].benchmark_id) << i;
+    ASSERT_TRUE(next->deadline.has_value()) << i;
+    EXPECT_EQ(*next->deadline,
+              next->arrival + static_cast<SimTime>(std::llround(
+                                  rt.slack_factor *
+                                  static_cast<double>(
+                                      reference[next->benchmark_id]))))
+        << i;
+    EXPECT_GE(next->priority, 0) << i;
+    EXPECT_LT(next->priority, rt.priority_levels) << i;
   }
   EXPECT_FALSE(stream.next().has_value());
 }
@@ -309,10 +307,8 @@ TEST(ScenarioRunner, StreamingRunMatchesBatchRun) {
                                w.context.energy(), policy, s.discipline);
   StreamStats batch_stats(s.cores);
   simulator.set_observer(&batch_stats);
-  Rng rng(s.seed ^ 0xa5a5a5a5ULL);
-  const std::vector<JobArrival> arrivals =
-      generate_arrivals(w.context.scheduling_ids(), s.arrivals, rng);
-  const SimulationResult batch = simulator.run(arrivals);
+  const SimulationResult batch = simulator.run(generated_arrivals(
+      w.context.scheduling_ids(), s.arrivals, s.seed ^ 0xa5a5a5a5ULL));
 
   const ScenarioOutcome streamed = run_scenario(s, w.context);
   expect_same_result(batch, streamed.result, "stream-vs-batch");
@@ -457,9 +453,8 @@ TEST(ScenarioRunner, EnergyMatchesPerSliceRecomputation) {
                                w.context.energy(), policy, s.discipline);
   ScheduleLog log;
   simulator.set_observer(&log);
-  Rng rng(s.seed ^ 0xa5a5a5a5ULL);
-  const SimulationResult result = simulator.run(
-      generate_arrivals(w.context.scheduling_ids(), s.arrivals, rng));
+  const SimulationResult result = simulator.run(generated_arrivals(
+      w.context.scheduling_ids(), s.arrivals, s.seed ^ 0xa5a5a5a5ULL));
   ASSERT_TRUE(log.well_formed());
   ASSERT_FALSE(log.slices().empty());
 

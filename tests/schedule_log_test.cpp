@@ -7,6 +7,7 @@
 #include "core/realtime_policy.hpp"
 #include "core/schedule_log.hpp"
 #include "core/simulator.hpp"
+#include "drained_stream.hpp"
 #include "experiment/experiment.hpp"
 
 namespace hetsched {
@@ -22,12 +23,10 @@ struct LogFixture {
     options.kernel_scale = 0.25;
     options.variants_per_kernel = 1;
     suite = CharacterizedSuite::build(energy, options);
-    Rng rng(77);
     ArrivalOptions arrival_options;
     arrival_options.count = 250;
     arrival_options.mean_interarrival_cycles = 40000.0;
-    arrivals =
-        generate_arrivals(suite.scheduling_ids(), arrival_options, rng);
+    arrivals = generated_arrivals(suite.scheduling_ids(), arrival_options, 77);
   }
 };
 
@@ -65,15 +64,14 @@ TEST(ScheduleLogTest, PreemptedSlicesAreMarked) {
                         .profile_for(DesignSpace::base_config())
                         .energy.total_cycles;
   }
-  Rng rng(9);
   ArrivalOptions arrival_options;
   arrival_options.count = 400;
   arrival_options.mean_interarrival_cycles = 8000.0;
-  auto arrivals =
-      generate_arrivals(f.suite.scheduling_ids(), arrival_options, rng);
   RealtimeOptions rt;
   rt.slack_factor = 1.5;
-  assign_realtime_attributes(arrivals, reference, rt, rng);
+  GeneratedArrivalStream arrivals(f.suite.scheduling_ids(), arrival_options,
+                                  9);
+  arrivals.set_realtime(reference, rt, 9);
 
   OracleSizePredictor predictor(f.suite);
   RealtimeEdfPolicy policy(predictor, true);
@@ -81,7 +79,7 @@ TEST(ScheduleLogTest, PreemptedSlicesAreMarked) {
                          policy, QueueDiscipline::kEdf);
   ScheduleLog log;
   sim.set_observer(&log);
-  const SimulationResult result = sim.run(arrivals);
+  const SimulationResult result = sim.run_stream(arrivals);
 
   ASSERT_GT(result.preemptions, 0u);
   EXPECT_TRUE(log.well_formed());

@@ -9,6 +9,7 @@
 
 #include "ann/ridge.hpp"
 #include "core/serialization.hpp"
+#include "drained_stream.hpp"
 #include "experiment/experiment.hpp"
 
 namespace hetsched {
@@ -250,12 +251,11 @@ TEST(SerializationTest, LoadedSnapshotDrivesTheScheduler) {
   PredictorSnapshot::from(*t.predictor).save(stream);
   const PredictorSnapshot loaded = PredictorSnapshot::load(stream);
 
-  Rng rng(33);
   ArrivalOptions arrival_options;
   arrival_options.count = 150;
   arrival_options.mean_interarrival_cycles = 50000.0;
   const auto arrivals =
-      generate_arrivals(t.suite.scheduling_ids(), arrival_options, rng);
+      generated_arrivals(t.suite.scheduling_ids(), arrival_options, 33);
 
   const EnergyModel energy{CactiModel{}};
   auto run = [&](const SizePredictor& predictor) {

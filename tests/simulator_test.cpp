@@ -7,6 +7,7 @@
 #include "core/policies.hpp"
 #include "core/simulator.hpp"
 #include "core/tuning_heuristic.hpp"
+#include "drained_stream.hpp"
 #include "experiment/experiment.hpp"
 
 namespace hetsched {
@@ -23,12 +24,10 @@ struct Fixture {
     options.kernel_scale = 0.25;
     options.variants_per_kernel = 1;
     suite = CharacterizedSuite::build(energy, options);
-    Rng rng(99);
     ArrivalOptions arrival_options;
     arrival_options.count = jobs;
     arrival_options.mean_interarrival_cycles = mean_gap;
-    arrivals =
-        generate_arrivals(suite.scheduling_ids(), arrival_options, rng);
+    arrivals = generated_arrivals(suite.scheduling_ids(), arrival_options, 99);
   }
 };
 

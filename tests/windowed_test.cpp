@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/policies.hpp"
+#include "drained_stream.hpp"
 #include "obs/bench_diff.hpp"
 #include "obs/event_trace.hpp"
 #include "obs/run_report.hpp"
@@ -649,10 +650,8 @@ TEST(WindowedDeterminism, StreamAndBatchWindowsAreByteIdentical) {
   WindowedCollector batch_collector(s.cores, WindowedOptions{1'000'000, 0},
                                     &w.context.suite());
   simulator.set_observer(&batch_collector);
-  Rng rng(s.seed ^ 0xa5a5a5a5ULL);
-  const std::vector<JobArrival> arrivals =
-      generate_arrivals(w.context.scheduling_ids(), s.arrivals, rng);
-  const SimulationResult batch = simulator.run(arrivals);
+  const SimulationResult batch = simulator.run(generated_arrivals(
+      w.context.scheduling_ids(), s.arrivals, s.seed ^ 0xa5a5a5a5ULL));
   batch_collector.finalize();
 
   WindowedCollector stream_collector(s.cores, WindowedOptions{1'000'000, 0},

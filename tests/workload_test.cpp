@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "drained_stream.hpp"
 #include "util/stats.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/characterization.hpp"
@@ -148,10 +149,9 @@ TEST(StatisticsTest, ComputeStatisticsDerivesRatios) {
 }
 
 TEST(ArrivalsTest, CountAndSortedness) {
-  Rng rng(1);
   ArrivalOptions options;
   options.count = 500;
-  const auto arrivals = generate_arrivals({0, 1, 2}, options, rng);
+  const auto arrivals = generated_arrivals({0, 1, 2}, options, 1);
   ASSERT_EQ(arrivals.size(), 500u);
   for (std::size_t i = 1; i < arrivals.size(); ++i) {
     EXPECT_LE(arrivals[i - 1].arrival, arrivals[i].arrival);
@@ -162,46 +162,42 @@ TEST(ArrivalsTest, CountAndSortedness) {
 }
 
 TEST(ArrivalsTest, UniformMeanGapIsRespected) {
-  Rng rng(2);
   ArrivalOptions options;
   options.count = 20000;
   options.mean_interarrival_cycles = 1000.0;
-  const auto arrivals = generate_arrivals({0}, options, rng);
+  const auto arrivals = generated_arrivals({0}, options, 2);
   const double mean_gap = static_cast<double>(arrivals.back().arrival) /
                           static_cast<double>(arrivals.size());
   EXPECT_NEAR(mean_gap, 1000.0, 25.0);
 }
 
 TEST(ArrivalsTest, FixedDistributionIsExactlyPeriodic) {
-  Rng rng(3);
   ArrivalOptions options;
   options.count = 10;
   options.mean_interarrival_cycles = 100.0;
   options.distribution = InterarrivalDistribution::kFixed;
-  const auto arrivals = generate_arrivals({0}, options, rng);
+  const auto arrivals = generated_arrivals({0}, options, 3);
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     EXPECT_EQ(arrivals[i].arrival, (i + 1) * 100);
   }
 }
 
 TEST(ArrivalsTest, ExponentialMeanGap) {
-  Rng rng(4);
   ArrivalOptions options;
   options.count = 20000;
   options.mean_interarrival_cycles = 500.0;
   options.distribution = InterarrivalDistribution::kExponential;
-  const auto arrivals = generate_arrivals({0}, options, rng);
+  const auto arrivals = generated_arrivals({0}, options, 4);
   const double mean_gap = static_cast<double>(arrivals.back().arrival) /
                           static_cast<double>(arrivals.size());
   EXPECT_NEAR(mean_gap, 500.0, 15.0);
 }
 
 TEST(ArrivalsTest, AllBenchmarksGetSampled) {
-  Rng rng(5);
   ArrivalOptions options;
   options.count = 2000;
   const std::vector<std::size_t> ids{3, 7, 11, 15};
-  const auto arrivals = generate_arrivals(ids, options, rng);
+  const auto arrivals = generated_arrivals(ids, options, 5);
   std::set<std::size_t> seen;
   for (const JobArrival& a : arrivals) seen.insert(a.benchmark_id);
   EXPECT_EQ(seen.size(), ids.size());
@@ -215,9 +211,8 @@ TEST(ArrivalsTest, BurstinessPreservesLongRunMeanButClustersArrivals) {
   bursty.burstiness = 6.0;
   bursty.phase_switch = 0.05;
 
-  Rng ra(7), rb(7);
-  const auto a = generate_arrivals({0}, smooth, ra);
-  const auto b = generate_arrivals({0}, bursty, rb);
+  const auto a = generated_arrivals({0}, smooth, 7);
+  const auto b = generated_arrivals({0}, bursty, 7);
   const double mean_a = static_cast<double>(a.back().arrival) /
                         static_cast<double>(a.size());
   const double mean_b = static_cast<double>(b.back().arrival) /
@@ -240,10 +235,9 @@ TEST(ArrivalsTest, BurstinessOneIsIdentityBehaviour) {
   ArrivalOptions options;
   options.count = 100;
   options.burstiness = 1.0;
-  Rng a(8), b(8);
-  const auto plain = generate_arrivals({0}, options, a);
+  const auto plain = generated_arrivals({0}, options, 8);
   options.phase_switch = 0.9;  // irrelevant when burstiness == 1
-  const auto again = generate_arrivals({0}, options, b);
+  const auto again = generated_arrivals({0}, options, 8);
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i].arrival, again[i].arrival);
   }
@@ -252,9 +246,8 @@ TEST(ArrivalsTest, BurstinessOneIsIdentityBehaviour) {
 TEST(ArrivalsTest, DeterministicForSameSeed) {
   ArrivalOptions options;
   options.count = 100;
-  Rng a(6), b(6);
-  const auto x = generate_arrivals({0, 1}, options, a);
-  const auto y = generate_arrivals({0, 1}, options, b);
+  const auto x = generated_arrivals({0, 1}, options, 6);
+  const auto y = generated_arrivals({0, 1}, options, 6);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_EQ(x[i].arrival, y[i].arrival);
     EXPECT_EQ(x[i].benchmark_id, y[i].benchmark_id);

@@ -493,6 +493,16 @@ CliOptions parse(int argc, char** argv) {
   if (!options.resume_from_path.empty() && !file_scenario) {
     usage("--resume-from applies to scenario and sweep only");
   }
+  if (!options.trace_out_path.empty() && options.command == "scenario" &&
+      options.wants_checkpointing()) {
+    usage("--trace-out cannot be combined with checkpoint/resume flags "
+          "(trace buffers are not part of the checkpointed state)");
+  }
+  if (!options.trace_out_path.empty() && options.command == "sweep" &&
+      options.wants_supervision()) {
+    usage("--trace-out cannot be combined with supervised-sweep flags "
+          "(completed cells resumed from a manifest are not re-run)");
+  }
   if (options.wants_windows() && !file_scenario &&
       options.command != "run") {
     usage("--report-out and --windows-out apply to run, scenario and "
@@ -802,10 +812,6 @@ int cmd_scenario(const CliOptions& options, ObsSession* obs,
                     load_predictor(options));
   }
   const bool checkpointing = options.wants_checkpointing();
-  if (checkpointing && !options.trace_out_path.empty()) {
-    usage("--trace-out cannot be combined with checkpoint/resume flags "
-          "(trace buffers are not part of the checkpointed state)");
-  }
   EventTracer* tracer = obs != nullptr && !checkpointing
                             ? &obs->add_system_tracer(scenario.name)
                             : nullptr;
@@ -916,10 +922,6 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   // supervised cells get no tracers: a resumed sweep must reproduce the
   // merged outputs byte-identically without re-running completed cells.
   const bool supervised = options.wants_supervision();
-  if (supervised && !options.trace_out_path.empty()) {
-    usage("--trace-out cannot be combined with supervised-sweep flags "
-          "(completed cells resumed from a manifest are not re-run)");
-  }
   SweepSupervisorOptions sopts;
   sopts.cell_timeout_ms = options.cell_timeout_ms;
   sopts.max_attempts = options.cell_retries;
