@@ -8,12 +8,9 @@
 namespace hetsched {
 
 BaggedEnsemble::BaggedEnsemble(const BaggingConfig& config,
-                               const Dataset& train,
-                               const Dataset& validation, Rng& rng) {
+                               const Dataset& train, Rng& rng) {
   HETSCHED_REQUIRE(config.ensemble_size > 0);
   HETSCHED_REQUIRE(train.size() > 0);
-
-  const Trainer trainer(config.trainer);
 
   // Member streams are split off serially (split() advances `rng`, so the
   // order must not depend on scheduling); training is then fanned out over
@@ -34,7 +31,7 @@ BaggedEnsemble::BaggedEnsemble(const BaggingConfig& config,
             member_rng.sample_with_replacement(train.size(), train.size());
         const Dataset resample = train.subset(indices);
         Mlp net(config.net, member_rng);
-        trainer.fit(net, resample, validation, member_rng);
+        train_mlp(net, resample, config.trainer, member_rng);
         slots[m].emplace(std::move(net));
       });
 
@@ -49,15 +46,6 @@ const Mlp& BaggedEnsemble::member(std::size_t i) const {
   return members_[i];
 }
 
-Matrix BaggedEnsemble::predict(const Matrix& inputs) const {
-  Matrix sum = members_.front().predict(inputs);
-  for (std::size_t m = 1; m < members_.size(); ++m) {
-    sum.add_inplace(members_[m].predict(inputs));
-  }
-  sum.scale_inplace(1.0 / static_cast<double>(members_.size()));
-  return sum;
-}
-
 std::vector<double> BaggedEnsemble::predict_one(
     std::span<const double> input) const {
   std::vector<double> acc(members_.front().output_size(), 0.0);
@@ -67,31 +55,6 @@ std::vector<double> BaggedEnsemble::predict_one(
   }
   for (double& v : acc) v /= static_cast<double>(members_.size());
   return acc;
-}
-
-std::vector<double> BaggedEnsemble::member_outputs(
-    std::span<const double> input) const {
-  std::vector<double> outs;
-  outs.reserve(members_.size());
-  for (const Mlp& net : members_) {
-    outs.push_back(net.predict_one(input).front());
-  }
-  return outs;
-}
-
-double BaggedEnsemble::evaluate_mse(const Matrix& inputs,
-                                    const Matrix& targets) const {
-  HETSCHED_REQUIRE(inputs.rows() == targets.rows());
-  if (inputs.rows() == 0) return 0.0;
-  const Matrix out = predict(inputs);
-  double acc = 0.0;
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) {
-      const double d = out.at(r, c) - targets.at(r, c);
-      acc += d * d;
-    }
-  }
-  return acc / static_cast<double>(out.rows() * out.cols());
 }
 
 }  // namespace hetsched

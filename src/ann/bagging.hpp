@@ -22,22 +22,15 @@ struct BaggingConfig {
 class BaggedEnsemble {
  public:
   // Trains `ensemble_size` nets, each on a bootstrap resample as large
-  // as `train` and from independently random initial weights;
-  // `validation` drives early stopping for every member.
+  // as `train` and from independently random initial weights.
   BaggedEnsemble(const BaggingConfig& config, const Dataset& train,
-                 const Dataset& validation, Rng& rng);
+                 Rng& rng);
 
   std::size_t size() const { return members_.size(); }
   const Mlp& member(std::size_t i) const;
 
   // Mean of the member outputs.
-  Matrix predict(const Matrix& inputs) const;
   std::vector<double> predict_one(std::span<const double> input) const;
-
-  // Per-member outputs for one input (spread diagnostics).
-  std::vector<double> member_outputs(std::span<const double> input) const;
-
-  double evaluate_mse(const Matrix& inputs, const Matrix& targets) const;
 
  private:
   std::vector<Mlp> members_;

@@ -1,8 +1,8 @@
 #include "ann/dataset.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
-#include <numeric>
 
 #include "util/contracts.hpp"
 
@@ -29,39 +29,6 @@ Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
 
 DataSplit split_dataset(const Dataset& data, double train_fraction,
                         double validation_fraction, Rng& rng) {
-  HETSCHED_REQUIRE(data.consistent());
-  HETSCHED_REQUIRE(train_fraction > 0.0 && validation_fraction >= 0.0);
-  HETSCHED_REQUIRE(train_fraction + validation_fraction <= 1.0);
-
-  std::vector<std::size_t> order(data.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng.shuffle(order);
-
-  const auto n = data.size();
-  const auto n_train = static_cast<std::size_t>(
-      std::llround(train_fraction * static_cast<double>(n)));
-  const auto n_val = static_cast<std::size_t>(
-      std::llround(validation_fraction * static_cast<double>(n)));
-  HETSCHED_REQUIRE(n_train >= 1);
-
-  const std::vector<std::size_t> train_idx(order.begin(),
-                                           order.begin() + n_train);
-  const std::vector<std::size_t> val_idx(
-      order.begin() + n_train,
-      order.begin() + std::min(n, n_train + n_val));
-  const std::vector<std::size_t> test_idx(
-      order.begin() + std::min(n, n_train + n_val), order.end());
-
-  DataSplit split;
-  split.train = data.subset(train_idx);
-  split.validation = data.subset(val_idx);
-  split.test = data.subset(test_idx);
-  return split;
-}
-
-DataSplit split_dataset_stratified(const Dataset& data,
-                                   double train_fraction,
-                                   double validation_fraction, Rng& rng) {
   HETSCHED_REQUIRE(data.consistent());
   HETSCHED_REQUIRE(!data.groups.empty());
   HETSCHED_REQUIRE(train_fraction > 0.0 && validation_fraction >= 0.0);

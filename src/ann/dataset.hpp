@@ -1,5 +1,5 @@
-// Supervised dataset handling: feature matrix + targets, deterministic
-// shuffling, and the paper's 70/15/15 train/validation/test split.
+// Supervised dataset handling: feature matrix + targets, and the
+// stratified train/validation/test split behind the paper's 70/15/15.
 #pragma once
 
 #include <vector>
@@ -12,9 +12,9 @@ namespace hetsched {
 struct Dataset {
   Matrix features;  // n x d
   Matrix targets;   // n x k (k = 1 for the cache-size regression)
-  // Optional per-row group key (e.g. which kernel produced the row);
-  // split_dataset_stratified uses it to represent every group in every
-  // partition. Empty means ungrouped.
+  // Per-row group key (which kernel produced the row); split_dataset
+  // splits each group separately. Empty means ungrouped, which models
+  // can fit but split_dataset rejects.
   std::vector<std::size_t> groups;
 
   std::size_t size() const { return features.rows(); }
@@ -35,20 +35,14 @@ struct DataSplit {
   Dataset test;
 };
 
-// Shuffles rows (deterministically via rng) then splits by the given
-// fractions; fractions must be positive and sum to <= 1, remainder goes to
-// test.
+// Shuffles each group's rows (deterministically via rng) and splits them
+// by the given fractions, the remainder going to test, so every group
+// contributes rows to the training partition — otherwise a small suite
+// can land all instances of one application outside the training set
+// and the predictor never learns that behaviour class. Requires
+// data.groups to be populated.
 DataSplit split_dataset(const Dataset& data, double train_fraction,
                         double validation_fraction, Rng& rng);
-
-// Stratified variant: splits each group (data.groups) separately so every
-// group contributes rows to the training partition — without this, a
-// small suite can land all instances of one application outside the
-// training set and the predictor never learns that behaviour class.
-// Requires data.groups to be populated.
-DataSplit split_dataset_stratified(const Dataset& data,
-                                   double train_fraction,
-                                   double validation_fraction, Rng& rng);
 
 // Standardises features to zero mean / unit variance. Fitted on training
 // data, applied to everything — constant features pass through unchanged.

@@ -34,9 +34,7 @@ DecisionTreeRegressor::DecisionTreeRegressor(DecisionTreeConfig config)
   HETSCHED_REQUIRE(config_.min_samples_leaf >= 1);
 }
 
-void DecisionTreeRegressor::fit(const Dataset& train,
-                                const Dataset& validation, Rng& rng) {
-  (void)validation;
+void DecisionTreeRegressor::fit(const Dataset& train, Rng& rng) {
   (void)rng;
   HETSCHED_REQUIRE(train.consistent());
   HETSCHED_REQUIRE(train.size() > 0);

@@ -23,8 +23,7 @@ class DecisionTreeRegressor final : public Regressor {
   explicit DecisionTreeRegressor(DecisionTreeConfig config = {});
 
   std::string_view name() const override { return "decision-tree"; }
-  void fit(const Dataset& train, const Dataset& validation,
-           Rng& rng) override;
+  void fit(const Dataset& train, Rng& rng) override;
   double predict(std::span<const double> features) const override;
 
   // Introspection: number of nodes and the root split (for tests/reports).

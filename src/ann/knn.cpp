@@ -13,9 +13,7 @@ KnnRegressor::KnnRegressor(KnnConfig config) : config_(config) {
   HETSCHED_REQUIRE(config_.distance_power >= 0.0);
 }
 
-void KnnRegressor::fit(const Dataset& train, const Dataset& validation,
-                       Rng& rng) {
-  (void)validation;
+void KnnRegressor::fit(const Dataset& train, Rng& rng) {
   (void)rng;
   HETSCHED_REQUIRE(train.consistent());
   HETSCHED_REQUIRE(train.size() > 0);

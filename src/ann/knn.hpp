@@ -18,8 +18,7 @@ class KnnRegressor final : public Regressor {
   explicit KnnRegressor(KnnConfig config = {});
 
   std::string_view name() const override { return "knn"; }
-  void fit(const Dataset& train, const Dataset& validation,
-           Rng& rng) override;
+  void fit(const Dataset& train, Rng& rng) override;
   double predict(std::span<const double> features) const override;
 
   const KnnConfig& config() const { return config_; }

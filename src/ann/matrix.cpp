@@ -123,10 +123,4 @@ Matrix Matrix::column_sums() const {
   return out;
 }
 
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
 }  // namespace hetsched

@@ -68,8 +68,6 @@ class Matrix {
   // Column-wise sum → (1 x cols). Used for bias gradients.
   Matrix column_sums() const;
 
-  double frobenius_norm() const;
-
   friend bool operator==(const Matrix&, const Matrix&) = default;
 
  private:

@@ -20,37 +20,6 @@ double mean_squared_error(const Matrix& predictions, const Matrix& targets) {
   return acc / static_cast<double>(predictions.rows() * predictions.cols());
 }
 
-double mean_absolute_error(const Matrix& predictions, const Matrix& targets) {
-  HETSCHED_REQUIRE(predictions.rows() == targets.rows());
-  HETSCHED_REQUIRE(predictions.cols() == targets.cols());
-  HETSCHED_REQUIRE(predictions.rows() > 0);
-  double acc = 0.0;
-  for (std::size_t r = 0; r < predictions.rows(); ++r) {
-    for (std::size_t c = 0; c < predictions.cols(); ++c) {
-      acc += std::abs(predictions.at(r, c) - targets.at(r, c));
-    }
-  }
-  return acc / static_cast<double>(predictions.rows() * predictions.cols());
-}
-
-double r_squared(const Matrix& predictions, const Matrix& targets) {
-  HETSCHED_REQUIRE(predictions.rows() == targets.rows());
-  HETSCHED_REQUIRE(predictions.cols() == 1 && targets.cols() == 1);
-  HETSCHED_REQUIRE(predictions.rows() > 1);
-  double mean = 0.0;
-  for (std::size_t r = 0; r < targets.rows(); ++r) mean += targets.at(r, 0);
-  mean /= static_cast<double>(targets.rows());
-  double ss_res = 0.0, ss_tot = 0.0;
-  for (std::size_t r = 0; r < targets.rows(); ++r) {
-    const double dr = targets.at(r, 0) - predictions.at(r, 0);
-    const double dt = targets.at(r, 0) - mean;
-    ss_res += dr * dr;
-    ss_tot += dt * dt;
-  }
-  if (ss_tot == 0.0) return ss_res == 0.0 ? 1.0 : 0.0;
-  return 1.0 - ss_res / ss_tot;
-}
-
 double snap_to_class(double value, std::span<const double> classes) {
   HETSCHED_REQUIRE(!classes.empty());
   double best = classes[0];

@@ -8,9 +8,6 @@
 namespace hetsched {
 
 double mean_squared_error(const Matrix& predictions, const Matrix& targets);
-double mean_absolute_error(const Matrix& predictions, const Matrix& targets);
-// Coefficient of determination on a single-column target.
-double r_squared(const Matrix& predictions, const Matrix& targets);
 
 // Fraction of rows where `snap(prediction)` equals `snap(target)`, with
 // snap() mapping a continuous value to the nearest element of `classes`.

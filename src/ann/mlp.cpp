@@ -86,23 +86,8 @@ std::vector<double> Mlp::predict_one(std::span<const double> input) const {
   return std::vector<double>(out.row(0).begin(), out.row(0).end());
 }
 
-double Mlp::evaluate_mse(const Matrix& inputs, const Matrix& targets) const {
-  HETSCHED_REQUIRE(inputs.rows() == targets.rows());
-  HETSCHED_REQUIRE(targets.cols() == output_size());
-  if (inputs.rows() == 0) return 0.0;
-  const Matrix out = predict(inputs);
-  double acc = 0.0;
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) {
-      const double d = out.at(r, c) - targets.at(r, c);
-      acc += d * d;
-    }
-  }
-  return acc / static_cast<double>(out.rows() * out.cols());
-}
-
-double Mlp::train_batch(const Matrix& inputs, const Matrix& targets,
-                        double learning_rate, double momentum) {
+void Mlp::train_batch(const Matrix& inputs, const Matrix& targets,
+                      double learning_rate, double momentum) {
   HETSCHED_REQUIRE(inputs.rows() == targets.rows());
   HETSCHED_REQUIRE(inputs.rows() > 0);
   HETSCHED_REQUIRE(targets.cols() == output_size());
@@ -114,11 +99,8 @@ double Mlp::train_batch(const Matrix& inputs, const Matrix& targets,
   const double n = static_cast<double>(inputs.rows());
 
   // Loss: MSE = mean((out - target)^2); dL/dout = 2 (out - target) / n.
-  double mse = 0.0;
   Matrix delta = output;
   delta.add_inplace(targets, -1.0);
-  for (double v : delta.flat()) mse += v * v;
-  mse /= static_cast<double>(output.rows() * output.cols());
   delta.scale_inplace(2.0 / (n * static_cast<double>(output.cols())));
 
   // Backward through the output activation.
@@ -146,7 +128,6 @@ double Mlp::train_batch(const Matrix& inputs, const Matrix& targets,
 
     delta = std::move(next_delta);
   }
-  return mse;
 }
 
 }  // namespace hetsched

@@ -45,12 +45,9 @@ class Mlp {
   std::vector<double> predict_one(std::span<const double> input) const;
 
   // One gradient step on (inputs, targets) with mean-squared-error loss.
-  // Returns the batch MSE *before* the update. `momentum` in [0, 1).
-  double train_batch(const Matrix& inputs, const Matrix& targets,
-                     double learning_rate, double momentum = 0.9);
-
-  // Mean squared error over a batch without updating weights.
-  double evaluate_mse(const Matrix& inputs, const Matrix& targets) const;
+  // `momentum` in [0, 1).
+  void train_batch(const Matrix& inputs, const Matrix& targets,
+                   double learning_rate, double momentum);
 
   // Introspection for tests and serialisation.
   const std::vector<Matrix>& weights() const { return weights_; }

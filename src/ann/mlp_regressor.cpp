@@ -9,13 +9,11 @@ BaggedMlpRegressor::BaggedMlpRegressor(BaggingConfig config)
   HETSCHED_REQUIRE(config_.net.layer_sizes.size() >= 2);
 }
 
-void BaggedMlpRegressor::fit(const Dataset& train,
-                             const Dataset& validation, Rng& rng) {
+void BaggedMlpRegressor::fit(const Dataset& train, Rng& rng) {
   HETSCHED_REQUIRE(train.consistent());
   HETSCHED_REQUIRE(train.size() > 0);
   config_.net.layer_sizes.front() = train.feature_count();
-  ensemble_ =
-      std::make_unique<BaggedEnsemble>(config_, train, validation, rng);
+  ensemble_ = std::make_unique<BaggedEnsemble>(config_, train, rng);
   fitted_ = true;
 }
 

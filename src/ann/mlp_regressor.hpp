@@ -19,8 +19,7 @@ class BaggedMlpRegressor final : public Regressor {
   explicit BaggedMlpRegressor(BaggingConfig config = {});
 
   std::string_view name() const override { return "bagged-mlp"; }
-  void fit(const Dataset& train, const Dataset& validation,
-           Rng& rng) override;
+  void fit(const Dataset& train, Rng& rng) override;
   double predict(std::span<const double> features) const override;
 
   const BaggedEnsemble& ensemble() const;

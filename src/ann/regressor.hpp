@@ -20,11 +20,9 @@ class Regressor {
 
   virtual std::string_view name() const = 0;
 
-  // Fits on (already selected/scaled) training data. `validation` may be
-  // empty; models that do not use it ignore it. `rng` drives any
+  // Fits on (already selected/scaled) training data. `rng` drives any
   // stochastic element (weight init, tie breaking).
-  virtual void fit(const Dataset& train, const Dataset& validation,
-                   Rng& rng) = 0;
+  virtual void fit(const Dataset& train, Rng& rng) = 0;
 
   // Predicts the (continuous) target for one feature row.
   virtual double predict(std::span<const double> features) const = 0;

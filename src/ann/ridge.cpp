@@ -49,9 +49,7 @@ RidgeRegressor::RidgeRegressor(RidgeConfig config) : config_(config) {
   HETSCHED_REQUIRE(config_.lambda >= 0.0);
 }
 
-void RidgeRegressor::fit(const Dataset& train, const Dataset& validation,
-                         Rng& rng) {
-  (void)validation;
+void RidgeRegressor::fit(const Dataset& train, Rng& rng) {
   (void)rng;
   HETSCHED_REQUIRE(train.consistent());
   HETSCHED_REQUIRE(train.size() > 0);

@@ -16,8 +16,7 @@ class RidgeRegressor final : public Regressor {
   explicit RidgeRegressor(RidgeConfig config = {});
 
   std::string_view name() const override { return "ridge"; }
-  void fit(const Dataset& train, const Dataset& validation,
-           Rng& rng) override;
+  void fit(const Dataset& train, Rng& rng) override;
   double predict(std::span<const double> features) const override;
 
   // Learned weights (bias last), for tests.

@@ -1,86 +1,43 @@
 #include "ann/trainer.hpp"
 
-#include <limits>
+#include <algorithm>
 #include <numeric>
 
 #include "util/contracts.hpp"
 
 namespace hetsched {
+namespace {
 
-Trainer::Trainer(TrainerConfig config) : config_(config) {
-  HETSCHED_REQUIRE(config_.max_epochs > 0);
-  HETSCHED_REQUIRE(config_.batch_size > 0);
-  HETSCHED_REQUIRE(config_.learning_rate > 0.0);
-  HETSCHED_REQUIRE(config_.lr_decay > 0.0 && config_.lr_decay <= 1.0);
-}
+constexpr std::size_t kBatchSize = 8;
+constexpr double kLearningRate = 0.05;
+constexpr double kMomentum = 0.9;
+// Multiplied into the learning rate after every epoch.
+constexpr double kLearningRateDecay = 0.998;
 
-TrainingReport Trainer::fit(Mlp& net, const Dataset& train,
-                            const Dataset& validation, Rng& rng) const {
+}  // namespace
+
+void train_mlp(Mlp& net, const Dataset& train, const TrainerConfig& config,
+               Rng& rng) {
+  HETSCHED_REQUIRE(config.max_epochs > 0);
   HETSCHED_REQUIRE(train.consistent());
   HETSCHED_REQUIRE(train.size() > 0);
   HETSCHED_REQUIRE(train.feature_count() == net.input_size());
 
-  TrainingReport report;
-  // patience == 0 disables both early stopping and the best-validation
-  // weight restore: the net keeps its final weights and regularisation is
-  // left to the bagging ensemble.
-  const bool use_validation =
-      validation.size() > 0 && config_.patience > 0;
-  double best_val = std::numeric_limits<double>::infinity();
-  std::size_t since_best = 0;
-  // Best-so-far snapshot for early-stopping restore.
-  Mlp best_net = net;
-
   std::vector<std::size_t> order(train.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
 
-  double lr = config_.learning_rate;
-  for (std::size_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
+  double lr = kLearningRate;
+  for (std::size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
     rng.shuffle(order);
-    double epoch_mse = 0.0;
-    std::size_t batches = 0;
-    for (std::size_t start = 0; start < order.size();
-         start += config_.batch_size) {
-      const std::size_t end =
-          std::min(order.size(), start + config_.batch_size);
+    for (std::size_t start = 0; start < order.size(); start += kBatchSize) {
+      const std::size_t end = std::min(order.size(), start + kBatchSize);
       const std::vector<std::size_t> batch_idx(order.begin() + start,
                                                order.begin() + end);
       const Dataset batch = train.subset(batch_idx);
-      epoch_mse += net.train_batch(batch.features, batch.targets, lr,
-                                   config_.momentum);
-      ++batches;
+      net.train_batch(batch.features, batch.targets, lr, kMomentum);
     }
-    epoch_mse /= static_cast<double>(batches);
-    report.train_mse_history.push_back(epoch_mse);
-    report.final_train_mse = epoch_mse;
-    ++report.epochs_run;
-    lr *= config_.lr_decay;
-
-    if (use_validation) {
-      const double val_mse =
-          net.evaluate_mse(validation.features, validation.targets);
-      report.validation_mse_history.push_back(val_mse);
-      if (val_mse < best_val) {
-        best_val = val_mse;
-        best_net = net;
-        since_best = 0;
-      } else {
-        ++since_best;
-        if (since_best >= config_.patience) {
-          report.early_stopped = true;
-          break;
-        }
-      }
-    }
+    lr *= kLearningRateDecay;
   }
-
-  if (use_validation) {
-    net = best_net;
-    report.best_validation_mse = best_val;
-  } else {
-    report.best_validation_mse = report.final_train_mse;
-  }
-  return report;
 }
 
 }  // namespace hetsched

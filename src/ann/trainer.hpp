@@ -1,8 +1,7 @@
-// Training loop: mini-batch SGD with momentum, learning-rate decay and
-// early stopping on the validation set.
+// Training loop: mini-batch SGD with momentum and learning-rate decay.
+// The net keeps its final weights; the bagging ensemble does the
+// regularising.
 #pragma once
-
-#include <optional>
 
 #include "ann/dataset.hpp"
 #include "ann/mlp.hpp"
@@ -11,38 +10,12 @@ namespace hetsched {
 
 struct TrainerConfig {
   std::size_t max_epochs = 1200;
-  std::size_t batch_size = 8;
-  double learning_rate = 0.05;
-  double momentum = 0.9;
-  // Multiplied into the learning rate each epoch (1.0 = constant).
-  double lr_decay = 0.998;
-  // Early stopping: give up after this many epochs without validation
-  // improvement and restore the best-validation weights. 0 disables early
-  // stopping AND the restore (bagging provides the regularisation).
-  std::size_t patience = 0;
 };
 
-struct TrainingReport {
-  std::size_t epochs_run = 0;
-  double final_train_mse = 0.0;
-  double best_validation_mse = 0.0;
-  bool early_stopped = false;
-  std::vector<double> train_mse_history;
-  std::vector<double> validation_mse_history;
-};
-
-class Trainer {
- public:
-  explicit Trainer(TrainerConfig config = {});
-
-  // Trains `net` in place on `train`, monitoring `validation` (if
-  // non-empty) for early stopping; restores the best-validation weights on
-  // completion. `rng` drives batch shuffling.
-  TrainingReport fit(Mlp& net, const Dataset& train,
-                     const Dataset& validation, Rng& rng) const;
-
- private:
-  TrainerConfig config_;
-};
+// Trains `net` in place on `train` for `config.max_epochs` epochs of
+// shuffled mini-batches; `rng` drives the shuffling. The batch size,
+// learning rate, momentum and decay are the constants in trainer.cpp.
+void train_mlp(Mlp& net, const Dataset& train, const TrainerConfig& config,
+               Rng& rng);
 
 }  // namespace hetsched

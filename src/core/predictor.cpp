@@ -54,34 +54,28 @@ BestSizePredictor::BestSizePredictor(const Dataset& data,
   report_.dataset_rows = data.size();
 
   // Split on the raw dataset, stratified by application so every kernel
-  // contributes training rows.
-  DataSplit split =
-      data.groups.empty()
-          ? split_dataset(data, kTrainFraction, kValidationFraction, rng)
-          : split_dataset_stratified(data, kTrainFraction,
-                                     kValidationFraction, rng);
+  // contributes training rows. The validation rows stay held out, as in
+  // the paper's split; no model reads them.
+  const DataSplit split =
+      split_dataset(data, kTrainFraction, kValidationFraction, rng);
 
   // Feature selection (the paper's top 10) fitted on training rows only.
   selected_ = select_features(split.train);
   report_.selected_features = selected_.indices.size();
 
   Dataset train = selected_.project(split.train);
-  Dataset validation = selected_.project(split.validation);
   Dataset test = selected_.project(split.test);
 
   scaler_.fit(train.features);
   train.features = scaler_.transform(train.features);
-  if (validation.size() > 0) {
-    validation.features = scaler_.transform(validation.features);
-  }
   if (test.size() > 0) {
     test.features = scaler_.transform(test.features);
   }
 
-  model_->fit(train, validation, rng);
+  model_->fit(train, rng);
 
   report_.train_rows = train.size();
-  report_.validation_rows = validation.size();
+  report_.validation_rows = split.validation.size();
   report_.test_rows = test.size();
   report_.train_accuracy =
       snapped_accuracy(predict_rows(*model_, train.features), train.targets,

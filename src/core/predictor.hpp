@@ -65,9 +65,9 @@ std::vector<double> model_input(const ExecutionStatistics& stats,
 
 class BestSizePredictor final : public SizePredictor {
  public:
-  // `data`: rows of 18 statistics with log2(best KB) targets (see
-  // workload/dataset_builder). Fits `model` on them; training is
-  // deterministic given `rng`.
+  // `data`: rows of 18 statistics with log2(best KB) targets, grouped
+  // by kernel (see workload/dataset_builder). Fits `model` on them;
+  // training is deterministic given `rng`.
   BestSizePredictor(const Dataset& data, std::unique_ptr<Regressor> model,
                     Rng& rng);
   // The paper's predictor: paper_model(config).

@@ -107,10 +107,6 @@ struct SweepSupervisorOptions {
   std::uint32_t max_attempts = 1;
   // Sleep between attempts of one cell.
   std::uint64_t retry_backoff_ms = 0;
-  // Simulated-time slice between timeout checks: the cell is driven
-  // cooperatively in slices of this many cycles, so the deadline is
-  // honoured without detaching threads (sanitizer-clean).
-  SimTime supervision_slice_cycles = 1'000'000;
   // Per-cell observer-stack window width (windows JSONL with lat_*
   // columns); 0 runs cells unobserved.
   SimTime window_cycles = 0;

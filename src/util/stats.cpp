@@ -9,7 +9,7 @@ namespace hetsched {
 
 void RunningStats::add(double x) {
   // A single NaN poisons mean/m2 forever (and inf turns m2 into NaN via
-  // inf - inf); reject at the door like Histogram::build does.
+  // inf - inf); reject it at the door.
   HETSCHED_REQUIRE(std::isfinite(x));
   if (n_ == 0) {
     min_ = max_ = x;
@@ -49,34 +49,10 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double percentile(std::span<const double> values, double p) {
-  HETSCHED_REQUIRE(!values.empty());
-  HETSCHED_REQUIRE(p >= 0.0 && p <= 100.0);
-  for (double v : values) {
-    // NaN breaks the strict-weak-ordering std::sort relies on, which is
-    // undefined behaviour, and an inf endpoint would interpolate to NaN.
-    HETSCHED_REQUIRE(std::isfinite(v));
-  }
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 double mean(std::span<const double> values) {
   RunningStats s;
   for (double v : values) s.add(v);
   return s.mean();
-}
-
-double stddev(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.stddev();
 }
 
 double pearson(std::span<const double> x, std::span<const double> y) {
@@ -94,45 +70,6 @@ double pearson(std::span<const double> x, std::span<const double> y) {
   }
   if (sxx == 0.0 || syy == 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-double geomean(std::span<const double> values) {
-  HETSCHED_REQUIRE(!values.empty());
-  double log_sum = 0.0;
-  for (double v : values) {
-    HETSCHED_REQUIRE(v > 0.0);
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-Histogram Histogram::build(std::span<const double> values,
-                           std::size_t nbins) {
-  HETSCHED_REQUIRE(!values.empty());
-  HETSCHED_REQUIRE(nbins > 0);
-  for (double v : values) {
-    // A NaN/inf input would feed an out-of-range double-to-integer cast
-    // below, which is undefined behaviour — reject it loudly instead.
-    HETSCHED_REQUIRE(std::isfinite(v));
-  }
-  Histogram h;
-  h.lo = *std::min_element(values.begin(), values.end());
-  h.hi = *std::max_element(values.begin(), values.end());
-  h.bins.assign(nbins, 0);
-  const double width = (h.hi - h.lo) / static_cast<double>(nbins);
-  for (double v : values) {
-    std::size_t idx = 0;
-    if (width > 0.0) {
-      // Clamp before the cast: for v == hi the quotient can round up to
-      // nbins (or past it), and casting a double ≥ nbins risks both an
-      // out-of-range index and UB for values outside size_t's range.
-      const double scaled =
-          std::min((v - h.lo) / width, static_cast<double>(nbins - 1));
-      idx = static_cast<std::size_t>(scaled);
-    }
-    ++h.bins[idx];
-  }
-  return h;
 }
 
 }  // namespace hetsched

@@ -1,11 +1,10 @@
-// Small statistics toolkit: single-pass running moments (Welford),
-// percentiles, correlation, and simple summaries used by feature selection,
-// workload characterisation and the bench harnesses.
+// Small statistics toolkit: single-pass running moments (Welford), mean
+// and correlation, used by feature selection, workload characterisation
+// and the bench harnesses.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace hetsched {
 
@@ -33,26 +32,9 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-// Linear-interpolated percentile, p in [0, 100]. Copies and sorts.
-double percentile(std::span<const double> values, double p);
-
 double mean(std::span<const double> values);
-double stddev(std::span<const double> values);
 
 // Pearson correlation; returns 0 when either side has zero variance.
 double pearson(std::span<const double> x, std::span<const double> y);
-
-// Geometric mean of strictly positive values (used for normalised-energy
-// summaries, where ratios should be averaged geometrically).
-double geomean(std::span<const double> values);
-
-// Equal-width histogram, mostly for bench diagnostics.
-struct Histogram {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::vector<std::size_t> bins;
-
-  static Histogram build(std::span<const double> values, std::size_t nbins);
-};
 
 }  // namespace hetsched

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "ann/decision_tree.hpp"
 #include "ann/knn.hpp"
@@ -37,7 +40,7 @@ TEST(KnnTest, ExactTrainingPointIsReproduced) {
   train.features = Matrix::from_rows({{0, 0}, {1, 0}, {0, 1}});
   train.targets = Matrix::from_rows({{10}, {20}, {30}});
   KnnRegressor knn(KnnConfig{.k = 2});
-  knn.fit(train, {}, rng);
+  knn.fit(train, rng);
   EXPECT_DOUBLE_EQ(knn.predict(std::vector<double>{1, 0}), 20.0);
 }
 
@@ -47,7 +50,7 @@ TEST(KnnTest, InterpolatesBetweenNeighbours) {
   train.features = Matrix::from_rows({{0.0}, {1.0}});
   train.targets = Matrix::from_rows({{0.0}, {10.0}});
   KnnRegressor knn(KnnConfig{.k = 2, .distance_power = 1.0});
-  knn.fit(train, {}, rng);
+  knn.fit(train, rng);
   // Midpoint: equal weights.
   EXPECT_NEAR(knn.predict(std::vector<double>{0.5}), 5.0, 1e-9);
   // Closer to x=1: pulled toward 10.
@@ -58,7 +61,7 @@ TEST(KnnTest, KOneIsNearestNeighbour) {
   Rng rng(3);
   Dataset train = linear_dataset(50, rng);
   KnnRegressor knn(KnnConfig{.k = 1});
-  knn.fit(train, {}, rng);
+  knn.fit(train, rng);
   // k=1 prediction equals the target of the nearest training row — check
   // on the training rows themselves.
   for (std::size_t r = 0; r < 10; ++r) {
@@ -73,7 +76,7 @@ TEST(KnnTest, KLargerThanDatasetIsClamped) {
   train.features = Matrix::from_rows({{0.0}, {2.0}});
   train.targets = Matrix::from_rows({{4.0}, {8.0}});
   KnnRegressor knn(KnnConfig{.k = 99, .distance_power = 0.0});
-  knn.fit(train, {}, rng);
+  knn.fit(train, rng);
   EXPECT_NEAR(knn.predict(std::vector<double>{1.0}), 6.0, 1e-9);
 }
 
@@ -91,7 +94,7 @@ TEST(DecisionTreeTest, FitsAStepFunctionExactly) {
   train.features = Matrix::from_rows(xs);
   train.targets = Matrix::from_rows(ys);
   DecisionTreeRegressor tree(DecisionTreeConfig{.max_depth = 3});
-  tree.fit(train, {}, rng);
+  tree.fit(train, rng);
   EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{0.2}), 1.0);
   EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{0.8}), 3.0);
   EXPECT_EQ(tree.root_feature(), 0u);
@@ -111,7 +114,7 @@ TEST(DecisionTreeTest, PicksTheInformativeFeature) {
   train.features = Matrix::from_rows(xs);
   train.targets = Matrix::from_rows(ys);
   DecisionTreeRegressor tree;
-  tree.fit(train, {}, rng);
+  tree.fit(train, rng);
   EXPECT_EQ(tree.root_feature(), 1u);
 }
 
@@ -120,7 +123,7 @@ TEST(DecisionTreeTest, RespectsMinSamplesLeaf) {
   Dataset train = linear_dataset(20, rng);
   DecisionTreeRegressor tree(
       DecisionTreeConfig{.max_depth = 20, .min_samples_leaf = 10});
-  tree.fit(train, {}, rng);
+  tree.fit(train, rng);
   // 20 samples, leaves of >= 10: at most one split.
   EXPECT_LE(tree.node_count(), 3u);
 }
@@ -131,7 +134,7 @@ TEST(DecisionTreeTest, ConstantTargetYieldsSingleLeaf) {
   train.features = Matrix::from_rows({{1}, {2}, {3}, {4}});
   train.targets = Matrix::from_rows({{7}, {7}, {7}, {7}});
   DecisionTreeRegressor tree;
-  tree.fit(train, {}, rng);
+  tree.fit(train, rng);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{99}), 7.0);
 }
@@ -151,7 +154,7 @@ TEST(RidgeTest, RecoversLinearCoefficients) {
   Rng rng(9);
   Dataset train = linear_dataset(200, rng);
   RidgeRegressor ridge(RidgeConfig{.lambda = 1e-8});
-  ridge.fit(train, {}, rng);
+  ridge.fit(train, rng);
   ASSERT_EQ(ridge.coefficients().size(), 3u);
   EXPECT_NEAR(ridge.coefficients()[0], 3.0, 1e-6);
   EXPECT_NEAR(ridge.coefficients()[1], -2.0, 1e-6);
@@ -164,8 +167,8 @@ TEST(RidgeTest, RegularisationShrinksWeights) {
   Dataset train = linear_dataset(50, rng);
   RidgeRegressor weak(RidgeConfig{.lambda = 1e-8});
   RidgeRegressor strong(RidgeConfig{.lambda = 1000.0});
-  weak.fit(train, {}, rng);
-  strong.fit(train, {}, rng);
+  weak.fit(train, rng);
+  strong.fit(train, rng);
   EXPECT_LT(std::abs(strong.coefficients()[0]),
             std::abs(weak.coefficients()[0]));
 }
@@ -181,7 +184,7 @@ TEST(MlpRegressorTest, AdapterMatchesEnsembleSemantics) {
   config.trainer.max_epochs = 100;
   BaggedMlpRegressor model(config);
   EXPECT_FALSE(model.fitted());
-  model.fit(train, {}, rng);
+  model.fit(train, rng);
   EXPECT_TRUE(model.fitted());
   EXPECT_EQ(model.ensemble().size(), 3u);
   EXPECT_EQ(model.ensemble().member(0).input_size(), 2u);
@@ -204,6 +207,10 @@ TEST(ModelPredictorTest, AllModelsRunTheFullPipeline) {
   config.ensemble_size = 3;
   config.trainer.max_epochs = 100;
 
+  // Every model's raw output for every benchmark, in hexfloat: pins
+  // each model's training bit for bit.
+  std::ostringstream raw;
+  raw << std::hexfloat;
   auto check = [&](std::unique_ptr<Regressor> model) {
     Rng rng(12);
     const std::string name(model->name());
@@ -214,11 +221,34 @@ TEST(ModelPredictorTest, AllModelsRunTheFullPipeline) {
     const auto size = predictor.predict(
         0, suite.benchmark(0).base_statistics);
     EXPECT_TRUE(size == 2048 || size == 4096 || size == 8192) << name;
+    for (std::size_t id = 0; id < suite.size(); ++id) {
+      raw << name << ' ' << suite.benchmark(id).instance.name << ' '
+          << predictor.predict_raw(suite.benchmark(id).base_statistics)
+          << '\n';
+    }
   };
   check(paper_model(config));
   check(std::make_unique<KnnRegressor>());
   check(std::make_unique<DecisionTreeRegressor>());
   check(std::make_unique<RidgeRegressor>());
+
+  const std::string golden_path =
+      std::string(HETSCHED_SOURCE_DIR) + "/tests/golden/model_predictions.txt";
+  if (std::getenv("HETSCHED_REGEN_GOLDEN") != nullptr) {
+    std::ofstream golden_out(golden_path);
+    golden_out << raw.str();
+    ASSERT_TRUE(golden_out) << "cannot write " << golden_path;
+    GTEST_SKIP() << "golden predictions regenerated at " << golden_path;
+  }
+  std::ifstream golden_in(golden_path);
+  ASSERT_TRUE(golden_in) << "missing golden predictions " << golden_path
+                         << "; regenerate with HETSCHED_REGEN_GOLDEN=1";
+  std::stringstream golden;
+  golden << golden_in.rdbuf();
+  EXPECT_TRUE(raw.str() == golden.str())
+      << "model outputs diverged from the checked-in golden; if the "
+         "change is intended, regenerate with HETSCHED_REGEN_GOLDEN=1 "
+         "and commit the new file";
 }
 
 }  // namespace

@@ -370,7 +370,6 @@ TEST(SupervisedSweep, TimeoutQuarantineWithRetries) {
 
   SweepSupervisorOptions options;
   options.cell_timeout_ms = 1;
-  options.supervision_slice_cycles = 50'000;
   options.max_attempts = 2;
   const SupervisedSweepResult result = run_sweep_supervised(
       grid, world().context, 1, ThreadPool::global(), options);

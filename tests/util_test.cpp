@@ -205,19 +205,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
-TEST(StatsTest, PercentileInterpolates) {
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50.0), 2.5);
-}
-
-TEST(StatsTest, PercentileSingleValue) {
-  const std::vector<double> v{42.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 42.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 99.0), 42.0);
-}
-
 TEST(StatsTest, PearsonPerfectCorrelation) {
   const std::vector<double> x{1, 2, 3, 4, 5};
   const std::vector<double> y{2, 4, 6, 8, 10};
@@ -230,21 +217,6 @@ TEST(StatsTest, PearsonZeroVarianceIsZero) {
   const std::vector<double> x{1, 1, 1, 1};
   const std::vector<double> y{2, 4, 6, 8};
   EXPECT_DOUBLE_EQ(pearson(x, y), 0.0);
-}
-
-TEST(StatsTest, GeomeanOfPowers) {
-  const std::vector<double> v{1.0, 4.0, 16.0};
-  EXPECT_NEAR(geomean(v), 4.0, 1e-12);
-}
-
-TEST(StatsTest, HistogramCountsSum) {
-  Rng rng(20);
-  std::vector<double> v;
-  for (int i = 0; i < 1000; ++i) v.push_back(rng.uniform());
-  const Histogram h = Histogram::build(v, 10);
-  std::size_t total = 0;
-  for (auto c : h.bins) total += c;
-  EXPECT_EQ(total, v.size());
 }
 
 TEST(TablePrinterTest, AlignmentAndContent) {
@@ -290,37 +262,6 @@ TEST(StatsTest, RunningStatsRejectsNonFiniteValues) {
                "precondition");
   EXPECT_DEATH(s.add(-std::numeric_limits<double>::infinity()),
                "precondition");
-}
-
-TEST(StatsTest, PercentileRejectsNonFiniteValues) {
-  const std::vector<double> with_nan{1.0, std::nan(""), 2.0};
-  EXPECT_DEATH(percentile(with_nan, 50.0), "precondition");
-  const std::vector<double> with_inf{
-      1.0, std::numeric_limits<double>::infinity()};
-  EXPECT_DEATH(percentile(with_inf, 99.0), "precondition");
-}
-
-TEST(StatsTest, HistogramRejectsNonFiniteValues) {
-  const std::vector<double> with_nan{1.0, std::nan(""), 2.0};
-  EXPECT_DEATH(Histogram::build(with_nan, 4), "precondition");
-  const std::vector<double> with_inf{
-      1.0, std::numeric_limits<double>::infinity()};
-  EXPECT_DEATH(Histogram::build(with_inf, 4), "precondition");
-}
-
-TEST(StatsTest, HistogramMaxValueLandsInLastBin) {
-  const std::vector<double> v{0.0, 0.25, 0.5, 0.75, 1.0};
-  const Histogram h = Histogram::build(v, 4);
-  EXPECT_EQ(h.bins.back(), 2u);  // 0.75 and the hi value 1.0
-  std::size_t total = 0;
-  for (auto c : h.bins) total += c;
-  EXPECT_EQ(total, v.size());
-}
-
-TEST(StatsTest, HistogramAllEqualValuesUseFirstBin) {
-  const std::vector<double> v{3.0, 3.0, 3.0};
-  const Histogram h = Histogram::build(v, 5);
-  EXPECT_EQ(h.bins[0], v.size());
 }
 
 TEST(UnitsTest, NanoJoulesArithmetic) {
