@@ -1,8 +1,34 @@
 #include "ann/activations.hpp"
 
 #include <cmath>
+#include <type_traits>
+
+#include "util/contracts.hpp"
 
 namespace hetsched {
+namespace {
+
+// Calls fn with `a` as a compile-time constant, so the element loops fn
+// runs see a fixed activation and carry no switch.
+template <typename Fn>
+void with_constant(Activation a, Fn&& fn) {
+  switch (a) {
+    case Activation::kIdentity:
+      fn(std::integral_constant<Activation, Activation::kIdentity>{});
+      return;
+    case Activation::kTanh:
+      fn(std::integral_constant<Activation, Activation::kTanh>{});
+      return;
+    case Activation::kSigmoid:
+      fn(std::integral_constant<Activation, Activation::kSigmoid>{});
+      return;
+    case Activation::kRelu:
+      fn(std::integral_constant<Activation, Activation::kRelu>{});
+      return;
+  }
+}
+
+}  // namespace
 
 std::string_view to_string(Activation a) {
   switch (a) {
@@ -34,18 +60,20 @@ double activate_grad_from_output(Activation a, double y) {
   return 1.0;
 }
 
-void activate_inplace(Activation a, Matrix& m) {
-  for (double& v : m.flat()) {
-    v = activate(a, v);
-  }
+void activate_inplace(Activation a, std::span<double> values) {
+  with_constant(a, [&](auto kind) {
+    for (double& v : values) v = activate(kind, v);
+  });
 }
 
-Matrix activation_grad(Activation a, const Matrix& activated) {
-  Matrix grad = activated;
-  for (double& v : grad.flat()) {
-    v = activate_grad_from_output(a, v);
-  }
-  return grad;
+void multiply_by_activation_grad(Activation a, std::span<double> values,
+                                 std::span<const double> activated) {
+  HETSCHED_REQUIRE(values.size() == activated.size());
+  with_constant(a, [&](auto kind) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] *= activate_grad_from_output(kind, activated[i]);
+    }
+  });
 }
 
 }  // namespace hetsched

@@ -3,9 +3,8 @@
 // the cache-size regression head.
 #pragma once
 
+#include <span>
 #include <string_view>
-
-#include "ann/matrix.hpp"
 
 namespace hetsched {
 
@@ -18,9 +17,12 @@ double activate(Activation a, double x);
 // is what backprop has in hand for tanh/sigmoid.
 double activate_grad_from_output(Activation a, double y);
 
-// Elementwise application over a matrix (in place).
-void activate_inplace(Activation a, Matrix& m);
-// Produces f'(x) for every element given the activated matrix.
-Matrix activation_grad(Activation a, const Matrix& activated);
+// The same two over whole spans, with the switch on `a` taken once per
+// span rather than once per element:
+//   values[i] = f(values[i])
+void activate_inplace(Activation a, std::span<double> values);
+//   values[i] *= f'(x_i), given activated[i] = f(x_i) (backprop through f)
+void multiply_by_activation_grad(Activation a, std::span<double> values,
+                                 std::span<const double> activated);
 
 }  // namespace hetsched

@@ -42,36 +42,6 @@ Matrix Matrix::matmul(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::transposed_matmul(const Matrix& other) const {
-  HETSCHED_REQUIRE(rows_ == other.rows_);
-  Matrix out(cols_, other.cols_);
-  for (std::size_t k = 0; k < rows_; ++k) {
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double a = at(k, i);
-      if (a == 0.0) continue;
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        out.at(i, j) += a * other.at(k, j);
-      }
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::matmul_transposed(const Matrix& other) const {
-  HETSCHED_REQUIRE(cols_ == other.cols_);
-  Matrix out(rows_, other.rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t j = 0; j < other.rows_; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) {
-        acc += at(i, k) * other.at(j, k);
-      }
-      out.at(i, j) = acc;
-    }
-  }
-  return out;
-}
-
 Matrix Matrix::transposed() const {
   Matrix out(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -103,24 +73,6 @@ Matrix& Matrix::add_row_vector(const Matrix& bias) {
     }
   }
   return *this;
-}
-
-Matrix& Matrix::hadamard_inplace(const Matrix& other) {
-  HETSCHED_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] *= other.data_[i];
-  }
-  return *this;
-}
-
-Matrix Matrix::column_sums() const {
-  Matrix out(1, cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out.at(0, c) += at(r, c);
-    }
-  }
-  return out;
 }
 
 }  // namespace hetsched

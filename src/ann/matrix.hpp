@@ -1,6 +1,7 @@
-// Dense row-major matrix for the ANN. The nets are tiny ({10,18,5,1}), so
-// clarity beats blocking/vectorisation tricks; the interface is the
-// minimal set backprop needs.
+// Dense row-major matrix: the ANN's weights, biases and datasets. The nets
+// are tiny ({10,18,5,1}); Mlp's forward pass and training step run flat
+// loops over flat() storage, and the algebra ops here are what the tests
+// build their reference computations from.
 #pragma once
 
 #include <cstddef>
@@ -50,23 +51,14 @@ class Matrix {
   std::span<double> flat() { return data_; }
   std::span<const double> flat() const { return data_; }
 
-  // out = this * other
+  // out = this * other (zero entries of `this` skipped)
   Matrix matmul(const Matrix& other) const;
-  // out = this^T * other
-  Matrix transposed_matmul(const Matrix& other) const;
-  // out = this * other^T
-  Matrix matmul_transposed(const Matrix& other) const;
   Matrix transposed() const;
 
   Matrix& add_inplace(const Matrix& other, double scale = 1.0);
   Matrix& scale_inplace(double k);
   // Adds `bias` (1 x cols) to every row.
   Matrix& add_row_vector(const Matrix& bias);
-  // Elementwise product.
-  Matrix& hadamard_inplace(const Matrix& other);
-
-  // Column-wise sum → (1 x cols). Used for bias gradients.
-  Matrix column_sums() const;
 
   friend bool operator==(const Matrix&, const Matrix&) = default;
 

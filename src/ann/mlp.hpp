@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ann/activations.hpp"
+#include "ann/dataset.hpp"
 #include "ann/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -21,6 +23,24 @@ struct MlpConfig {
   std::vector<std::size_t> layer_sizes{10, 18, 5, 1};
   Activation hidden_activation = Activation::kTanh;
   Activation output_activation = Activation::kIdentity;
+};
+
+// The buffers a training step works in, sized for batches of up to
+// `max_rows` rows: every layer's activations back to back (layer l as a
+// rows x layer_sizes[l] block, the gathered inputs first), the delta of
+// the layer being back-propagated and of the one below it, and one
+// layer's weight and bias gradients. The trainer keeps it for as long as
+// it trains, so a trained net carries none of it.
+struct TrainScratch {
+  TrainScratch(const MlpConfig& config, std::size_t max_rows);
+
+  std::vector<std::size_t> layer_sizes;
+  std::size_t max_rows = 0;
+  std::vector<double> acts;
+  std::vector<double> delta;
+  std::vector<double> next_delta;
+  std::vector<double> grad_w;
+  std::vector<double> grad_b;
 };
 
 class Mlp {
@@ -44,10 +64,12 @@ class Mlp {
   // Single-sample convenience.
   std::vector<double> predict_one(std::span<const double> input) const;
 
-  // One gradient step on (inputs, targets) with mean-squared-error loss.
-  // `momentum` in [0, 1).
-  void train_batch(const Matrix& inputs, const Matrix& targets,
-                   double learning_rate, double momentum);
+  // One gradient step with mean-squared-error loss on the rows of `data`
+  // that `rows` lists, in that order. `momentum` in [0, 1); `scratch`
+  // must be built for this net's layer sizes and hold rows.size() rows.
+  void train_batch(const Dataset& data, std::span<const std::size_t> rows,
+                   double learning_rate, double momentum,
+                   TrainScratch& scratch);
 
   // Introspection for tests and serialisation.
   const std::vector<Matrix>& weights() const { return weights_; }
@@ -56,8 +78,10 @@ class Mlp {
  private:
   Mlp() = default;  // for from_parameters
 
-  // Forward pass retaining every layer's activated output.
-  std::vector<Matrix> forward_all(const Matrix& inputs) const;
+  // Forward pass of `rows` rows laid out as in TrainScratch::acts: reads
+  // the input block at the front of `acts` and writes each layer's
+  // activated output into the block after its input.
+  void forward(std::span<double> acts, std::size_t rows) const;
 
   MlpConfig config_;
   std::vector<Matrix> weights_;   // [l]: sizes[l] x sizes[l+1]

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "util/contracts.hpp"
 
@@ -25,16 +26,16 @@ void train_mlp(Mlp& net, const Dataset& train, const TrainerConfig& config,
 
   std::vector<std::size_t> order(train.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
+  TrainScratch scratch(net.config(), std::min(kBatchSize, order.size()));
+  const std::span<const std::size_t> shuffled(order);
 
   double lr = kLearningRate;
   for (std::size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
     rng.shuffle(order);
     for (std::size_t start = 0; start < order.size(); start += kBatchSize) {
-      const std::size_t end = std::min(order.size(), start + kBatchSize);
-      const std::vector<std::size_t> batch_idx(order.begin() + start,
-                                               order.begin() + end);
-      const Dataset batch = train.subset(batch_idx);
-      net.train_batch(batch.features, batch.targets, lr, kMomentum);
+      const std::size_t count = std::min(kBatchSize, order.size() - start);
+      net.train_batch(train, shuffled.subspan(start, count), lr, kMomentum,
+                      scratch);
     }
     lr *= kLearningRateDecay;
   }

@@ -1,6 +1,7 @@
 #include "cache/multi_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/contracts.hpp"
 
@@ -25,7 +26,9 @@ struct ConfigSlot {
 // first — precisely the resident lines of the capacity-way LRU cache.
 struct SetGroup {
   std::uint32_t num_sets = 0;
+  std::uint32_t set_mask = 0;   // num_sets - 1 (num_sets is a power of two)
   std::uint32_t capacity = 0;
+  std::uint32_t all_dirty = 0;  // one dirty bit per slot
   std::vector<ConfigSlot> slots;
 
   struct Entry {
@@ -35,12 +38,21 @@ struct SetGroup {
   std::vector<Entry> entries;       // num_sets * capacity, set-major
   std::vector<std::uint8_t> sizes;  // valid entries per set (≤ capacity)
 
+  // The recency array of the set `line_addr` maps to.
+  Entry* set_of(std::uint32_t line_addr) {
+    return &entries[static_cast<std::size_t>(line_addr & set_mask) *
+                    capacity];
+  }
+  bool is_mru(std::uint32_t line_addr) {
+    return sizes[line_addr & set_mask] != 0 &&
+           set_of(line_addr)->line == line_addr;
+  }
   void access(std::uint32_t line_addr, bool is_write);
 };
 
 void SetGroup::access(std::uint32_t line_addr, bool is_write) {
-  const std::uint32_t set = line_addr % num_sets;
-  Entry* const base = &entries[static_cast<std::size_t>(set) * capacity];
+  const std::uint32_t set = line_addr & set_mask;
+  Entry* const base = set_of(line_addr);
   const std::uint32_t n = sizes[set];
 
   // Reuse rank of the line within its set (capacity == not resident
@@ -81,7 +93,7 @@ void SetGroup::access(std::uint32_t line_addr, bool is_write) {
   // line enters with its bits already 0 by the residency invariant.
   std::uint32_t mask = 0;
   if (is_write) {
-    mask = (1u << slots.size()) - 1u;
+    mask = all_dirty;
   } else if (rank < capacity) {
     mask = base[rank].dirty;
   }
@@ -99,17 +111,29 @@ void SetGroup::access(std::uint32_t line_addr, bool is_write) {
 // are identical across them, so both are counted once here.
 struct LineGroup {
   std::uint32_t line_bytes = 0;
-  std::vector<SetGroup> set_groups;
+  std::uint32_t line_shift = 0;     // log2(line_bytes)
+  std::vector<SetGroup> set_groups;  // fewest sets first
   LineAddressSet seen;
   std::uint64_t accesses = 0;
   std::uint64_t compulsory = 0;
 
   void access(const MemRef& ref) {
-    const std::uint32_t first = ref.address / line_bytes;
-    const std::uint32_t last =
-        (ref.address + ref.size - 1u) / line_bytes;
+    const std::uint32_t first = ref.address >> line_shift;
+    const std::uint32_t last = (ref.address + ref.size - 1u) >> line_shift;
     for (std::uint32_t la = first; la <= last; ++la) {
       ++accesses;
+      // The sets of every finer set count split the coarsest group's sets,
+      // so a line that is the MRU entry of its set there is the MRU entry
+      // of its set everywhere: it hits in every configuration, and only a
+      // write changes state (it dirties the line in every slot).
+      if (set_groups.front().is_mru(la)) {
+        if (ref.is_write) {
+          for (SetGroup& group : set_groups) {
+            group.set_of(la)->dirty = group.all_dirty;
+          }
+        }
+        continue;
+      }
       if (seen.insert(la)) ++compulsory;
       for (SetGroup& group : set_groups) {
         group.access(la, ref.is_write);
@@ -155,7 +179,15 @@ std::vector<CacheSimResult> simulate_trace_multi(
   }
 
   for (LineGroup& line_group : groups) {
+    line_group.line_shift = static_cast<std::uint32_t>(
+        std::countr_zero(line_group.line_bytes));
+    std::sort(line_group.set_groups.begin(), line_group.set_groups.end(),
+              [](const SetGroup& a, const SetGroup& b) {
+                return a.num_sets < b.num_sets;
+              });
     for (SetGroup& set_group : line_group.set_groups) {
+      set_group.set_mask = set_group.num_sets - 1u;
+      set_group.all_dirty = (1u << set_group.slots.size()) - 1u;
       for (const ConfigSlot& slot : set_group.slots) {
         set_group.capacity = std::max(set_group.capacity, slot.assoc);
       }
