@@ -31,6 +31,10 @@ TrainScratch::TrainScratch(const MlpConfig& config, std::size_t rows)
   next_delta.resize(max_rows * widest);
   grad_w.resize(largest_layer);
   grad_b.resize(widest);
+  for (std::size_t l = 0; l + 1 < layer_sizes.size(); ++l) {
+    velocity_w.emplace_back(layer_sizes[l], layer_sizes[l + 1]);
+    velocity_b.emplace_back(1, layer_sizes[l + 1]);
+  }
 }
 
 Mlp::Mlp(MlpConfig config, Rng& rng) : config_(std::move(config)) {
@@ -45,9 +49,6 @@ Mlp::Mlp(MlpConfig config, Rng& rng) : config_(std::move(config)) {
     weights_.push_back(Matrix::xavier(config_.layer_sizes[l],
                                       config_.layer_sizes[l + 1], rng));
     biases_.emplace_back(1, config_.layer_sizes[l + 1]);
-    velocity_w_.emplace_back(config_.layer_sizes[l],
-                             config_.layer_sizes[l + 1]);
-    velocity_b_.emplace_back(1, config_.layer_sizes[l + 1]);
   }
 }
 
@@ -67,11 +68,6 @@ Mlp Mlp::from_parameters(MlpConfig config, std::vector<Matrix> weights,
   net.config_ = std::move(config);
   net.weights_ = std::move(weights);
   net.biases_ = std::move(biases);
-  for (std::size_t l = 0; l < layers; ++l) {
-    net.velocity_w_.emplace_back(net.config_.layer_sizes[l],
-                                 net.config_.layer_sizes[l + 1]);
-    net.velocity_b_.emplace_back(1, net.config_.layer_sizes[l + 1]);
-  }
   return net;
 }
 
@@ -226,8 +222,8 @@ void Mlp::train_batch(const Dataset& data, std::span<const std::size_t> rows,
                                   {next_delta, n * fan_in}, {x, n * fan_in});
     }
 
-    update(weights_[l].flat(), velocity_w_[l].flat(), grad_w);
-    update(biases_[l].flat(), velocity_b_[l].flat(), grad_b);
+    update(weights_[l].flat(), scratch.velocity_w[l].flat(), grad_w);
+    update(biases_[l].flat(), scratch.velocity_b[l].flat(), grad_b);
     std::swap(delta, next_delta);
   }
 }

@@ -25,12 +25,14 @@ struct MlpConfig {
   Activation output_activation = Activation::kIdentity;
 };
 
-// The buffers a training step works in, sized for batches of up to
+// The state a training run works in, sized for batches of up to
 // `max_rows` rows: every layer's activations back to back (layer l as a
 // rows x layer_sizes[l] block, the gathered inputs first), the delta of
-// the layer being back-propagated and of the one below it, and one
-// layer's weight and bias gradients. The trainer keeps it for as long as
-// it trains, so a trained net carries none of it.
+// the layer being back-propagated and of the one below it, one layer's
+// weight and bias gradients, and every layer's momentum (velocity), zero
+// at construction and carried from step to step. The trainer keeps it
+// for as long as it trains, so a trained or loaded net carries none of
+// it.
 struct TrainScratch {
   TrainScratch(const MlpConfig& config, std::size_t max_rows);
 
@@ -41,6 +43,8 @@ struct TrainScratch {
   std::vector<double> next_delta;
   std::vector<double> grad_w;
   std::vector<double> grad_b;
+  std::vector<Matrix> velocity_w;  // [l]: sizes[l] x sizes[l+1]
+  std::vector<Matrix> velocity_b;  // [l]: 1 x sizes[l+1]
 };
 
 class Mlp {
@@ -66,7 +70,9 @@ class Mlp {
 
   // One gradient step with mean-squared-error loss on the rows of `data`
   // that `rows` lists, in that order. `momentum` in [0, 1); `scratch`
-  // must be built for this net's layer sizes and hold rows.size() rows.
+  // must be built for this net's layer sizes and hold rows.size() rows,
+  // and carries the momentum from one step of a training run to the
+  // next.
   void train_batch(const Dataset& data, std::span<const std::size_t> rows,
                    double learning_rate, double momentum,
                    TrainScratch& scratch);
@@ -86,8 +92,6 @@ class Mlp {
   MlpConfig config_;
   std::vector<Matrix> weights_;   // [l]: sizes[l] x sizes[l+1]
   std::vector<Matrix> biases_;    // [l]: 1 x sizes[l+1]
-  std::vector<Matrix> velocity_w_;
-  std::vector<Matrix> velocity_b_;
 };
 
 }  // namespace hetsched

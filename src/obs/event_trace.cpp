@@ -1,13 +1,25 @@
 #include "obs/event_trace.hpp"
 
 #include <ostream>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
 namespace hetsched {
 namespace {
 
-std::string u64(std::uint64_t v) { return std::to_string(v); }
+using Type = TraceEvent::Type;
+
+TraceEvent make_event(Type type, char phase, SimTime ts, std::size_t tid,
+                      std::uint64_t job) {
+  TraceEvent event;
+  event.type = type;
+  event.phase = phase;
+  event.ts = ts;
+  event.tid = static_cast<std::uint32_t>(tid);
+  event.job = job;
+  return event;
+}
 
 }  // namespace
 
@@ -42,21 +54,18 @@ bool EventTracer::retain() {
 
 void EventTracer::on_slice(const ScheduledSlice& slice) {
   if (retain()) {
-    events_.push_back(TraceEvent{
-        'X', std::string("exec:") + std::string(to_string(slice.kind)),
-        slice.start, slice.end - slice.start,
-        static_cast<std::uint32_t>(slice.core),
-        {{"job", u64(slice.job_id)},
-         {"benchmark", u64(slice.benchmark_id)},
-         {"config", slice.config.name()},
-         {"completed", slice.completed ? "1" : "0"}}});
+    TraceEvent& event = events_.emplace_back(make_event(
+        Type::kSlice, 'X', slice.start, slice.core, slice.job_id));
+    event.dur = slice.end - slice.start;
+    event.kind = static_cast<std::uint8_t>(slice.kind);
+    event.flag = slice.completed;
+    event.slice = {slice.benchmark_id, slice.config.size_bytes,
+                   slice.config.associativity, slice.config.line_bytes};
   }
   // The retiring slice closes the job's async lifecycle span.
   if (job_spans_ && slice.completed && retain()) {
-    events_.push_back(TraceEvent{'e', "job", slice.end, 0,
-                                 static_cast<std::uint32_t>(slice.core),
-                                 {},
-                                 slice.job_id});
+    events_.push_back(
+        make_event(Type::kJobEnd, 'e', slice.end, slice.core, slice.job_id));
   }
   if (metrics_ == nullptr) return;
   slices_->add();
@@ -66,10 +75,9 @@ void EventTracer::on_slice(const ScheduledSlice& slice) {
 
 void EventTracer::on_fault(const FaultRecord& record) {
   if (retain()) {
-    events_.push_back(TraceEvent{
-        'i', std::string("fault:") + std::string(to_string(record.kind)),
-        record.time, 0, static_cast<std::uint32_t>(record.core),
-        {{"job", u64(record.job_id)}}});
+    TraceEvent& event = events_.emplace_back(make_event(
+        Type::kFault, 'i', record.time, record.core, record.job_id));
+    event.kind = static_cast<std::uint8_t>(record.kind);
   }
   if (metrics_ == nullptr) return;
   faults_->add();
@@ -84,37 +92,28 @@ void EventTracer::on_arrival(const ArrivalEvent& event) {
   // retention budget).
   if (!job_spans_) return;
   if (!retain()) return;
-  events_.push_back(TraceEvent{'b', "job", event.time, 0, 0,
-                               {{"benchmark", u64(event.benchmark_id)},
-                                {"priority", std::to_string(event.priority)},
-                                {"cp_rank", std::to_string(event.cp_rank)}},
-                               event.job_id});
+  TraceEvent& begin = events_.emplace_back(
+      make_event(Type::kJobBegin, 'b', event.time, 0, event.job_id));
+  begin.arrival = {event.benchmark_id, event.priority, event.cp_rank};
 }
 
 void EventTracer::on_dispatch(const DispatchEvent& event) {
   if (retain()) {
-    events_.push_back(TraceEvent{
-        'i', "dispatch", event.time, 0,
-        static_cast<std::uint32_t>(event.core),
-        {{"job", u64(event.job_id)},
-         {"benchmark", u64(event.benchmark_id)},
-         {"kind", std::string(to_string(event.kind))},
-         {"backoff", u64(event.backoff)},
-         {"duration", u64(event.duration)},
-         {"hung", event.hung ? "1" : "0"}}});
+    TraceEvent& dispatch = events_.emplace_back(make_event(
+        Type::kDispatch, 'i', event.time, event.core, event.job_id));
+    dispatch.kind = static_cast<std::uint8_t>(event.kind);
+    dispatch.flag = event.hung;
+    dispatch.dispatch = {event.benchmark_id, event.backoff, event.duration};
   }
   if (dispatches_ != nullptr) dispatches_->add();
 }
 
 void EventTracer::on_reconfig(const ReconfigEvent& event) {
   if (retain()) {
-    events_.push_back(TraceEvent{
-        'i', event.success ? "reconfig" : "reconfig-retry", event.time, 0,
-        static_cast<std::uint32_t>(event.core),
-        {{"job", u64(event.job_id)},
-         {"attempt", std::to_string(event.attempt)},
-         {"success", event.success ? "1" : "0"},
-         {"backoff_wait", u64(event.backoff_wait)}}});
+    TraceEvent& reconfig = events_.emplace_back(make_event(
+        Type::kReconfig, 'i', event.time, event.core, event.job_id));
+    reconfig.flag = event.success;
+    reconfig.reconfig = {event.backoff_wait, event.attempt};
   }
   if (metrics_ == nullptr) return;
   reconfig_attempts_->add();
@@ -123,10 +122,9 @@ void EventTracer::on_reconfig(const ReconfigEvent& event) {
 
 void EventTracer::on_idle(const IdleEvent& event) {
   if (retain()) {
-    events_.push_back(TraceEvent{'X', "idle", event.from,
-                                 event.to - event.from,
-                                 static_cast<std::uint32_t>(event.core),
-                                 {}});
+    TraceEvent& idle = events_.emplace_back(
+        make_event(Type::kIdle, 'X', event.from, event.core, 0));
+    idle.dur = event.to - event.from;
   }
   if (metrics_ == nullptr) return;
   idle_intervals_->add();
@@ -135,29 +133,130 @@ void EventTracer::on_idle(const IdleEvent& event) {
 
 void EventTracer::on_preempt(const PreemptEvent& event) {
   if (retain()) {
-    events_.push_back(TraceEvent{
-        'i', "preempt", event.time, 0,
-        static_cast<std::uint32_t>(event.core),
-        {{"job", u64(event.job_id)},
-         {"was_hung", event.was_hung ? "1" : "0"}}});
+    TraceEvent& preempt = events_.emplace_back(make_event(
+        Type::kPreempt, 'i', event.time, event.core, event.job_id));
+    preempt.flag = event.was_hung;
   }
   if (preemptions_ != nullptr) preemptions_->add();
+}
+
+void EventTracer::add_runtime(
+    char phase, std::string name, SimTime ts, SimTime dur,
+    std::uint32_t tid,
+    std::vector<std::pair<std::string, std::string>> args) {
+  if (!retain()) return;
+  TraceEvent& event =
+      events_.emplace_back(make_event(Type::kRuntime, phase, ts, tid, 0));
+  event.dur = dur;
+  event.runtime = runtime_.size();
+  runtime_.push_back({std::move(name), std::move(args)});
 }
 
 void EventTracer::add_span(
     std::string name, SimTime ts, SimTime dur, std::uint32_t tid,
     std::vector<std::pair<std::string, std::string>> args) {
-  if (!retain()) return;
-  events_.push_back(
-      TraceEvent{'X', std::move(name), ts, dur, tid, std::move(args)});
+  add_runtime('X', std::move(name), ts, dur, tid, std::move(args));
 }
 
 void EventTracer::add_instant(
     std::string name, SimTime ts, std::uint32_t tid,
     std::vector<std::pair<std::string, std::string>> args) {
-  if (!retain()) return;
-  events_.push_back(
-      TraceEvent{'i', std::move(name), ts, 0, tid, std::move(args)});
+  add_runtime('i', std::move(name), ts, 0, tid, std::move(args));
+}
+
+std::string EventTracer::name(const TraceEvent& event) const {
+  switch (event.type) {
+    case Type::kSlice:
+      return std::string("exec:") +
+             std::string(to_string(static_cast<ExecutionKind>(event.kind)));
+    case Type::kFault:
+      return std::string("fault:") +
+             std::string(
+                 to_string(static_cast<FaultRecord::Kind>(event.kind)));
+    case Type::kJobBegin:
+    case Type::kJobEnd:
+      return "job";
+    case Type::kDispatch:
+      return "dispatch";
+    case Type::kReconfig:
+      return event.flag ? "reconfig" : "reconfig-retry";
+    case Type::kIdle:
+      return "idle";
+    case Type::kPreempt:
+      return "preempt";
+    case Type::kRuntime:
+      return runtime_[event.runtime].name;
+  }
+  return "";
+}
+
+// Arg values are JSON strings, keys in a fixed order per event type
+// (tests/golden/chrome_trace.json pins every type's bytes).
+void EventTracer::write_event(std::ostream& out, const TraceEvent& event,
+                              std::size_t pid) const {
+  const std::string label = json_escape(name(event));
+  out << "{\"name\":\"" << label << "\",\"ph\":\"" << event.phase
+      << "\",\"pid\":" << pid << ",\"tid\":" << event.tid
+      << ",\"ts\":" << event.ts;
+  if (event.phase == 'X') out << ",\"dur\":" << event.dur;
+  // Async begin/end events need a category and an id so viewers can
+  // pair them into one bar on an async track.
+  if (event.phase == 'b' || event.phase == 'e') {
+    out << ",\"cat\":\"" << label << "\",\"id\":" << event.job;
+  }
+  bool any_args = false;
+  const auto arg = [&](std::string_view key, const auto& value) {
+    out << (any_args ? ",\"" : ",\"args\":{\"") << key << "\":\"" << value
+        << "\"";
+    any_args = true;
+  };
+  const auto bit = [](bool flag) { return flag ? '1' : '0'; };
+  switch (event.type) {
+    case Type::kSlice:
+      arg("job", event.job);
+      arg("benchmark", event.slice.benchmark);
+      arg("config", CacheConfig{event.slice.size_bytes,
+                                event.slice.associativity,
+                                event.slice.line_bytes}
+                        .name());
+      arg("completed", bit(event.flag));
+      break;
+    case Type::kFault:
+      arg("job", event.job);
+      break;
+    case Type::kJobBegin:
+      arg("benchmark", event.arrival.benchmark);
+      arg("priority", event.arrival.priority);
+      arg("cp_rank", event.arrival.cp_rank);
+      break;
+    case Type::kDispatch:
+      arg("job", event.job);
+      arg("benchmark", event.dispatch.benchmark);
+      arg("kind", to_string(static_cast<ExecutionKind>(event.kind)));
+      arg("backoff", event.dispatch.backoff);
+      arg("duration", event.dispatch.duration);
+      arg("hung", bit(event.flag));
+      break;
+    case Type::kReconfig:
+      arg("job", event.job);
+      arg("attempt", event.reconfig.attempt);
+      arg("success", bit(event.flag));
+      arg("backoff_wait", event.reconfig.backoff_wait);
+      break;
+    case Type::kPreempt:
+      arg("job", event.job);
+      arg("was_hung", bit(event.flag));
+      break;
+    case Type::kRuntime:
+      for (const auto& [key, value] : runtime_[event.runtime].args) {
+        arg(json_escape(key), json_escape(value));
+      }
+      break;
+    case Type::kJobEnd:
+    case Type::kIdle:
+      break;
+  }
+  out << (any_args ? "}}" : "}");
 }
 
 void write_chrome_trace(
@@ -177,26 +276,7 @@ void write_chrome_trace(
         << json_escape(processes[pid].first) << "\"}}";
     for (const TraceEvent& event : processes[pid].second->events()) {
       sep();
-      out << "{\"name\":\"" << json_escape(event.name) << "\",\"ph\":\""
-          << event.phase << "\",\"pid\":" << pid
-          << ",\"tid\":" << event.tid << ",\"ts\":" << event.ts;
-      if (event.phase == 'X') out << ",\"dur\":" << event.dur;
-      // Async begin/end events need a category and an id so viewers can
-      // pair them into one bar on an async track.
-      if (event.phase == 'b' || event.phase == 'e') {
-        out << ",\"cat\":\"" << json_escape(event.name)
-            << "\",\"id\":" << event.id;
-      }
-      if (!event.args.empty()) {
-        out << ",\"args\":{";
-        for (std::size_t a = 0; a < event.args.size(); ++a) {
-          out << (a == 0 ? "" : ",") << "\""
-              << json_escape(event.args[a].first) << "\":\""
-              << json_escape(event.args[a].second) << "\"";
-        }
-        out << "}";
-      }
-      out << "}";
+      processes[pid].second->write_event(out, event, pid);
     }
   }
   out << "\n],\"displayTimeUnit\":\"ms\"}\n";

@@ -16,6 +16,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,21 +25,72 @@
 
 namespace hetsched {
 
+// One retained event: a fixed-size record that owns no heap memory, so
+// a simulator event costs the tracer 56 bytes (about 56 MB at the
+// 1M-event default cap). write_chrome_trace renders each event's name
+// and args from the typed fields; runtime events (add_span /
+// add_instant) keep their caller-given name and args in the tracer's
+// side table instead.
 struct TraceEvent {
-  // 'X' = complete (duration) event, 'i' = instant event, 'b'/'e' =
-  // async span begin/end (a job's lifecycle bar; paired by `id`).
-  char phase = 'X';
-  std::string name;
+  // The emit point that recorded the event; it fixes the event's name,
+  // phase and args.
+  enum class Type : std::uint8_t {
+    kSlice,     // 'X' exec:<kind>
+    kJobEnd,    // 'e' job (the retiring slice)
+    kFault,     // 'i' fault:<kind>
+    kJobBegin,  // 'b' job (the arrival)
+    kDispatch,  // 'i' dispatch
+    kReconfig,  // 'i' reconfig, or reconfig-retry when it failed
+    kIdle,      // 'X' idle
+    kPreempt,   // 'i' preempt
+    kRuntime,   // 'X' add_span / 'i' add_instant
+  };
+
   SimTime ts = 0;
   SimTime dur = 0;  // phase 'X' only
+  // The job's id: the "job" arg, and the async pairing id of 'b'/'e'
+  // (rendered with a "cat" so Chrome / Perfetto match begin to end on
+  // (cat, id, name)).
+  std::uint64_t job = 0;
   std::uint32_t tid = 0;
-  // Rendered into the event's "args" object; values are emitted as JSON
-  // strings (escaped), keys in the given order.
-  std::vector<std::pair<std::string, std::string>> args;
-  // Async pairing id ('b'/'e' only); rendered with a "cat" so Chrome /
-  // Perfetto match begin to end on (cat, id, name).
-  std::uint64_t id = 0;
+  Type type = Type::kRuntime;
+  // 'X' = complete (duration) event, 'i' = instant event, 'b'/'e' =
+  // async span begin/end (a job's lifecycle bar; paired by `job`).
+  char phase = 'X';
+  // The ExecutionKind (kSlice, kDispatch) or FaultRecord::Kind (kFault).
+  std::uint8_t kind = 0;
+  // completed (kSlice), hung (kDispatch), success (kReconfig) or
+  // was_hung (kPreempt).
+  bool flag = false;
+  // The remaining args; only the member that `type` names is set.
+  union {
+    struct {
+      std::uint64_t benchmark;
+      std::uint32_t size_bytes;  // the slice's CacheConfig
+      std::uint32_t associativity;
+      std::uint32_t line_bytes;
+    } slice{};
+    struct {
+      std::uint64_t benchmark;
+      Cycles backoff;
+      Cycles duration;
+    } dispatch;
+    struct {
+      Cycles backoff_wait;
+      std::uint32_t attempt;
+    } reconfig;
+    struct {
+      std::uint64_t benchmark;
+      std::int32_t priority;
+      std::uint32_t cp_rank;
+    } arrival;             // kJobBegin
+    std::size_t runtime;   // kRuntime: the index of its name and args
+  };
 };
+
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
+static_assert(sizeof(TraceEvent) <= 56,
+              "a trace event is a fixed-size record with no owned strings");
 
 // A ScheduleObserver that retains the full event stream. When a
 // MetricsRegistry is attached, the tracer also maintains counters and a
@@ -66,6 +118,8 @@ class EventTracer final : public ScheduleObserver {
                        {});
 
   const std::vector<TraceEvent>& events() const { return events_; }
+  // The event's trace name, e.g. "exec:normal" or an add_span name.
+  std::string name(const TraceEvent& event) const;
 
   // Retention cap: at most `max` events are kept (0 = unlimited); the
   // default bounds a million-job streaming trace. Once full, the
@@ -88,10 +142,28 @@ class EventTracer final : public ScheduleObserver {
   static constexpr std::size_t kDefaultMaxEvents = 1'000'000;
 
  private:
+  friend void write_chrome_trace(
+      std::ostream& out,
+      std::span<const std::pair<std::string, const EventTracer*>> processes);
+
+  // A runtime event's caller-given name and args (values are emitted as
+  // escaped JSON strings, keys in the given order).
+  struct RuntimeEvent {
+    std::string name;
+    std::vector<std::pair<std::string, std::string>> args;
+  };
+
   // False (and counts a drop) when the retention cap is exhausted.
   bool retain();
+  // Renders one retained event as a trace-event JSON object.
+  void write_event(std::ostream& out, const TraceEvent& event,
+                   std::size_t pid) const;
+  void add_runtime(char phase, std::string name, SimTime ts, SimTime dur,
+                   std::uint32_t tid,
+                   std::vector<std::pair<std::string, std::string>> args);
 
   std::vector<TraceEvent> events_;
+  std::vector<RuntimeEvent> runtime_;  // indexed by TraceEvent::runtime
   std::size_t max_events_ = kDefaultMaxEvents;
   std::uint64_t dropped_events_ = 0;
   bool job_spans_ = false;

@@ -5,13 +5,13 @@
 
 namespace hetsched {
 
-bool atomic_write_file(const std::string& path, std::string_view content) {
+bool atomic_write_file(const std::string& path,
+                       const std::function<void(std::ostream&)>& write) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return false;
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
+    write(out);
     out.close();
     if (!out) {
       std::remove(tmp.c_str());
@@ -23,6 +23,12 @@ bool atomic_write_file(const std::string& path, std::string_view content) {
     return false;
   }
   return true;
+}
+
+bool atomic_write_file(const std::string& path, std::string_view content) {
+  return atomic_write_file(path, [content](std::ostream& out) {
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  });
 }
 
 }  // namespace hetsched

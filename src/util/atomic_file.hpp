@@ -10,14 +10,21 @@
 // characterisation profile cache; this is the shared extraction.)
 #pragma once
 
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 
 namespace hetsched {
 
-// Atomically replaces `path` with `content` via temp-file + rename.
-// Returns false (destination untouched, temp file cleaned up) when the
-// temp file cannot be created, written, or renamed.
+// Atomically replaces `path` with what `write` streams into the temp
+// file (so a large artifact is never built in memory first), via
+// temp-file + rename. Returns false (destination untouched, temp file
+// cleaned up) when the temp file cannot be created, written, or renamed.
+bool atomic_write_file(const std::string& path,
+                       const std::function<void(std::ostream&)>& write);
+
+// The same for content already in memory.
 bool atomic_write_file(const std::string& path, std::string_view content);
 
 }  // namespace hetsched

@@ -1,16 +1,21 @@
 // Tests for the observability layer (src/obs): metrics-registry
-// semantics and JSON snapshots, tracer/simulator consistency, and the
+// semantics and JSON snapshots, tracer/simulator consistency, the
 // headline determinism contract — trace and metrics output is
-// byte-identical for every HETSCHED_THREADS value.
+// byte-identical for every HETSCHED_THREADS value — and the Chrome trace
+// bytes of every event kind, pinned in tests/golden/chrome_trace.json.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "experiment/experiment.hpp"
 #include "obs/observability.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/profile_cache.hpp"
 
@@ -185,6 +190,114 @@ TEST(ObsDeterminismTest, TraceAndMetricsIdenticalAcrossThreadCounts) {
   EXPECT_NE(trace1.find("\"energy-centric\""), std::string::npos);
   EXPECT_NE(trace1.find("pool_job"), std::string::npos);
   EXPECT_NE(trace1.find("profile_cache:miss"), std::string::npos);
+}
+
+// --- Chrome trace golden ---------------------------------------------------
+
+// A trace that holds every event the tracer records: a faulty run of the
+// optimal policy (no predictor to train, so the bytes depend on the
+// simulation alone) with job spans and a core failure mid-slice, a
+// base-policy run capped after its first 25 events, hand-built events at
+// extreme values (no policy here preempts), and the runtime track's pool
+// spans and profile-cache instants.
+std::string golden_trace() {
+  Scenario scenario;
+  scenario.name = "trace-golden";
+  scenario.system = Scenario::SystemKind::kScaledHeterogeneous;
+  scenario.cores = 4;
+  scenario.policy = "optimal";
+  scenario.seed = 42;
+  scenario.arrivals.count = 40;
+  scenario.arrivals.mean_interarrival_cycles = 20000.0;
+  scenario.suite.kernel_scale = 0.25;
+  scenario.suite.variants_per_kernel = 1;
+  scenario.faults.seed = 7;
+  scenario.faults.reconfig_failure_rate = 0.3;
+  scenario.faults.stuck_job_rate = 0.3;
+  scenario.faults.counter_corruption_rate = 0.5;
+  scenario.faults.core_events = {{460'000, 1, true}, {900'000, 1, false}};
+  const ScenarioContext context(scenario);
+
+  MetricsRegistry metrics;
+  EventTracer runtime;
+  ProbeRecorder recorder(metrics, &runtime);
+  recorder.on_pool_job(3);
+  recorder.on_profile_cache(false);
+  recorder.on_pool_job(18);
+  recorder.on_profile_cache(true);
+
+  EventTracer sim(&metrics, "sim.");
+  sim.set_job_spans(true);
+  run_scenario(scenario, context, &sim);
+
+  // The base policy runs every job in its core's initial configuration.
+  Scenario base = scenario;
+  base.policy = "base";
+  EventTracer capped(&metrics, "capped.");
+  capped.set_job_spans(true);
+  capped.set_max_events(25);
+  run_scenario(base, context, &capped);
+  EXPECT_GT(capped.dropped_events(), 0u);
+
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  EventTracer hand;
+  hand.set_job_spans(true);
+  hand.on_arrival(ArrivalEvent{5, kMax, kMax, -3, 4'000'000'000u});
+  hand.on_dispatch(DispatchEvent{6, 2, kMax, 17, ExecutionKind::kTuning,
+                                 kMax, kMax, true});
+  hand.on_reconfig(ReconfigEvent{7, 2, 1, 4'000'000'000u, false, kMax});
+  hand.on_slice(ScheduledSlice{kMax, 17, 2, 8, kMax,
+                               CacheConfig{2048, 1, 16},
+                               ExecutionKind::kProfiling, true});
+  hand.on_preempt(PreemptEvent{9, 3, 11, true});
+  hand.on_preempt(PreemptEvent{10, 3, 12, false});
+  hand.on_idle(IdleEvent{3, 10, kMax});
+  hand.on_fault(FaultRecord{11, 0, 0, FaultRecord::Kind::kCoreRecovery});
+  hand.add_span("span \"quoted\"", 12, 4, 5,
+                {{"key\\", "value\n"}, {"second", ""}});
+  hand.add_instant("instant", 13, 6);
+
+  const std::vector<std::pair<std::string, const EventTracer*>> processes = {
+      {"runtime", &runtime},
+      {"sim \"spans\" \\ on", &sim},
+      {"capped", &capped},
+      {"hand\tbuilt", &hand}};
+  std::ostringstream out;
+  write_chrome_trace(out, processes);
+  return out.str();
+}
+
+TEST(ChromeTraceGolden, EveryEventKindMatchesTheGoldenBytes) {
+  const std::string trace = golden_trace();
+  for (const char* needle :
+       {"\"exec:normal\"", "\"exec:profiling\"", "\"exec:tuning\"",
+        "\"dispatch\"", "\"reconfig\"", "\"reconfig-retry\"", "\"idle\"",
+        "\"preempt\"", "\"ph\":\"b\"", "\"ph\":\"e\"",
+        "\"fault:core-failure\"", "\"fault:core-recovery\"",
+        "\"fault:reconfig-failure\"", "\"fault:counter-corruption\"",
+        "\"fault:watchdog-fire\"", "\"pool_job\"", "\"units\":\"18\"",
+        "\"profile_cache:hit\"", "\"profile_cache:miss\"",
+        "\"completed\":\"0\"", "\"hung\":\"1\""}) {
+    EXPECT_NE(trace.find(needle), std::string::npos) << needle;
+  }
+
+  const std::string golden_path =
+      std::string(HETSCHED_SOURCE_DIR) + "/tests/golden/chrome_trace.json";
+  if (std::getenv("HETSCHED_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path, std::ios::binary);
+    out << trace;
+    ASSERT_TRUE(out) << "cannot write " << golden_path;
+    GTEST_SKIP() << "golden trace regenerated at " << golden_path;
+  }
+  std::ifstream in(golden_path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden trace " << golden_path
+                  << "; regenerate with HETSCHED_REGEN_GOLDEN=1";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(trace, golden.str())
+      << "Chrome trace bytes diverged from the checked-in golden; "
+         "regenerate it with HETSCHED_REGEN_GOLDEN=1 only for an intended "
+         "format change, from a build of the commit before the change";
 }
 
 }  // namespace

@@ -478,7 +478,7 @@ TEST(EventTracerCap, DropsBeyondMaxAndCountsDrops) {
     tracer.add_instant(std::string("e") + std::to_string(i), i, 0);
   }
   EXPECT_EQ(tracer.events().size(), 3u);
-  EXPECT_EQ(tracer.events().front().name, "e0");  // prefix retained
+  EXPECT_EQ(tracer.name(tracer.events().front()), "e0");  // prefix retained
   EXPECT_EQ(tracer.dropped_events(), 2u);
   EXPECT_EQ(metrics.counter("sim.dropped_trace_events").value(), 2u);
 

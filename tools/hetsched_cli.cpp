@@ -134,18 +134,18 @@ struct ObsSession {
   // be written.
   bool finish() {
     if (!trace_path.empty()) {
-      std::ostringstream out;
-      write_chrome_trace(out, processes);
-      if (!atomic_write_file(trace_path, out.str())) {
+      if (!atomic_write_file(trace_path, [this](std::ostream& out) {
+            write_chrome_trace(out, processes);
+          })) {
         std::cerr << "cannot write " << trace_path << "\n";
         return false;
       }
       std::cout << "trace written to " << trace_path << "\n";
     }
     if (!metrics_path.empty()) {
-      std::ostringstream out;
-      metrics.write_json(out);
-      if (!atomic_write_file(metrics_path, out.str())) {
+      if (!atomic_write_file(metrics_path, [this](std::ostream& out) {
+            metrics.write_json(out);
+          })) {
         std::cerr << "cannot write " << metrics_path << "\n";
         return false;
       }
