@@ -17,6 +17,7 @@
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
 #include "util/snapshot_text.hpp"
+#include "workload/profile_cache.hpp"
 
 namespace hetsched {
 
@@ -398,6 +399,11 @@ void record_sweep_metrics(MetricsRegistry& metrics,
   }
 }
 
+namespace {
+
+// Fills the report's latency section from the completed cells' span
+// state; cells sharing a policy fold into one row (fixed histogram
+// boundaries make the merge exact).
 void attach_sweep_latency(RunReport& report,
                           const std::vector<SweepCell>& cells,
                           SimTime window_cycles) {
@@ -411,6 +417,49 @@ void attach_sweep_latency(RunReport& report,
     collectors.push_back(&spans.back());
   }
   attach_latency_summary(report, collectors);
+}
+
+}  // namespace
+
+RunReport sweep_report(const SweepGrid& grid, const ScenarioContext& context,
+                       const SupervisedSweepResult& sweep,
+                       SimTime window_cycles) {
+  const Scenario& base = grid.base;
+  RunReport report;
+  report.command = "sweep";
+  report.name = base.name;
+  for (const std::string& policy : grid.policies) {
+    if (!report.policy.empty()) report.policy += ',';
+    report.policy += policy;
+  }
+  report.system = "grid";
+  report.discipline = std::string(to_string(base.discipline));
+  report.cores = 0;
+  report.seed = base.seed;
+  report.jobs =
+      static_cast<std::uint64_t>(base.arrivals.count) * sweep.cells.size();
+  report.suite_key = suite_cache_key(base.suite, context.energy());
+  for (const SweepCell& cell : sweep.cells) {
+    if (!cell.completed) continue;
+    report.completed_jobs += cell.result.completed_jobs;
+    report.makespan =
+        std::max<std::uint64_t>(report.makespan, cell.result.makespan);
+    report.total_energy_mj += cell.result.total_energy().millijoules();
+    if (window_cycles == 0) continue;
+    report.window_cycles = window_cycles;
+    report.windows_closed += cell.windows_closed;
+    report.dropped_windows += cell.dropped_windows;
+    report.window_jobs_completed += cell.window_jobs_completed;
+    report.window_energy_mj += cell.window_energy_mj;
+  }
+  if (window_cycles > 0) {
+    attach_sweep_latency(report, sweep.cells, window_cycles);
+  }
+  for (const SweepFailure& f : sweep.failed) {
+    report.failed_cells.push_back(
+        {f.label, f.attempts, f.timed_out, f.reason});
+  }
+  return report;
 }
 
 }  // namespace hetsched

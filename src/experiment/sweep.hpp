@@ -82,14 +82,6 @@ void record_sweep_metrics(MetricsRegistry& metrics,
                           const std::string& prefix,
                           const std::vector<SweepCell>& cells);
 
-// Fills the report's latency section from the completed cells' span
-// state; cells sharing a policy fold into one row (fixed histogram
-// boundaries make the merge exact). `window_cycles` is the width the
-// cells ran with.
-void attach_sweep_latency(RunReport& report,
-                          const std::vector<SweepCell>& cells,
-                          SimTime window_cycles);
-
 // --- The sweep driver: timeout, retry, quarantine, resume ---------------
 
 // Thrown inside a supervised cell whose wall-clock budget expired; the
@@ -160,6 +152,19 @@ SupervisedSweepResult run_sweep_supervised(
     const SweepGrid& grid, const ScenarioContext& context,
     std::size_t shards, ThreadPool& pool,
     const SweepSupervisorOptions& options);
+
+// The aggregated report of a finished sweep: config echo (the grid's
+// policies joined by commas, system "grid", cores 0) and totals over the
+// completed cells, plus the quarantined cells. `window_cycles` is the
+// window width the cells ran with, 0 if they ran unobserved; when
+// observed, the report also sums the cells' window summaries (their
+// windows JSONL is the concatenation of the completed cells',
+// window indices restarting at 0) and merges their span state into the
+// latency section, one row per policy. Metrics and phase timings are
+// the caller's to fill in.
+RunReport sweep_report(const SweepGrid& grid, const ScenarioContext& context,
+                       const SupervisedSweepResult& sweep,
+                       SimTime window_cycles);
 
 // Shard-manifest round trip (exposed for tests and tooling). The
 // manifest records the grid fingerprint plus every completed cell's full

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "obs/bench_diff.hpp"
-#include "util/csv.hpp"
 
 namespace hetsched {
 namespace {
@@ -229,60 +228,6 @@ std::string analyze_run(std::string_view report_json,
     out += "  cp_slack_total: " + num0(get(m, "dag.cp_slack_total")) + "\n";
   }
 
-  return out;
-}
-
-std::string analyze_diff(std::string_view baseline_json,
-                         std::string_view current_json, double tolerance,
-                         bool* regressed) {
-  const Flat base_flat = flatten_json_numbers(baseline_json);
-  const Flat cur_flat = flatten_json_numbers(current_json);
-  const std::map<std::string, double> base = to_map(base_flat);
-  const std::map<std::string, double> cur = to_map(cur_flat);
-
-  // Wall-clock phase timings differ between any two real runs and carry
-  // no quality signal — exclude them entirely.
-  const auto excluded = [](const std::string& path) {
-    return path.rfind("phases_ms.", 0) == 0;
-  };
-
-  std::string out;
-  std::size_t deltas = 0;
-  std::size_t failed = 0;
-  for (const auto& [path, a] : base_flat) {
-    if (excluded(path)) continue;
-    const auto it = cur.find(path);
-    if (it == cur.end()) {
-      out += "missing " + path + " (baseline " + CsvWriter::number(a) +
-             ")\n";
-      ++deltas;
-      ++failed;
-      continue;
-    }
-    const double b = it->second;
-    if (a == b) continue;
-    ++deltas;
-    const MetricDirection dir = classify_metric(path);
-    const bool worse = metric_regressed(dir, a, b, tolerance);
-    if (worse) ++failed;
-    out += "delta " + path + ": " + CsvWriter::number(a) + " -> " +
-           CsvWriter::number(b);
-    if (dir == MetricDirection::kLowerIsBetter) out += " [lower-is-better]";
-    if (dir == MetricDirection::kHigherIsBetter) {
-      out += " [higher-is-better]";
-    }
-    if (worse) out += " REGRESSED";
-    out += "\n";
-  }
-  for (const auto& [path, b] : cur_flat) {
-    if (excluded(path)) continue;
-    if (base.find(path) != base.end()) continue;
-    out += "new-metric " + path + " = " + CsvWriter::number(b) + "\n";
-    ++deltas;
-  }
-  out += "deltas: " + std::to_string(deltas) + "\n";
-  out += failed == 0 ? "analyze-diff: ok\n" : "analyze-diff: REGRESSED\n";
-  if (regressed != nullptr) *regressed = failed != 0;
   return out;
 }
 

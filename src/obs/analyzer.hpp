@@ -3,8 +3,8 @@
 // human-readable latency post-mortem — per-policy breakdown table,
 // slowest jobs with per-phase attribution, hottest windows by tail
 // latency, and a DAG release-latency breakdown when the report carries a
-// `dag` section. A second mode diffs two reports metric-by-metric using
-// the bench_diff classifier.
+// `dag` section. Diffing two reports is bench_diff's job
+// (`obs/bench_diff.hpp`).
 //
 // Everything is driven off flatten_json_numbers: the analyzer consumes
 // only numeric leaves (policy names are recovered from the flattened
@@ -33,14 +33,5 @@ struct AnalyzeOptions {
 std::string analyze_run(std::string_view report_json,
                         std::string_view windows_jsonl,
                         const AnalyzeOptions& options);
-
-// Compares every numeric leaf of two report documents (baseline vs
-// current), classifying each changed path with the bench_diff rules;
-// wall-clock "phases_ms" entries are excluded. Sets *regressed when a
-// classified metric moved beyond `tolerance` or a baseline metric
-// vanished. A report diffed against itself yields "deltas: 0".
-std::string analyze_diff(std::string_view baseline_json,
-                         std::string_view current_json, double tolerance,
-                         bool* regressed);
 
 }  // namespace hetsched

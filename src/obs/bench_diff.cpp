@@ -221,83 +221,58 @@ bool metric_regressed(MetricDirection direction, double baseline,
               : current < baseline / (1.0 + tolerance));
 }
 
-bool BenchDiffResult::regressed() const {
-  if (!missing_in_current.empty()) return true;
-  for (const BenchComparison& c : compared) {
-    if (c.regressed) return true;
-  }
-  return false;
-}
-
-std::string BenchDiffResult::summary(double tolerance) const {
-  std::string out;
-  for (const BenchComparison& c : compared) {
-    const char* dir =
-        c.direction == MetricDirection::kLowerIsBetter ? "<=" : ">=";
-    out += c.regressed ? "REGRESSED " : "ok        ";
-    out += c.path + ": baseline " + CsvWriter::number(c.baseline) +
-           ", current " + CsvWriter::number(c.current) + " (" + dir +
-           " tolerance " + CsvWriter::number(tolerance) + ")\n";
-  }
-  for (const std::string& path : missing_in_current) {
-    out += "MISSING   " + path + ": present in baseline, absent now\n";
-  }
-  for (const std::string& path : new_in_current) {
-    out += "new-metric " + path +
-           ": absent in baseline (informational; refresh the baseline to "
-           "start gating it)\n";
-  }
-  out += regressed() ? "verdict: REGRESSION\n" : "verdict: pass\n";
-  return out;
-}
-
-BenchDiffResult bench_diff(std::string_view baseline_json,
-                           std::string_view current_json, double tolerance) {
-  if (tolerance < 0.0) {
-    throw std::runtime_error("bench-diff: tolerance must be >= 0");
-  }
+std::string bench_diff(std::string_view baseline_json,
+                       std::string_view current_json, double tolerance,
+                       bool* regressed) {
   const auto baseline = flatten_json_numbers(baseline_json);
   const auto current = flatten_json_numbers(current_json);
+  std::unordered_map<std::string, double> baseline_by_path;
   std::unordered_map<std::string, double> current_by_path;
+  for (const auto& [path, v] : baseline) baseline_by_path.emplace(path, v);
   for (const auto& [path, v] : current) current_by_path.emplace(path, v);
+  const auto excluded = [](const std::string& path) {
+    return path.starts_with("phases_ms.");
+  };
 
-  BenchDiffResult result;
-  for (const auto& [path, base] : baseline) {
-    const MetricDirection direction = classify_metric(path);
-    if (direction == MetricDirection::kIgnored) {
-      result.skipped.push_back(path);
-      continue;
-    }
+  std::string out;
+  std::size_t deltas = 0;
+  std::size_t failed = 0;
+  for (const auto& [path, a] : baseline) {
+    if (excluded(path)) continue;
     const auto it = current_by_path.find(path);
     if (it == current_by_path.end()) {
-      result.missing_in_current.push_back(path);
+      out += "missing " + path + " (baseline " + CsvWriter::number(a) +
+             ")\n";
+      ++deltas;
+      ++failed;
       continue;
     }
-    if (base <= 0.0 || !std::isfinite(base)) {
-      result.skipped.push_back(path);
-      continue;
+    const double b = it->second;
+    if (a == b) continue;
+    ++deltas;
+    const MetricDirection dir = classify_metric(path);
+    const bool worse = metric_regressed(dir, a, b, tolerance);
+    if (worse) ++failed;
+    out += "delta " + path + ": " + CsvWriter::number(a) + " -> " +
+           CsvWriter::number(b);
+    if (dir == MetricDirection::kLowerIsBetter) out += " [lower-is-better]";
+    if (dir == MetricDirection::kHigherIsBetter) {
+      out += " [higher-is-better]";
     }
-    BenchComparison c;
-    c.path = path;
-    c.baseline = base;
-    c.current = it->second;
-    c.direction = direction;
-    c.regressed = metric_regressed(direction, base, c.current, tolerance);
-    result.compared.push_back(std::move(c));
+    if (worse) out += " REGRESSED";
+    out += "\n";
   }
-
-  // The reverse direction: metrics the candidate gained that the
-  // baseline has never seen. Reported in the candidate's document order
-  // (deterministic), never a gate failure — but never silent either.
-  std::unordered_map<std::string, double> baseline_by_path;
-  for (const auto& [path, v] : baseline) baseline_by_path.emplace(path, v);
-  for (const auto& [path, v] : current) {
-    (void)v;
-    if (baseline_by_path.find(path) == baseline_by_path.end()) {
-      result.new_in_current.push_back(path);
-    }
+  // Leaves the current file gained, in its document order: listed, never
+  // a failure.
+  for (const auto& [path, b] : current) {
+    if (excluded(path) || baseline_by_path.contains(path)) continue;
+    out += "new-metric " + path + " = " + CsvWriter::number(b) + "\n";
+    ++deltas;
   }
-  return result;
+  out += "deltas: " + std::to_string(deltas) + "\n";
+  out += failed == 0 ? "verdict: pass\n" : "verdict: REGRESSION\n";
+  if (regressed != nullptr) *regressed = failed != 0;
+  return out;
 }
 
 }  // namespace hetsched

@@ -1,24 +1,23 @@
-// Bench regression gate: compare two BENCH_*.json result files and
-// decide — deterministically — whether the current run regressed beyond
-// a tolerance.
+// Bench regression gate: compare two JSON result files (BENCH_*.json,
+// run reports) and decide, deterministically, whether the current run
+// regressed beyond a tolerance.
 //
-// The bench JSON files are flat-ish objects of numeric results (nested
-// objects and arrays allowed); flatten_json_numbers walks one and
-// returns every numeric leaf as a dotted path ("runs[2].wall_ms").
-// Each path is classified by name into lower-is-better (wall times,
-// overhead ratios, memory, drop/violation counts), higher-is-better
-// (throughput, speedups, accuracy) or ignored (configuration echoes
-// like core counts, seeds and digests — values that are not a quality
-// axis). A lower-is-better metric regresses when
+// flatten_json_numbers walks a document (nested objects and arrays
+// allowed) and returns every numeric leaf as a dotted path
+// ("runs[2].wall_ms"). Each path is classified by name into
+// lower-is-better (wall times, overhead ratios, memory, drop/violation
+// counts), higher-is-better (throughput, speedups, accuracy) or ignored
+// (configuration echoes like core counts, seeds and digests, values that
+// are not a quality axis). A lower-is-better metric regresses when
 //   current > baseline * (1 + tolerance)
 // and a higher-is-better one when
 //   current < baseline / (1 + tolerance).
-// A baseline key missing from the current file is always a regression
-// (a silently vanished metric must not pass the gate); new keys in the
-// current file never fail the gate but are surfaced as `new-metric`
-// lines, so a refreshed baseline cannot silently absorb added keys.
-// Non-positive and non-finite baselines are skipped — no meaningful
-// ratio exists.
+// Non-positive and non-finite baselines give no ratio and never regress.
+// Every baseline leaf must exist in the current file, classified or not
+// (a silently vanished metric must not pass the gate); leaves new in the
+// current file never fail but are listed, so a refreshed baseline cannot
+// silently absorb them. Wall-clock `phases_ms.*` leaves differ between
+// any two real runs and are excluded.
 #pragma once
 
 #include <string>
@@ -44,28 +43,14 @@ bool metric_regressed(MetricDirection direction, double baseline,
 std::vector<std::pair<std::string, double>> flatten_json_numbers(
     std::string_view json);
 
-struct BenchComparison {
-  std::string path;
-  double baseline = 0.0;
-  double current = 0.0;
-  MetricDirection direction = MetricDirection::kIgnored;
-  bool regressed = false;
-};
-
-struct BenchDiffResult {
-  std::vector<BenchComparison> compared;       // classified, both files
-  std::vector<std::string> missing_in_current; // baseline-only paths
-  std::vector<std::string> new_in_current;     // current-only paths
-  std::vector<std::string> skipped;            // ignored or no baseline
-  bool regressed() const;
-
-  // One line per compared metric plus a verdict, suitable for stdout.
-  std::string summary(double tolerance) const;
-};
-
-// Compares two bench JSON documents under `tolerance` (0.5 = allow 50%
-// slack before failing). Throws std::runtime_error on malformed JSON.
-BenchDiffResult bench_diff(std::string_view baseline_json,
-                           std::string_view current_json, double tolerance);
+// Diffs `current_json` against `baseline_json` under `tolerance` (0.5 =
+// allow 50% slack before failing): one `missing`, `delta` or
+// `new-metric` line per differing leaf, then `deltas: N` and a verdict
+// line. Sets *regressed (when non-null) on a regressed or vanished
+// metric; a document diffed against itself yields `deltas: 0`. Throws
+// std::runtime_error on malformed JSON.
+std::string bench_diff(std::string_view baseline_json,
+                       std::string_view current_json, double tolerance,
+                       bool* regressed);
 
 }  // namespace hetsched

@@ -1,7 +1,5 @@
 #include "obs/run_report.hpp"
 
-#include <ostream>
-
 #include "obs/metrics.hpp"
 #include "util/csv.hpp"
 
@@ -171,10 +169,6 @@ std::string run_report_to_json(const RunReport& r) {
   }
   out += "}\n}\n";
   return out;
-}
-
-void write_run_report(std::ostream& out, const RunReport& report) {
-  out << run_report_to_json(report);
 }
 
 }  // namespace hetsched

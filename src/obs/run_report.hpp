@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <utility>
@@ -180,6 +179,5 @@ void attach_window_summary(RunReport& report,
 
 std::string anomaly_to_json(const Anomaly& anomaly);
 std::string run_report_to_json(const RunReport& report);
-void write_run_report(std::ostream& out, const RunReport& report);
 
 }  // namespace hetsched

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -253,8 +254,13 @@ Scenario Scenario::parse(std::istream& in) {
       scenario.realtime = rt;
     } else if (directive == "priority-levels") {
       RealtimeOptions rt = scenario.realtime.value_or(RealtimeOptions{});
+      constexpr std::uint64_t kMaxLevels = std::numeric_limits<int>::max();
       std::uint64_t levels = 0;
       read_u64(levels, 1);
+      if (levels > kMaxLevels) {
+        parse_fail(line_number, "'priority-levels' expects at most " +
+                                    std::to_string(kMaxLevels));
+      }
       rt.priority_levels = static_cast<int>(levels);
       scenario.realtime = rt;
     } else if (directive == "fault-rate") {

@@ -16,11 +16,6 @@ TablePrinter::TablePrinter(std::vector<std::string> headers)
   aligns_[0] = Align::kLeft;  // first column is usually a label
 }
 
-void TablePrinter::set_align(std::size_t column, Align align) {
-  HETSCHED_REQUIRE(column < aligns_.size());
-  aligns_[column] = align;
-}
-
 void TablePrinter::add_row(std::vector<std::string> cells) {
   HETSCHED_REQUIRE(cells.size() == headers_.size());
   rows_.push_back(std::move(cells));

@@ -11,12 +11,9 @@ namespace hetsched {
 
 class TablePrinter {
  public:
-  enum class Align { kLeft, kRight };
-
   // Column headers fix the column count; subsequent rows must match it.
+  // The first column is left-aligned, the others right-aligned.
   explicit TablePrinter(std::vector<std::string> headers);
-
-  void set_align(std::size_t column, Align align);
 
   void add_row(std::vector<std::string> cells);
 
@@ -30,6 +27,8 @@ class TablePrinter {
   std::string to_string() const;
 
  private:
+  enum class Align { kLeft, kRight };
+
   std::vector<std::string> headers_;
   std::vector<Align> aligns_;
   std::vector<std::vector<std::string>> rows_;

@@ -442,13 +442,15 @@ TEST(SupervisedSweep, ManifestResumeIsByteIdentical) {
   for (const SweepCell& cell : resumed.cells) {
     EXPECT_FALSE(cell.span_state.empty()) << cell.label;
   }
-  RunReport clean_report;
-  RunReport resumed_report;
-  attach_sweep_latency(clean_report, clean.cells, options.window_cycles);
-  attach_sweep_latency(resumed_report, resumed.cells, options.window_cycles);
+  // The whole merged report matches: totals, window sums, failed cells
+  // and the latency section.
+  const RunReport clean_report =
+      sweep_report(grid, world().context, clean, options.window_cycles);
   ASSERT_TRUE(clean_report.latency.has_value());
   EXPECT_GT(clean_report.latency->jobs, 0u);
-  EXPECT_EQ(run_report_to_json(resumed_report),
+  EXPECT_GT(clean_report.windows_closed, 0u);
+  EXPECT_EQ(run_report_to_json(sweep_report(grid, world().context, resumed,
+                                            options.window_cycles)),
             run_report_to_json(clean_report));
 }
 
@@ -627,24 +629,31 @@ TEST(BenchDiffGate, NonFiniteCurrentAlwaysRegresses) {
       R"({"wall_ms": 100.0, "speedup": 2.0})";
   const std::string current =
       R"({"wall_ms": 1e999, "speedup": 1e999})";
-  const BenchDiffResult diff = bench_diff(baseline, current, 0.5);
-  ASSERT_EQ(diff.compared.size(), 2u);
-  EXPECT_TRUE(diff.regressed());
+  bool regressed = false;
+  const std::string diff = bench_diff(baseline, current, 0.5, &regressed);
+  EXPECT_TRUE(regressed);
   // Both directions: inf wall time (lower-is-better) and inf "speedup"
   // (higher-is-better, where inf would naively look like a win).
-  for (const BenchComparison& c : diff.compared) {
-    EXPECT_TRUE(c.regressed) << c.path;
-  }
+  EXPECT_NE(diff.find("delta wall_ms: 100 -> inf [lower-is-better] "
+                      "REGRESSED\n"),
+            std::string::npos)
+      << diff;
+  EXPECT_NE(diff.find("delta speedup: 2 -> inf [higher-is-better] "
+                      "REGRESSED\n"),
+            std::string::npos)
+      << diff;
 }
 
 TEST(BenchDiffGate, NonFiniteBaselineIsSkippedNotCompared) {
   const std::string baseline = R"({"wall_ms": 1e999})";
   const std::string current = R"({"wall_ms": 100.0})";
-  const BenchDiffResult diff = bench_diff(baseline, current, 0.5);
-  EXPECT_TRUE(diff.compared.empty());
-  EXPECT_FALSE(diff.regressed());
-  ASSERT_EQ(diff.skipped.size(), 1u);
-  EXPECT_EQ(diff.skipped[0], "wall_ms");
+  bool regressed = true;
+  const std::string diff = bench_diff(baseline, current, 0.5, &regressed);
+  EXPECT_FALSE(regressed);
+  EXPECT_EQ(diff,
+            "delta wall_ms: inf -> 100 [lower-is-better]\n"
+            "deltas: 1\n"
+            "verdict: pass\n");
 }
 
 }  // namespace

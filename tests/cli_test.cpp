@@ -7,12 +7,14 @@
 // deterministic report must equal the committed report golden. `run` is
 // a flag-built scenario: it prints and writes exactly what `scenario`
 // does on the equivalent scenario file. `compare` prints the committed
-// Figure-6-style table. Flags that would produce nothing are usage
-// errors (exit 2), raised before any setup.
+// Figure-6-style table. Flags that would produce nothing, among them
+// every flag on a command that does not read it, are usage errors
+// (exit 2), raised before any setup.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +22,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <vector>
 
 namespace {
 
@@ -145,10 +148,10 @@ TEST(CliCheckpoint, DagSmokeCheckpointMatchesTheGolden) {
   EXPECT_EQ(slurp(dir + "/run.ckpt"), golden);
 }
 
-// `bench-diff` and `analyze --diff` apply one regression rule, also to
-// the infinities a literal like 1e999 parses to: an infinite baseline
-// gives no ratio to fail, and an infinite current value always fails.
-TEST(CliDiff, BenchDiffAndAnalyzeDiffAgreeOnInfinities) {
+// bench-diff's regression rule also covers the infinities a literal
+// like 1e999 parses to: an infinite baseline gives no ratio to fail, and
+// an infinite current value always fails.
+TEST(CliDiff, InfiniteBaselinePassesAndInfiniteCurrentFails) {
   const std::string dir = output_dir("diff");
   const auto write = [&](const std::string& name, const std::string& json) {
     std::ofstream(dir + "/" + name) << json;
@@ -162,8 +165,118 @@ TEST(CliDiff, BenchDiffAndAnalyzeDiffAgreeOnInfinities) {
     const std::string operands = baseline + " " + current;
     EXPECT_EQ(run_cli("bench-diff " + operands, dir).status, status)
         << operands;
-    EXPECT_EQ(run_cli("analyze --diff " + operands, dir).status, status)
-        << operands;
+  }
+}
+
+// usage() prints one row per flag, "  --flag [VALUE] (command, ...)",
+// from the same table parse() reads.
+struct UsageRow {
+  std::string flag;
+  bool takes_value = false;
+  std::vector<std::string> commands;
+};
+
+struct Usage {
+  std::vector<std::string> commands;
+  std::vector<UsageRow> rows;
+};
+
+Usage read_usage(const std::string& dir) {
+  EXPECT_EQ(run_cli("", dir).status, 2);
+  std::istringstream in(slurp(dir + "/stderr.txt"));
+  Usage usage;
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t open = line.find(" (");
+    if (line.starts_with("usage: hetsched_cli <")) {
+      std::istringstream names(
+          line.substr(line.find('<') + 1, line.find('>') - line.find('<') - 1));
+      for (std::string name; std::getline(names, name, '|');) {
+        usage.commands.push_back(name);
+      }
+    } else if (line.starts_with("  --") && open != std::string::npos &&
+               line.ends_with(")")) {
+      UsageRow row;
+      std::istringstream head(line.substr(0, open));
+      std::string value;
+      head >> row.flag;
+      row.takes_value = static_cast<bool>(head >> value);
+      std::istringstream names(
+          line.substr(open + 2, line.size() - open - 3));
+      for (std::string name; std::getline(names >> std::ws, name, ',');) {
+        row.commands.push_back(name);
+      }
+      usage.rows.push_back(row);
+    }
+  }
+  return usage;
+}
+
+// On a command outside its row, every flag is a usage error raised
+// before any setup, so no profile cache is written. Only --threads is
+// read by every command.
+TEST(CliFlags, EachFlagIsRejectedOutsideItsCommands) {
+  const std::string dir = output_dir("flag_commands");
+  const Usage usage = read_usage(dir);
+  ASSERT_EQ(usage.commands.size(), 8u);
+  ASSERT_GE(usage.rows.size(), 40u);
+  const std::string cache = dir + "/never.cache";
+  std::vector<std::string> everywhere;
+  for (const UsageRow& row : usage.rows) {
+    const auto outside =
+        std::ranges::find_if(usage.commands, [&](const std::string& name) {
+          return std::ranges::find(row.commands, name) == row.commands.end();
+        });
+    if (outside == usage.commands.end()) {
+      everywhere.push_back(row.flag);
+      continue;
+    }
+    const std::string args = *outside + " " + row.flag +
+                             (row.takes_value ? " 1" : "") +
+                             " --profile-cache '" + cache + "'";
+    EXPECT_EQ(run_cli(args, dir).status, 2) << args;
+    EXPECT_NE(slurp(dir + "/stderr.txt")
+                  .find("error: " + row.flag + " does not apply to " +
+                        *outside + "\n"),
+              std::string::npos)
+        << args;
+  }
+  EXPECT_EQ(everywhere, std::vector<std::string>{"--threads"});
+  EXPECT_FALSE(std::filesystem::exists(cache));
+}
+
+// Each command takes every flag its CI, README and perfbench invocations
+// pass: parsing reaches the unknown flag at the end, so each listed flag
+// was accepted, and nothing ran.
+TEST(CliFlags, DocumentedInvocationsParse) {
+  const std::string dir = output_dir("documented_flags");
+  for (const char* args : {
+           "compare --arrivals 300 --scale 0.25 --cores 8 --threads 8 "
+           "--profile-cache suite.profile --trace-out trace.json "
+           "--metrics-out metrics.json --fault-plan faults.txt",
+           "run --system realtime --load predictor.txt --slack 3 "
+           "--discipline edf --fault-rate 0.01 --fault-seed 7 --arrivals 300 "
+           "--cores 8",
+           "characterize --scale 0.25",
+           "train --scale 0.25 --save snap.txt --profile-cache suite.prof",
+           "scenario --file run.scn --window-cycles 50000 --checkpoint-out "
+           "run.ckpt --checkpoint-every 5 --halt-after-checkpoints 3 "
+           "--resume-from crash.ckpt --report-deterministic --report-out "
+           "report.json --windows-out windows.jsonl",
+           "sweep --file run.scn --sweep-cores 4,8 --sweep-gaps 20000,60000 "
+           "--sweep-policies base,proposed --shards 4 --metrics-out "
+           "sweep.json --cell-timeout-ms 60000 --cell-retries 2 "
+           "--cell-backoff-ms 100 --manifest-out sweep.manifest "
+           "--resume-from sweep.manifest --report-deterministic "
+           "--report-out sweep_report.json --windows-out sweep_windows.jsonl",
+           "bench-diff baseline.json current.json --tolerance 2.5",
+           "analyze --report report.json --windows windows.jsonl --out "
+           "analysis.txt"}) {
+    EXPECT_EQ(run_cli(std::string(args) + " --no-such-flag", dir).status, 2)
+        << args;
+    EXPECT_NE(slurp(dir + "/stderr.txt")
+                  .find("error: unknown flag --no-such-flag\n"),
+              std::string::npos)
+        << args;
   }
 }
 
@@ -193,6 +306,18 @@ TEST(CliCheckpointFlags, RejectedWhenTheyProduceNothing) {
                 .status,
             2);
   EXPECT_FALSE(std::filesystem::exists(ckpt));
+
+  // A count that does not fit its field is rejected, not truncated to 0
+  // (an aborting sweep) or 1 (a silently unsupervised one).
+  for (const char* retries : {"4294967296", "4294967297"}) {
+    EXPECT_EQ(run_cli("sweep " + scn + " --cell-retries " + retries +
+                          " --profile-cache '" + cache + "'",
+                      dir)
+                  .status,
+              2)
+        << retries;
+  }
+  EXPECT_FALSE(std::filesystem::exists(cache));
 
   // A flag scenario that describes nothing fails before characterisation,
   // so no profile cache is written.

@@ -601,9 +601,8 @@ TEST(FuzzParsers, SweepManifestsResumeOrThrow) {
                 resume.resume_manifest_text = mutated;
                 const SupervisedSweepResult result = run_sweep_supervised(
                     grid, context, 1, ThreadPool::global(), resume);
-                RunReport report;
-                attach_sweep_latency(report, result.cells,
-                                     options.window_cycles);
+                (void)sweep_report(grid, context, result,
+                                   options.window_cycles);
               });
 }
 
@@ -639,7 +638,7 @@ TEST(FuzzParsers, PredictorSnapshotsProfileCachesAndBenchJson) {
                                       "/bench/baselines/BENCH_scenario.json");
   fuzz_format("bench JSON", 403, bench, false, 300,
               [&bench](const std::string& mutated) {
-                (void)bench_diff(bench, mutated, 2.5).summary(2.5);
+                (void)bench_diff(bench, mutated, 2.5, nullptr);
               });
 }
 

@@ -8,8 +8,8 @@
 // snapshot). Alongside them: Log2Histogram bucket/percentile/merge/
 // round-trip semantics, the exact queue/service/stall/sojourn
 // decomposition on hand-built event streams, EventTracer span export and
-// exact drop accounting under a retention cap, the analyze self-diff
-// identity, and a pinned golden for `hetsched analyze` over the
+// exact drop accounting under a retention cap, the bench-diff self-diff
+// identity of a report, and a pinned golden for `hetsched analyze` over the
 // streaming-smoke scenario.
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "core/simulator.hpp"
 #include "drained_stream.hpp"
 #include "obs/analyzer.hpp"
+#include "obs/bench_diff.hpp"
 #include "obs/event_trace.hpp"
 #include "obs/latency.hpp"
 #include "obs/run_report.hpp"
@@ -515,25 +516,24 @@ TEST(Analyze, SelfDiffIsCleanAndRegressionsAreFlagged) {
   ThreadPool::set_global_threads(ThreadPool::default_threads());
   bool regressed = true;
   const std::string self =
-      analyze_diff(run.latency, run.latency, 0.05, &regressed);
+      bench_diff(run.latency, run.latency, 0.05, &regressed);
   EXPECT_FALSE(regressed);
   EXPECT_NE(self.find("deltas: 0\n"), std::string::npos) << self;
-  EXPECT_NE(self.find("analyze-diff: ok\n"), std::string::npos);
+  EXPECT_NE(self.find("verdict: pass\n"), std::string::npos);
 
   // A worsened lower-is-better metric regresses...
-  const std::string worse = analyze_diff(R"({"overhead_ms": 10})",
-                                         R"({"overhead_ms": 20})", 0.05,
-                                         &regressed);
+  const std::string worse = bench_diff(R"({"overhead_ms": 10})",
+                                       R"({"overhead_ms": 20})", 0.05,
+                                       &regressed);
   EXPECT_TRUE(regressed);
   EXPECT_NE(worse.find("REGRESSED"), std::string::npos);
   // ...and so does a metric that vanished.
-  analyze_diff(R"({"jobs_per_sec": 5})", R"({"other": 5})", 0.05,
-               &regressed);
+  bench_diff(R"({"jobs_per_sec": 5})", R"({"other": 5})", 0.05, &regressed);
   EXPECT_TRUE(regressed);
   // A neutral-direction drift is reported but not a failure.
-  const std::string neutral = analyze_diff(R"({"result": {"makespan": 10}})",
-                                           R"({"result": {"makespan": 12}})",
-                                           0.05, &regressed);
+  const std::string neutral = bench_diff(R"({"result": {"makespan": 10}})",
+                                         R"({"result": {"makespan": 12}})",
+                                         0.05, &regressed);
   EXPECT_FALSE(regressed);
   EXPECT_NE(neutral.find("deltas: 1\n"), std::string::npos);
 }
@@ -577,10 +577,10 @@ TEST(Analyze, GoldenStreamingSmokeAnalysis) {
          "change is intended, regenerate with HETSCHED_REGEN_GOLDEN=1 "
          "and commit the new file";
 
-  // The analyzer's diff of a report against itself is the identity.
+  // bench-diff of a report against itself is the identity.
   bool regressed = true;
-  const std::string self = analyze_diff(report_json, report_json, 0.0,
-                                        &regressed);
+  const std::string self = bench_diff(report_json, report_json, 0.0,
+                                      &regressed);
   EXPECT_FALSE(regressed);
   EXPECT_NE(self.find("deltas: 0\n"), std::string::npos);
 }

@@ -155,6 +155,18 @@ TEST(Scenario, ParseRejectsMalformedInput) {
   // Validation failures surface as parse errors too.
   EXPECT_THROW(parse("system paper\ncores 6\n"), std::runtime_error);
   EXPECT_THROW(parse("cores 4\nfail 9 1000\n"), std::runtime_error);
+  // A count past its field's range is a parse error on its line, not a
+  // truncated value (4294967297 would read as 1 level).
+  for (const char* levels : {"2147483648", "4294967297"}) {
+    try {
+      parse(std::string("name x\npriority-levels ") + levels + "\n");
+      ADD_FAILURE() << "priority-levels " << levels << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("scenario line 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // Comments and blank lines are fine.
   EXPECT_NO_THROW(parse("# comment\n\nname ok # trailing comment\n"));
 }

@@ -399,55 +399,65 @@ TEST(BenchDiff, DirectionClassification) {
             MetricDirection::kIgnored);
 }
 
+// The verdict of bench_diff(baseline, current, tolerance).
+bool regressed(const std::string& baseline, const std::string& current,
+               double tolerance) {
+  bool result = false;
+  (void)bench_diff(baseline, current, tolerance, &result);
+  return result;
+}
+
 TEST(BenchDiff, RegressionDirectionsAndTolerance) {
   const std::string baseline =
       R"({"wall_ms": 100, "jobs_per_sec": 1000, "seed": 42})";
   // Within tolerance both ways: pass.
-  EXPECT_FALSE(bench_diff(baseline,
-                          R"({"wall_ms": 140, "jobs_per_sec": 700,
-                              "seed": 43})",
-                          0.5)
-                   .regressed());
+  EXPECT_FALSE(regressed(baseline,
+                         R"({"wall_ms": 140, "jobs_per_sec": 700,
+                             "seed": 43})",
+                         0.5));
   // Slower beyond tolerance: fail.
-  EXPECT_TRUE(bench_diff(baseline, R"({"wall_ms": 151, "jobs_per_sec": 1000})",
-                         0.5)
-                  .regressed());
+  EXPECT_TRUE(regressed(
+      baseline, R"({"wall_ms": 151, "jobs_per_sec": 1000, "seed": 42})",
+      0.5));
   // Throughput collapse: fail.
-  EXPECT_TRUE(bench_diff(baseline, R"({"wall_ms": 100, "jobs_per_sec": 600})",
-                         0.5)
-                  .regressed());
+  EXPECT_TRUE(regressed(
+      baseline, R"({"wall_ms": 100, "jobs_per_sec": 600, "seed": 42})",
+      0.5));
   // Ignored keys (seed) never regress no matter how they change.
-  EXPECT_FALSE(bench_diff(R"({"seed": 1})", R"({"seed": 999})", 0.0)
-                   .regressed());
+  EXPECT_FALSE(regressed(R"({"seed": 1})", R"({"seed": 999})", 0.0));
 }
 
 TEST(BenchDiff, MissingBaselineMetricIsARegression) {
-  const BenchDiffResult diff =
-      bench_diff(R"({"wall_ms": 100})", R"({"other_ms": 100})", 10.0);
-  EXPECT_TRUE(diff.regressed());
-  ASSERT_EQ(diff.missing_in_current.size(), 1u);
-  EXPECT_EQ(diff.missing_in_current[0], "wall_ms");
-  EXPECT_NE(diff.summary(10.0).find("MISSING"), std::string::npos);
+  bool failed = false;
+  const std::string diff = bench_diff(R"({"wall_ms": 100})",
+                                      R"({"other_ms": 100})", 10.0, &failed);
+  EXPECT_TRUE(failed);
+  EXPECT_NE(diff.find("missing wall_ms (baseline 100)\n"), std::string::npos)
+      << diff;
+  EXPECT_NE(diff.find("verdict: REGRESSION\n"), std::string::npos) << diff;
+  // An unclassified leaf must not vanish either.
+  EXPECT_TRUE(regressed(R"({"seed": 1})", "{}", 10.0));
 }
 
 TEST(BenchDiff, NewMetricInCurrentIsSurfacedButNeverGates) {
-  const BenchDiffResult diff =
+  bool failed = true;
+  const std::string diff =
       bench_diff(R"({"wall_ms": 100})",
-                 R"({"wall_ms": 100, "resume_ms": 5, "seed": 1})", 0.5);
-  EXPECT_FALSE(diff.regressed());
-  ASSERT_EQ(diff.new_in_current.size(), 2u);
-  EXPECT_EQ(diff.new_in_current[0], "resume_ms");
-  EXPECT_EQ(diff.new_in_current[1], "seed");
-  EXPECT_NE(diff.summary(0.5).find("new-metric resume_ms"),
-            std::string::npos);
+                 R"({"wall_ms": 100, "resume_ms": 5, "seed": 1})", 0.5,
+                 &failed);
+  EXPECT_FALSE(failed);
+  EXPECT_NE(diff.find("new-metric resume_ms = 5\nnew-metric seed = 1\n"
+                      "deltas: 2\nverdict: pass\n"),
+            std::string::npos)
+      << diff;
   // The reverse direction stays a hard gate failure, and the vanished key
   // must not be misreported as new.
-  const BenchDiffResult reverse =
+  const std::string reverse =
       bench_diff(R"({"wall_ms": 100, "resume_ms": 5})",
-                 R"({"wall_ms": 100})", 0.5);
-  EXPECT_TRUE(reverse.regressed());
-  EXPECT_TRUE(reverse.new_in_current.empty());
-  EXPECT_EQ(reverse.summary(0.5).find("new-metric"), std::string::npos);
+                 R"({"wall_ms": 100})", 0.5, &failed);
+  EXPECT_TRUE(failed);
+  EXPECT_NE(reverse.find("missing resume_ms"), std::string::npos) << reverse;
+  EXPECT_EQ(reverse.find("new-metric"), std::string::npos) << reverse;
 }
 
 // --- Interval validation -------------------------------------------------

@@ -1,5 +1,6 @@
-// hetsched command-line driver; usage() below is the command and flag
-// reference.
+// hetsched command-line driver. kFlags below is the flag reference: one
+// row per flag, naming the commands that take it; usage() prints it and
+// parse() rejects a flag on any other command.
 //
 // Everything the CLI simulates is a Scenario. `scenario` and `sweep`
 // read theirs from --file; `run` and `compare` build one from the common
@@ -9,6 +10,7 @@
 // run_scenario_checkpointed when windows, a report or checkpoints are
 // requested; a grid of scenarios (a sweep, or compare's four Section-V
 // systems) runs through run_sweep_supervised.
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -16,12 +18,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/policy_registry.hpp"
@@ -36,7 +39,6 @@
 #include "scenario/checkpoint.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "util/atomic_file.hpp"
-#include "util/csv.hpp"
 #include "util/table_printer.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/profile_cache.hpp"
@@ -48,10 +50,13 @@ using namespace hetsched;
 struct CliOptions {
   std::string command;
   // The scenario the common flags describe (run, compare; characterize
-  // and train read its suite and seed). `scenario_flag` is the first such
-  // flag given, which scenario and sweep reject.
+  // and train read its suite and seed). Its fault plan is assembled after
+  // parsing, so --fault-rate and --fault-seed override a --fault-plan
+  // file whatever their order.
   Scenario scenario;
-  std::string scenario_flag;
+  std::string fault_plan_path;
+  std::optional<double> fault_rate;
+  std::optional<std::uint64_t> fault_seed;
   std::string kernel;
   std::string save_path;
   std::string load_path;
@@ -62,15 +67,14 @@ struct CliOptions {
   std::string windows_out_path;
   std::uint64_t window_cycles = 1'000'000;
   std::size_t max_trace_events = EventTracer::kDefaultMaxEvents;
-  double tolerance = 0.5;  // bench-diff/analyze-diff slack before failing
-  std::vector<std::string> positional;  // bench-diff/analyze file operands
+  double tolerance = 0.5;  // bench-diff slack before failing
+  std::vector<std::string> positional;  // bench-diff's file operands
 
   // analyze: forensics inputs and presentation.
   std::string analyze_report_path;
   std::string analyze_windows_path;
   std::string analyze_out_path;
   std::size_t analyze_top = 8;
-  bool analyze_diff_mode = false;
   // Emit Perfetto async job spans ('b'/'e' pairs) into --trace-out.
   // Opt-in: span events double the trace volume and change trace bytes.
   bool trace_spans = false;
@@ -155,149 +159,70 @@ struct ObsSession {
   }
 };
 
-[[noreturn]] void usage(const std::string& error = "") {
-  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
-  std::cerr <<
-      "usage: hetsched_cli "
-      "<compare|run|characterize|train|scenario|sweep|bench-diff|analyze> "
-      "[options]\n"
-      "       hetsched_cli bench-diff BASELINE.json CURRENT.json\n"
-      "                    [--tolerance X]\n"
-      "       hetsched_cli analyze --report REPORT.json\n"
-      "                    [--windows FILE.jsonl] [--top N] [--out FILE]\n"
-      "       hetsched_cli analyze --diff BASELINE.json CURRENT.json\n"
-      "                    [--tolerance X] [--out FILE]\n"
-      "  run and compare build their scenario from --system, --arrivals,\n"
-      "  --gap, --seed, --cores, --scale, --discipline, --slack, --fault-*\n"
-      "  and --load; scenario and sweep read it from --file and reject\n"
-      "  those flags.\n"
-      "  --system S      base|optimal|energy-centric|proposed|realtime|\n"
-      "                  sjf|energy-greedy|random|oracle|cp-aware|\n"
-      "                  portfolio:<a>+<b>[@cycles] (competitive\n"
-      "                  meta-scheduler over the named contenders)\n"
-      "  --arrivals N    jobs in the stream (default 5000)\n"
-      "  --gap CYCLES    mean inter-arrival gap (default 55000)\n"
-      "  --seed N        experiment seed (default 42)\n"
-      "  --cores N       cores per simulated system (default 4; 4 = the\n"
-      "                  paper machines, otherwise the scaled layout)\n"
-      "  --scale X       kernel working-set scale (default 1.0)\n"
-      "  --discipline D  fifo|edf|priority ready-queue order\n"
-      "  --slack X       assign deadlines = arrival + X*base cycles\n"
-      "  --kernel NAME   (characterize) single-kernel sweep\n"
-      "  --save FILE     (train) persist the predictor snapshot\n"
-      "  --load FILE     use a saved predictor snapshot instead of training\n"
-      "  --threads N     worker threads (default: HETSCHED_THREADS or all\n"
-      "                  hardware threads)\n"
-      "  --profile-cache FILE\n"
-      "                  persistent characterisation snapshot to load or\n"
-      "                  refresh\n"
-      "  --fault-plan F  inject faults from a fault-plan file\n"
-      "  --fault-rate P  uniform rate in [0,1] for reconfig failures,\n"
-      "                  stuck jobs and counter corruption\n"
-      "  --fault-seed N  fault-decision seed (default 1)\n"
-      "  --trace-out F   write a Chrome-trace/Perfetto JSON (ts in\n"
-      "                  simulated cycles; open in ui.perfetto.dev)\n"
-      "  --metrics-out F write the metrics-registry snapshot as JSON\n"
-      "  --max-trace-events N\n"
-      "                  retain at most N trace events per tracer\n"
-      "                  (0 = unlimited; default 1000000)\n"
-      "  --windows-out F write per-window telemetry JSONL (run/scenario/\n"
-      "                  sweep; one line per closed tumbling window)\n"
-      "  --window-cycles N\n"
-      "                  window width in simulated cycles (default 1e6)\n"
-      "  --report-out F  write the unified run-report JSON (run/scenario/\n"
-      "                  sweep)\n"
-      "  --report-deterministic\n"
-      "                  emit the report with empty phases_ms so identical\n"
-      "                  runs produce byte-identical reports\n"
-      "  --checkpoint-out F\n"
-      "                  (scenario) write a resumable checkpoint atomically\n"
-      "                  at every stride boundary\n"
-      "  --checkpoint-every N\n"
-      "                  (scenario) windows per checkpoint stride (default 1)\n"
-      "  --resume-from F (scenario) resume from a checkpoint file;\n"
-      "                  (sweep) resume from a shard manifest\n"
-      "  --halt-after-checkpoints N\n"
-      "                  (scenario, with --checkpoint-out) stop with exit 3\n"
-      "                  after N checkpoints, simulating a crash\n"
-      "  --cell-timeout-ms N\n"
-      "                  (sweep) wall-clock budget per cell attempt\n"
-      "  --cell-retries N\n"
-      "                  (sweep) attempts per cell before quarantine\n"
-      "  --cell-backoff-ms N\n"
-      "                  (sweep) sleep between attempts of one cell\n"
-      "  --manifest-out F\n"
-      "                  (sweep) persist the shard manifest after every\n"
-      "                  completed cell\n"
-      "  --tolerance X   (bench-diff/analyze --diff) relative slack before\n"
-      "                  a metric counts as regressed (default 0.5)\n"
-      "  --trace-spans   add Perfetto async job-lifecycle spans ('b'/'e'\n"
-      "                  pairs, arrival -> completion) to --trace-out\n"
-      "  --report F      (analyze) run-report JSON to analyze\n"
-      "  --windows F     (analyze) windows JSONL for the per-window tables\n"
-      "  --top N         (analyze) rows in the slowest-jobs and hottest-\n"
-      "                  windows tables (default 8)\n"
-      "  --diff          (analyze) diff two reports instead of rendering\n"
-      "                  one\n"
-      "  --out F         (analyze) write the analysis there instead of\n"
-      "                  stdout\n"
-      "  --file F        (scenario/sweep) scenario description file\n"
-      "  --sweep-cores L   (sweep) comma list of core counts (default 4)\n"
-      "  --sweep-gaps L    (sweep) comma list of mean gaps (default: the\n"
-      "                    scenario file's mean-gap)\n"
-      "  --sweep-policies L\n"
-      "                  (sweep) comma list of policies (default\n"
-      "                  base,proposed)\n"
-      "  --shards N      (sweep) contiguous shards to split the grid into\n"
-      "                  (default: one per cell)\n";
-  std::exit(2);
-}
+[[noreturn]] void usage(const std::string& error = "");
 
-// Flag-value parsing that rejects garbage instead of silently truncating
-// it (std::stoull("12abc") == 12): the whole token must parse, and the
-// value must lie in the flag's legal range.
-std::uint64_t parse_count(const std::string& flag, const std::string& text,
-                          std::uint64_t min_value) {
-  std::uint64_t value = 0;
-  const char* begin = text.c_str();
-  const char* end = begin + text.size();
-  const auto [parsed_end, err] = std::from_chars(begin, end, value, 10);
-  if (text.empty() || err != std::errc{} || parsed_end != end) {
-    usage(flag + " expects a non-negative integer, got '" + text + "'");
-  }
-  if (value < min_value) {
-    usage(flag + " must be at least " + std::to_string(min_value) +
-          ", got '" + text + "'");
-  }
-  return value;
-}
+// One flag's value as given, with the readers that turn it into a
+// field. They reject garbage instead of silently truncating it
+// (std::stoull("12abc") == 12): the whole token must parse, and the value
+// must lie in the flag's legal range, for a count at most what its field
+// holds.
+struct FlagValue {
+  std::string_view flag;
+  std::string text;
 
-// Output-path hardening: fail fast (before minutes of simulation) when a
-// requested artifact would land in a directory that does not exist —
-// atomic temp+rename cannot create parents.
-void require_parent_dir(const std::string& flag, const std::string& path) {
-  if (path.empty()) return;
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  std::error_code ec;
-  if (!parent.empty() && !std::filesystem::is_directory(parent, ec)) {
-    usage(flag + ": directory '" + parent.string() + "' does not exist");
+  template <typename T>
+  T count(T min_value, T max_value = std::numeric_limits<T>::max()) const {
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [parsed_end, err] = std::from_chars(text.data(), end, value);
+    if (text.empty() || err != std::errc{} || parsed_end != end) {
+      usage(std::string(flag) + " expects a non-negative integer, got '" +
+            text + "'");
+    }
+    if (value < min_value) {
+      usage(std::string(flag) + " must be at least " +
+            std::to_string(min_value) + ", got '" + text + "'");
+    }
+    if (value > max_value) {
+      usage(std::string(flag) + " must be at most " +
+            std::to_string(max_value) + ", got '" + text + "'");
+    }
+    return static_cast<T>(value);
   }
-}
 
-double parse_real(const std::string& flag, const std::string& text,
-                  double min_value, double max_value) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() ||
-      !std::isfinite(value) || value < min_value || value > max_value) {
-    std::ostringstream range;
-    range << "[" << min_value << ", " << max_value << "]";
-    usage(flag + " expects a number in " + range.str() + ", got '" + text +
-          "'");
+  double real(double min_value, double max_value) const {
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size() ||
+        !std::isfinite(value) || value < min_value || value > max_value) {
+      std::ostringstream range;
+      range << "[" << min_value << ", " << max_value << "]";
+      usage(std::string(flag) + " expects a number in " + range.str() +
+            ", got '" + text + "'");
+    }
+    return value;
   }
-  return value;
-}
+
+  // A file the command reads.
+  std::string path() const {
+    if (text.empty()) usage(std::string(flag) + " expects a file path");
+    return text;
+  }
+
+  // A file the command writes. Fail fast, before minutes of simulation,
+  // when its directory does not exist: the atomic temp+rename cannot
+  // create parents.
+  std::string output_path() const {
+    const std::filesystem::path parent =
+        std::filesystem::path(path()).parent_path();
+    std::error_code ec;
+    if (!parent.empty() && !std::filesystem::is_directory(parent, ec)) {
+      usage(std::string(flag) + ": directory '" + parent.string() +
+            "' does not exist");
+    }
+    return text;
+  }
+};
 
 QueueDiscipline parse_discipline(const std::string& name) {
   if (name == "fifo") return QueueDiscipline::kFifo;
@@ -306,23 +231,251 @@ QueueDiscipline parse_discipline(const std::string& name) {
   usage("unknown discipline " + name);
 }
 
+// Each command is one bit of a flag's command set.
+enum Command : unsigned {
+  kCompare = 1u << 0,
+  kRun = 1u << 1,
+  kCharacterize = 1u << 2,
+  kTrain = 1u << 3,
+  kScenario = 1u << 4,
+  kSweep = 1u << 5,
+  kBenchDiff = 1u << 6,
+  kAnalyze = 1u << 7,
+};
+
+struct CommandSpec {
+  std::string_view name;
+  unsigned bit;
+  std::size_t operands;  // file operands it takes
+};
+
+constexpr CommandSpec kCommands[] = {
+    {"compare", kCompare, 0},   {"run", kRun, 0},
+    {"characterize", kCharacterize, 0}, {"train", kTrain, 0},
+    {"scenario", kScenario, 0}, {"sweep", kSweep, 0},
+    {"bench-diff", kBenchDiff, 2}, {"analyze", kAnalyze, 0}};
+
+// The commands that build their scenario from flags, that write windows
+// and reports, that simulate, that characterise a suite, and all.
+constexpr unsigned kFlagScenario = kRun | kCompare;
+constexpr unsigned kWindowed = kRun | kScenario | kSweep;
+constexpr unsigned kSimulating = kWindowed | kCompare;
+constexpr unsigned kSuite = kSimulating | kCharacterize | kTrain;
+constexpr unsigned kEvery = kSuite | kBenchDiff | kAnalyze;
+
+// One row per flag: its name, value placeholder (empty for a switch),
+// the commands that read it, its help text ('\n' between lines) and the
+// setter that stores its value. parse() and usage() read nothing else.
+struct Flag {
+  std::string_view name;
+  std::string_view value;
+  unsigned commands;
+  std::string_view help;
+  void (*set)(CliOptions&, const FlagValue&);
+};
+
+using Value = const FlagValue&;
+
+constexpr Flag kFlags[] = {
+    {"--system", "S", kFlagScenario,
+     "base|optimal|energy-centric|proposed|realtime|sjf|energy-greedy|\n"
+     "random|oracle|cp-aware|portfolio:<a>+<b>[@cycles] (competitive\n"
+     "meta-scheduler over the named contenders)",
+     [](CliOptions& o, Value v) { o.scenario.policy = v.text; }},
+    {"--arrivals", "N", kFlagScenario, "jobs in the stream (default 5000)",
+     [](CliOptions& o, Value v) {
+       o.scenario.arrivals.count = v.count<std::size_t>(1);
+     }},
+    {"--gap", "CYCLES", kFlagScenario,
+     "mean inter-arrival gap (default 55000)",
+     [](CliOptions& o, Value v) {
+       o.scenario.arrivals.mean_interarrival_cycles = v.real(1.0, 1e15);
+     }},
+    {"--seed", "N", kFlagScenario | kTrain, "experiment seed (default 42)",
+     [](CliOptions& o, Value v) {
+       o.scenario.seed = v.count<std::uint64_t>(0);
+     }},
+    {"--cores", "N", kFlagScenario,
+     "cores per simulated system (default 4; 4 = the paper machines,\n"
+     "otherwise the scaled layout)",
+     [](CliOptions& o, Value v) {
+       o.scenario.cores = v.count<std::size_t>(2);
+     }},
+    {"--scale", "X", kFlagScenario | kCharacterize | kTrain,
+     "kernel working-set scale (default 1.0)",
+     [](CliOptions& o, Value v) {
+       o.scenario.suite.kernel_scale = v.real(1e-6, 1e6);
+     }},
+    {"--discipline", "D", kFlagScenario, "fifo|edf|priority ready-queue order",
+     [](CliOptions& o, Value v) {
+       o.scenario.discipline = parse_discipline(v.text);
+     }},
+    {"--slack", "X", kFlagScenario,
+     "assign deadlines = arrival + X*base cycles",
+     [](CliOptions& o, Value v) {
+       o.scenario.realtime = RealtimeOptions{v.real(1e-6, 1e6), 3};
+     }},
+    {"--fault-plan", "FILE", kFlagScenario,
+     "inject faults from a fault-plan file",
+     [](CliOptions& o, Value v) { o.fault_plan_path = v.text; }},
+    {"--fault-rate", "P", kFlagScenario,
+     "uniform rate in [0,1] for reconfig failures, stuck jobs and\n"
+     "counter corruption",
+     [](CliOptions& o, Value v) { o.fault_rate = v.real(0.0, 1.0); }},
+    {"--fault-seed", "N", kFlagScenario, "fault-decision seed (default 1)",
+     [](CliOptions& o, Value v) { o.fault_seed = v.count<std::uint64_t>(0); }},
+    {"--load", "FILE", kFlagScenario,
+     "use a saved predictor snapshot instead of training",
+     [](CliOptions& o, Value v) { o.load_path = v.text; }},
+    {"--kernel", "NAME", kCharacterize, "single-kernel sweep",
+     [](CliOptions& o, Value v) { o.kernel = v.text; }},
+    {"--save", "FILE", kTrain, "persist the predictor snapshot",
+     [](CliOptions& o, Value v) { o.save_path = v.output_path(); }},
+    {"--threads", "N", kEvery,
+     "worker threads (default: HETSCHED_THREADS or all hardware threads)",
+     [](CliOptions&, Value v) {
+       ThreadPool::set_global_threads(v.count<std::size_t>(1, 256));
+     }},
+    {"--profile-cache", "FILE", kSuite,
+     "persistent characterisation snapshot to load or refresh",
+     [](CliOptions& o, Value v) { o.profile_cache_path = v.text; }},
+    {"--trace-out", "FILE", kSuite,
+     "write a Chrome-trace/Perfetto JSON (ts in simulated cycles; open\n"
+     "in ui.perfetto.dev)",
+     [](CliOptions& o, Value v) { o.trace_out_path = v.output_path(); }},
+    {"--metrics-out", "FILE", kSuite,
+     "write the metrics-registry snapshot as JSON",
+     [](CliOptions& o, Value v) { o.metrics_out_path = v.output_path(); }},
+    {"--max-trace-events", "N", kSuite,
+     "retain at most N trace events per tracer (0 = unlimited; default\n"
+     "1000000)",
+     [](CliOptions& o, Value v) {
+       o.max_trace_events = v.count<std::size_t>(0);
+     }},
+    {"--trace-spans", "", kSimulating,
+     "add Perfetto async job-lifecycle spans ('b'/'e' pairs, arrival ->\n"
+     "completion) to --trace-out",
+     [](CliOptions& o, Value) { o.trace_spans = true; }},
+    {"--windows-out", "FILE", kWindowed,
+     "write per-window telemetry JSONL (one line per closed tumbling\n"
+     "window)",
+     [](CliOptions& o, Value v) { o.windows_out_path = v.output_path(); }},
+    {"--window-cycles", "N", kWindowed,
+     "window width in simulated cycles (default 1e6)",
+     [](CliOptions& o, Value v) {
+       o.window_cycles = v.count<std::uint64_t>(1);
+     }},
+    {"--report-out", "FILE", kWindowed, "write the unified run-report JSON",
+     [](CliOptions& o, Value v) { o.report_out_path = v.output_path(); }},
+    {"--report-deterministic", "", kWindowed,
+     "emit the report with empty phases_ms so identical runs produce\n"
+     "byte-identical reports",
+     [](CliOptions& o, Value) { o.deterministic_report = true; }},
+    {"--file", "FILE", kScenario | kSweep, "scenario description file",
+     [](CliOptions& o, Value v) { o.scenario_path = v.path(); }},
+    {"--resume-from", "FILE", kScenario | kSweep,
+     "resume from a checkpoint file (scenario) or a shard manifest\n"
+     "(sweep)",
+     [](CliOptions& o, Value v) { o.resume_from_path = v.path(); }},
+    {"--checkpoint-out", "FILE", kScenario,
+     "write a resumable checkpoint atomically at every stride boundary",
+     [](CliOptions& o, Value v) { o.checkpoint_out_path = v.output_path(); }},
+    {"--checkpoint-every", "N", kScenario,
+     "windows per checkpoint stride (default 1)",
+     [](CliOptions& o, Value v) {
+       o.checkpoint_every = v.count<std::uint64_t>(1);
+       o.checkpoint_every_given = true;
+     }},
+    {"--halt-after-checkpoints", "N", kScenario,
+     "stop with exit 3 after N checkpoints, simulating a crash",
+     [](CliOptions& o, Value v) {
+       o.halt_after_checkpoints = v.count<std::uint64_t>(1);
+     }},
+    {"--sweep-cores", "L", kSweep, "comma list of core counts (default 4)",
+     [](CliOptions& o, Value v) { o.sweep_cores = v.text; }},
+    {"--sweep-gaps", "L", kSweep,
+     "comma list of mean gaps (default: the scenario file's mean-gap)",
+     [](CliOptions& o, Value v) { o.sweep_gaps = v.text; }},
+    {"--sweep-policies", "L", kSweep,
+     "comma list of policies (default base,proposed)",
+     [](CliOptions& o, Value v) { o.sweep_policies = v.text; }},
+    {"--shards", "N", kSweep,
+     "contiguous shards to split the grid into (default: one per cell)",
+     [](CliOptions& o, Value v) { o.shards = v.count<std::size_t>(1); }},
+    {"--cell-timeout-ms", "N", kSweep,
+     "wall-clock budget per cell attempt",
+     [](CliOptions& o, Value v) {
+       o.cell_timeout_ms = v.count<std::uint64_t>(1);
+     }},
+    {"--cell-retries", "N", kSweep, "attempts per cell before quarantine",
+     [](CliOptions& o, Value v) {
+       o.cell_retries = v.count<std::uint32_t>(1);
+     }},
+    {"--cell-backoff-ms", "N", kSweep, "sleep between attempts of one cell",
+     [](CliOptions& o, Value v) {
+       o.cell_backoff_ms = v.count<std::uint64_t>(0);
+     }},
+    {"--manifest-out", "FILE", kSweep,
+     "persist the shard manifest after every completed cell",
+     [](CliOptions& o, Value v) { o.manifest_out_path = v.output_path(); }},
+    {"--tolerance", "X", kBenchDiff,
+     "relative slack before a metric counts as regressed (default 0.5)",
+     [](CliOptions& o, Value v) { o.tolerance = v.real(0.0, 1e6); }},
+    {"--report", "FILE", kAnalyze, "run-report JSON to analyze",
+     [](CliOptions& o, Value v) { o.analyze_report_path = v.path(); }},
+    {"--windows", "FILE", kAnalyze,
+     "windows JSONL for the per-window tables",
+     [](CliOptions& o, Value v) { o.analyze_windows_path = v.path(); }},
+    {"--top", "N", kAnalyze,
+     "rows in the slowest-jobs and hottest-windows tables (default 8)",
+     [](CliOptions& o, Value v) { o.analyze_top = v.count<std::size_t>(1); }},
+    {"--out", "FILE", kAnalyze,
+     "write the analysis there instead of stdout",
+     [](CliOptions& o, Value v) { o.analyze_out_path = v.output_path(); }},
+};
+
+void usage(const std::string& error) {
+  const auto names = [](unsigned commands, std::string_view separator) {
+    std::string out;
+    for (const CommandSpec& command : kCommands) {
+      if ((commands & command.bit) == 0) continue;
+      if (!out.empty()) out += separator;
+      out += command.name;
+    }
+    return out;
+  };
+  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
+  std::cerr << "usage: hetsched_cli <" << names(kEvery, "|") << "> [flags]\n"
+            << "       hetsched_cli bench-diff BASELINE.json CURRENT.json "
+               "[flags]\n"
+               "flags, each with the commands that take it:\n";
+  for (const Flag& flag : kFlags) {
+    std::cerr << "  " << flag.name << (flag.value.empty() ? "" : " ")
+              << flag.value << " (" << names(flag.commands, ", ")
+              << ")\n      ";
+    for (const char c : flag.help) {
+      std::cerr << c << (c == '\n' ? "      " : "");
+    }
+    std::cerr << "\n";
+  }
+  std::exit(2);
+}
+
 // The fault plan of the flag scenario: a plan file, a uniform rate, or a
 // file with its rates/seed overridden from the command line.
-FaultPlan flag_fault_plan(const std::string& path,
-                          std::optional<double> rate,
-                          std::optional<std::uint64_t> seed) {
+FaultPlan flag_fault_plan(const CliOptions& options) {
   FaultPlan plan;
-  if (!path.empty()) {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open " + path);
+  if (!options.fault_plan_path.empty()) {
+    std::ifstream in(options.fault_plan_path);
+    if (!in) throw std::runtime_error("cannot open " + options.fault_plan_path);
     plan = FaultPlan::parse(in);
   }
-  if (rate.has_value()) {
-    plan.reconfig_failure_rate = *rate;
-    plan.stuck_job_rate = *rate;
-    plan.counter_corruption_rate = *rate;
+  if (options.fault_rate.has_value()) {
+    plan.reconfig_failure_rate = *options.fault_rate;
+    plan.stuck_job_rate = *options.fault_rate;
+    plan.counter_corruption_rate = *options.fault_rate;
   }
-  if (seed.has_value()) plan.seed = *seed;
+  if (options.fault_seed.has_value()) plan.seed = *options.fault_seed;
   return plan;
 }
 
@@ -330,137 +483,37 @@ CliOptions parse(int argc, char** argv) {
   if (argc < 2) usage();
   CliOptions options;
   options.command = argv[1];
-  Scenario& scenario = options.scenario;
-  std::size_t cores = 4;
-  std::string fault_plan_path;
-  std::optional<double> fault_rate;
-  std::optional<std::uint64_t> fault_seed;
-  const std::set<std::string> scenario_flags = {
-      "--system",     "--arrivals",   "--gap",        "--seed",
-      "--cores",      "--scale",      "--discipline", "--slack",
-      "--fault-plan", "--fault-rate", "--fault-seed", "--load"};
+  const auto command = std::ranges::find(
+      kCommands, std::string_view(options.command), &CommandSpec::name);
+  if (command == std::ranges::end(kCommands)) {
+    usage("unknown command " + options.command);
+  }
   for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage("missing value for " + flag);
-      return argv[++i];
-    };
-    auto next_path = [&]() -> std::string {
-      std::string path = next();
-      if (path.empty()) usage(flag + " expects a file path");
-      return path;
-    };
-    if (options.scenario_flag.empty() && scenario_flags.contains(flag)) {
-      options.scenario_flag = flag;
+    const std::string arg = argv[i];
+    if (!arg.starts_with("--")) {
+      options.positional.push_back(arg);
+      continue;
     }
-    if (flag == "--system") {
-      scenario.policy = next();
-    } else if (flag == "--arrivals") {
-      scenario.arrivals.count =
-          static_cast<std::size_t>(parse_count(flag, next(), 1));
-    } else if (flag == "--gap") {
-      scenario.arrivals.mean_interarrival_cycles =
-          parse_real(flag, next(), 1.0, 1e15);
-    } else if (flag == "--seed") {
-      scenario.seed = parse_count(flag, next(), 0);
-    } else if (flag == "--cores") {
-      cores = static_cast<std::size_t>(parse_count(flag, next(), 2));
-    } else if (flag == "--scale") {
-      scenario.suite.kernel_scale = parse_real(flag, next(), 1e-6, 1e6);
-    } else if (flag == "--discipline") {
-      scenario.discipline = parse_discipline(next());
-    } else if (flag == "--slack") {
-      scenario.realtime =
-          RealtimeOptions{parse_real(flag, next(), 1e-6, 1e6), 3};
-    } else if (flag == "--kernel") {
-      options.kernel = next();
-    } else if (flag == "--save") {
-      options.save_path = next();
-    } else if (flag == "--load") {
-      options.load_path = next();
-    } else if (flag == "--threads") {
-      const std::uint64_t threads = parse_count(flag, next(), 1);
-      if (threads > 256) {
-        usage(flag + " must be at most 256, got " +
-              std::to_string(threads));
-      }
-      ThreadPool::set_global_threads(static_cast<std::size_t>(threads));
-    } else if (flag == "--profile-cache") {
-      options.profile_cache_path = next();
-    } else if (flag == "--fault-plan") {
-      fault_plan_path = next();
-    } else if (flag == "--fault-rate") {
-      fault_rate = parse_real(flag, next(), 0.0, 1.0);
-    } else if (flag == "--fault-seed") {
-      fault_seed = parse_count(flag, next(), 0);
-    } else if (flag == "--trace-out") {
-      options.trace_out_path = next_path();
-    } else if (flag == "--metrics-out") {
-      options.metrics_out_path = next_path();
-    } else if (flag == "--report-out") {
-      options.report_out_path = next_path();
-    } else if (flag == "--windows-out") {
-      options.windows_out_path = next_path();
-    } else if (flag == "--window-cycles") {
-      options.window_cycles = parse_count(flag, next(), 1);
-    } else if (flag == "--max-trace-events") {
-      options.max_trace_events =
-          static_cast<std::size_t>(parse_count(flag, next(), 0));
-    } else if (flag == "--tolerance") {
-      options.tolerance = parse_real(flag, next(), 0.0, 1e6);
-    } else if (flag == "--report" && options.command == "analyze") {
-      options.analyze_report_path = next_path();
-    } else if (flag == "--windows" && options.command == "analyze") {
-      options.analyze_windows_path = next_path();
-    } else if (flag == "--out" && options.command == "analyze") {
-      options.analyze_out_path = next_path();
-    } else if (flag == "--top") {
-      options.analyze_top =
-          static_cast<std::size_t>(parse_count(flag, next(), 1));
-    } else if (flag == "--diff") {
-      options.analyze_diff_mode = true;
-    } else if (flag == "--trace-spans") {
-      options.trace_spans = true;
-    } else if (!flag.starts_with("--") &&
-               (options.command == "bench-diff" ||
-                options.command == "analyze")) {
-      options.positional.push_back(flag);
-    } else if (flag == "--file") {
-      options.scenario_path = next_path();
-    } else if (flag == "--sweep-cores") {
-      options.sweep_cores = next();
-    } else if (flag == "--sweep-gaps") {
-      options.sweep_gaps = next();
-    } else if (flag == "--sweep-policies") {
-      options.sweep_policies = next();
-    } else if (flag == "--shards") {
-      options.shards = static_cast<std::size_t>(parse_count(flag, next(), 1));
-    } else if (flag == "--checkpoint-out") {
-      options.checkpoint_out_path = next_path();
-    } else if (flag == "--checkpoint-every") {
-      options.checkpoint_every = parse_count(flag, next(), 1);
-      options.checkpoint_every_given = true;
-    } else if (flag == "--resume-from") {
-      options.resume_from_path = next_path();
-    } else if (flag == "--halt-after-checkpoints") {
-      options.halt_after_checkpoints = parse_count(flag, next(), 1);
-    } else if (flag == "--cell-timeout-ms") {
-      options.cell_timeout_ms = parse_count(flag, next(), 1);
-    } else if (flag == "--cell-retries") {
-      options.cell_retries =
-          static_cast<std::uint32_t>(parse_count(flag, next(), 1));
-    } else if (flag == "--cell-backoff-ms") {
-      options.cell_backoff_ms = parse_count(flag, next(), 0);
-    } else if (flag == "--manifest-out") {
-      options.manifest_out_path = next_path();
-    } else if (flag == "--report-deterministic") {
-      options.deterministic_report = true;
-    } else {
-      usage("unknown flag " + flag);
+    const auto flag =
+        std::ranges::find(kFlags, std::string_view(arg), &Flag::name);
+    if (flag == std::ranges::end(kFlags)) usage("unknown flag " + arg);
+    if ((flag->commands & command->bit) == 0) {
+      usage(arg + " does not apply to " + options.command);
     }
+    FlagValue value{flag->name, ""};
+    if (!flag->value.empty()) {
+      if (i + 1 >= argc) usage("missing value for " + arg);
+      value.text = argv[++i];
+    }
+    flag->set(options, value);
+  }
+  if (options.positional.size() != command->operands) {
+    usage(options.command + " takes " + std::to_string(command->operands) +
+          " file operand(s), got " +
+          std::to_string(options.positional.size()));
   }
   // Interval sanity shared with the checkpoint driver: both counts must
-  // be >= 1 (parse_count enforces that) and the checkpoint stride
+  // be >= 1 (their rows enforce that) and the checkpoint stride
   // window_cycles * checkpoint_every must not overflow the simulated
   // clock — a wrapped stride would silently disable checkpointing.
   const std::string interval_error =
@@ -468,16 +521,9 @@ CliOptions parse(int argc, char** argv) {
   if (!interval_error.empty()) {
     usage("--window-cycles/--checkpoint-every: " + interval_error);
   }
-  // Checkpoint flags must produce something: only scenario writes
-  // checkpoints, a halt must leave one to resume from, and a stride
-  // needs a checkpoint to write or to resume from.
-  if ((!options.checkpoint_out_path.empty() ||
-       options.checkpoint_every_given ||
-       options.halt_after_checkpoints > 0) &&
-      options.command != "scenario") {
-    usage("--checkpoint-out, --checkpoint-every and "
-          "--halt-after-checkpoints apply to scenario only");
-  }
+  // Checkpoint flags must produce something: a halt must leave a
+  // checkpoint to resume from, and a stride needs a checkpoint to write
+  // or to resume from.
   if (options.halt_after_checkpoints > 0 &&
       options.checkpoint_out_path.empty()) {
     usage("--halt-after-checkpoints needs --checkpoint-out (a halted run "
@@ -487,11 +533,6 @@ CliOptions parse(int argc, char** argv) {
       options.checkpoint_out_path.empty() &&
       options.resume_from_path.empty()) {
     usage("--checkpoint-every needs --checkpoint-out or --resume-from");
-  }
-  const bool file_scenario =
-      options.command == "scenario" || options.command == "sweep";
-  if (!options.resume_from_path.empty() && !file_scenario) {
-    usage("--resume-from applies to scenario and sweep only");
   }
   if (!options.trace_out_path.empty() && options.command == "scenario" &&
       options.wants_checkpointing()) {
@@ -503,22 +544,13 @@ CliOptions parse(int argc, char** argv) {
     usage("--trace-out cannot be combined with supervised-sweep flags "
           "(completed cells resumed from a manifest are not re-run)");
   }
-  if (options.wants_windows() && !file_scenario &&
-      options.command != "run") {
-    usage("--report-out and --windows-out apply to run, scenario and "
-          "sweep only");
-  }
-  // The flag scenario: scenario and sweep take theirs from --file; run
-  // and compare must describe a valid one before any setup starts.
-  if (file_scenario && !options.scenario_flag.empty()) {
-    usage(options.scenario_flag + " describes the run/compare scenario; " +
-          options.command + " reads its scenario from --file");
-  }
+  // The flag scenario: run and compare must describe a valid one before
+  // any setup starts.
+  Scenario& scenario = options.scenario;
   scenario.name = scenario.policy;
-  scenario.use_standard_machine(cores);
-  if (options.command == "run" || options.command == "compare") {
-    scenario.faults =
-        flag_fault_plan(fault_plan_path, fault_rate, fault_seed);
+  scenario.use_standard_machine(scenario.cores);
+  if ((command->bit & kFlagScenario) != 0) {
+    scenario.faults = flag_fault_plan(options);
     const PolicyRegistry& registry = PolicyRegistry::instance();
     if (!registry.known(scenario.policy)) {
       usage("unknown system " + scenario.policy + " (expected " +
@@ -530,14 +562,6 @@ CliOptions parse(int argc, char** argv) {
       usage(e.what());
     }
   }
-  require_parent_dir("--trace-out", options.trace_out_path);
-  require_parent_dir("--metrics-out", options.metrics_out_path);
-  require_parent_dir("--report-out", options.report_out_path);
-  require_parent_dir("--windows-out", options.windows_out_path);
-  require_parent_dir("--checkpoint-out", options.checkpoint_out_path);
-  require_parent_dir("--manifest-out", options.manifest_out_path);
-  require_parent_dir("--save", options.save_path);
-  require_parent_dir("--out", options.analyze_out_path);
   return options;
 }
 
@@ -895,7 +919,7 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   for (const std::string& item :
        split_list("--sweep-cores", options.sweep_cores)) {
     grid.core_counts.push_back(
-        static_cast<std::size_t>(parse_count("--sweep-cores", item, 1)));
+        FlagValue{"--sweep-cores", item}.count<std::size_t>(1));
   }
   grid.mean_gaps.clear();
   if (options.sweep_gaps.empty()) {
@@ -903,7 +927,7 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   } else {
     for (const std::string& item :
          split_list("--sweep-gaps", options.sweep_gaps)) {
-      grid.mean_gaps.push_back(parse_real("--sweep-gaps", item, 1.0, 1e15));
+      grid.mean_gaps.push_back(FlagValue{"--sweep-gaps", item}.real(1.0, 1e15));
     }
   }
   grid.policies = split_list("--sweep-policies", options.sweep_policies);
@@ -976,42 +1000,11 @@ int cmd_sweep(const CliOptions& options, ObsSession* obs) {
   }
   if (obs != nullptr) record_sweep_metrics(obs->metrics, "sweep.", cells);
 
-  // Aggregated sweep report: totals over the completed cells; the window
-  // summary sums each cell's (per-cell windows land in --windows-out, one
-  // JSONL block per cell in grid order, window indices restarting at 0),
-  // and cells sharing a policy merge into one latency row.
-  RunReport report;
-  report.command = "sweep";
-  report.name = base.name;
-  report.policy = options.sweep_policies;
-  report.system = "grid";
-  report.discipline = std::string(to_string(base.discipline));
-  report.cores = 0;
-  report.seed = base.seed;
-  report.jobs =
-      static_cast<std::uint64_t>(base.arrivals.count) * cells.size();
-  report.suite_key = suite_cache_key(base.suite, context->energy());
+  RunReport report = sweep_report(grid, *context, sweep, sopts.window_cycles);
+  // One JSONL block per completed cell, in grid order.
   std::string windows;
   for (const SweepCell& cell : cells) {
-    if (!cell.completed) continue;
-    report.completed_jobs += cell.result.completed_jobs;
-    report.makespan =
-        std::max<std::uint64_t>(report.makespan, cell.result.makespan);
-    report.total_energy_mj += cell.result.total_energy().millijoules();
-    if (!options.wants_windows()) continue;
-    report.window_cycles = options.window_cycles;
-    report.windows_closed += cell.windows_closed;
-    report.dropped_windows += cell.dropped_windows;
-    report.window_jobs_completed += cell.window_jobs_completed;
-    report.window_energy_mj += cell.window_energy_mj;
-    windows += cell.windows_jsonl;
-  }
-  if (options.wants_windows()) {
-    attach_sweep_latency(report, cells, options.window_cycles);
-  }
-  for (const SweepFailure& f : sweep.failed) {
-    report.failed_cells.push_back(
-        {f.label, f.attempts, f.timed_out, f.reason});
+    if (cell.completed) windows += cell.windows_jsonl;
   }
   if (supervised) {
     // Like the checkpointed scenario path, the report's metrics come
@@ -1042,89 +1035,54 @@ std::optional<std::string> slurp_file(const std::string& path) {
 }
 
 int cmd_bench_diff(const CliOptions& options) {
-  if (options.positional.size() != 2) {
-    usage("bench-diff expects exactly two operands: BASELINE.json "
-          "CURRENT.json");
-  }
-  auto slurp = slurp_file;
-  const std::optional<std::string> baseline = slurp(options.positional[0]);
+  const std::optional<std::string> baseline = slurp_file(options.positional[0]);
   if (!baseline.has_value()) {
     std::cerr << "cannot open " << options.positional[0] << "\n";
     return 2;
   }
-  const std::optional<std::string> current = slurp(options.positional[1]);
+  const std::optional<std::string> current = slurp_file(options.positional[1]);
   if (!current.has_value()) {
     std::cerr << "cannot open " << options.positional[1] << "\n";
     return 2;
   }
-  const BenchDiffResult diff =
-      bench_diff(*baseline, *current, options.tolerance);
+  bool regressed = false;
   std::cout << "bench-diff " << options.positional[0] << " -> "
             << options.positional[1] << " (tolerance "
             << options.tolerance << ")\n"
-            << diff.summary(options.tolerance);
-  return diff.regressed() ? 1 : 0;
+            << bench_diff(*baseline, *current, options.tolerance,
+                          &regressed);
+  return regressed ? 1 : 0;
 }
 
 int cmd_analyze(const CliOptions& options) {
-  std::string output;
-  bool failed = false;
-  if (options.analyze_diff_mode) {
-    if (options.positional.size() != 2) {
-      usage("analyze --diff expects exactly two operands: BASELINE.json "
-            "CURRENT.json");
-    }
-    const std::optional<std::string> baseline =
-        slurp_file(options.positional[0]);
-    if (!baseline.has_value()) {
-      std::cerr << "cannot open " << options.positional[0] << "\n";
-      return 2;
-    }
-    const std::optional<std::string> current =
-        slurp_file(options.positional[1]);
-    if (!current.has_value()) {
-      std::cerr << "cannot open " << options.positional[1] << "\n";
-      return 2;
-    }
-    output = "analyze --diff " + options.positional[0] + " -> " +
-             options.positional[1] + " (tolerance " +
-             CsvWriter::number(options.tolerance) + ")\n";
-    bool regressed = false;
-    output += analyze_diff(*baseline, *current, options.tolerance,
-                           &regressed);
-    failed = regressed;
-  } else {
-    if (options.analyze_report_path.empty()) {
-      usage("analyze requires --report FILE (or --diff A B)");
-    }
-    const std::optional<std::string> report =
-        slurp_file(options.analyze_report_path);
-    if (!report.has_value()) {
-      std::cerr << "cannot open " << options.analyze_report_path << "\n";
-      return 2;
-    }
-    std::string windows;
-    if (!options.analyze_windows_path.empty()) {
-      const std::optional<std::string> jsonl =
-          slurp_file(options.analyze_windows_path);
-      if (!jsonl.has_value()) {
-        std::cerr << "cannot open " << options.analyze_windows_path << "\n";
-        return 2;
-      }
-      windows = *jsonl;
-    }
-    AnalyzeOptions aopts;
-    aopts.top = options.analyze_top;
-    output = analyze_run(*report, windows, aopts);
+  if (options.analyze_report_path.empty()) {
+    usage("analyze requires --report FILE");
   }
-  if (!options.analyze_out_path.empty()) {
-    if (!write_text_file(options.analyze_out_path, output, "analysis")) {
-      return 1;
+  const std::optional<std::string> report =
+      slurp_file(options.analyze_report_path);
+  if (!report.has_value()) {
+    std::cerr << "cannot open " << options.analyze_report_path << "\n";
+    return 2;
+  }
+  std::string windows;
+  if (!options.analyze_windows_path.empty()) {
+    const std::optional<std::string> jsonl =
+        slurp_file(options.analyze_windows_path);
+    if (!jsonl.has_value()) {
+      std::cerr << "cannot open " << options.analyze_windows_path << "\n";
+      return 2;
     }
-  } else {
+    windows = *jsonl;
+  }
+  AnalyzeOptions aopts;
+  aopts.top = options.analyze_top;
+  const std::string output = analyze_run(*report, windows, aopts);
+  if (options.analyze_out_path.empty()) {
     std::cout << output;
+    return 0;
   }
-  return failed ? 1 : 0;
+  return write_text_file(options.analyze_out_path, output, "analysis") ? 0
+                                                                       : 1;
 }
 
 int run_command(const CliOptions& options) {
@@ -1143,7 +1101,7 @@ int run_command(const CliOptions& options) {
     probe.emplace(&obs->recorder);
   }
   ObsSession* obs_ptr = obs.has_value() ? &*obs : nullptr;
-  int status = 2;
+  int status = 0;
   if (options.command == "characterize") {
     status = cmd_characterize(options);
   } else if (options.command == "train") {
@@ -1158,10 +1116,8 @@ int run_command(const CliOptions& options) {
     status = cmd_sweep(options, obs_ptr);
   } else if (options.command == "bench-diff") {
     status = cmd_bench_diff(options);
-  } else if (options.command == "analyze") {
-    status = cmd_analyze(options);
   } else {
-    usage("unknown command " + options.command);
+    status = cmd_analyze(options);
   }
   if (status == 0 && obs.has_value() && !obs->finish()) return 1;
   return status;
